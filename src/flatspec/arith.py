@@ -1,9 +1,13 @@
 """Exact scalars shared by every module: binomial coefficients, Gaussian
-integers, and rationals whose denominator divides 4.
+integers, and the boundary between rationals and quarter units.
 
 Nothing in the computation path ever touches floating point.  Translation
-coordinates live in (1/4)Z, so all character values are Gaussian integers
-and every multiplicity comes out as an exact integer or fails loudly.
+coordinates live in (1/4)Z and are carried as integer quarter units: the
+int q stands for q/4.  All character values are then powers of i, and every
+multiplicity comes out as an exact integer or fails loudly.  Rationals
+appear only where coordinates are read or written: ``parse_quarter`` turns
+the interchange form (a bare int or 'p/q') into quarter units and
+``format_quarter`` turns them back.
 """
 
 from __future__ import annotations
@@ -11,10 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-#: denominators admitted for translation coordinates
-QUARTER_DENOMINATORS = (1, 2, 4)
-
 
 def binomial(n: int, k: int) -> int:
     """C(n, k) as an exact integer, with 0 for k outside 0..n."""
@@ -81,36 +81,28 @@ def quarter_root_power(q: int) -> GaussianInt:
     return _QUARTER_TURNS[q % 4]
 
 
-def as_quarter(value: int | Fraction) -> Fraction:
-    """Coerce to an exact rational whose denominator lies in {1, 2, 4}."""
-    if isinstance(value, float):
-        raise TypeError("floating point coordinates are not accepted; use int, Fraction or 'p/q'")
-    frac = Fraction(value)
-    if frac.denominator not in QUARTER_DENOMINATORS:
+def parse_quarter(value: int | str) -> int:
+    """Quarter units of a coordinate in interchange form: a bare integer or
+    'p/q' with q dividing 4."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"cannot parse {value!r} as a rational")
+    frac = Fraction(value.strip() if isinstance(value, str) else value)
+    if 4 % frac.denominator:
         raise ValueError(
             f"denominator {frac.denominator} unsupported: coordinates must lie in (1/4)Z"
         )
-    return frac
+    return int(4 * frac)
 
 
-def mod1(value: Fraction) -> Fraction:
-    """Reduce into the half-open interval [0, 1)."""
-    return value % 1
+def format_quarter(q: int) -> int | str:
+    """Interchange form of q/4: bare int, or 'p/q' for q in {2, 4}."""
+    frac = Fraction(q, 4)
+    if frac.denominator == 1:
+        return int(frac)
+    return f"{frac.numerator}/{frac.denominator}"
 
 
-def parse_rational(value: int | str) -> Fraction:
-    """Parse the interchange form of a coordinate: a bare integer or 'p/q'."""
-    if isinstance(value, bool):
-        raise TypeError(f"cannot parse {value!r} as a rational")
-    if isinstance(value, int):
-        return as_quarter(value)
-    if isinstance(value, str):
-        return as_quarter(Fraction(value.strip()))
-    raise TypeError(f"cannot parse {value!r} as a rational")
-
-
-def format_rational(value: Fraction) -> int | str:
-    """Serialize to the interchange form: bare int, or 'p/q' for q in {2, 4}."""
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+def quarters_as_rationals(quarters) -> tuple[Fraction, ...]:
+    """The rationals a quarter-unit vector stands for, as diagnostics print
+    them."""
+    return tuple(Fraction(q, 4) for q in quarters)

@@ -1,16 +1,17 @@
 """Bieberbach groups over the cubic lattice Z^n.
 
 Linear parts are signed permutations (exactly the orthogonal matrices that
-stabilize Z^n), translation parts are rational vectors reduced mod 1 with
-coordinates in {0, 1/4, 1/2, 3/4}.  A group is held as one representative
-per coset of the translation lattice, identity first.
+stabilize Z^n), translation parts are vectors in (1/4)Z^n reduced mod 1,
+held in integer quarter units as documented on ``IsometryElement``.  A
+group is held as one representative per coset of the translation lattice,
+identity first.
 
 Conventions, fixed once and used everywhere:
 
 * column action: ``B e_j = signs[j] * e_{perm[j]}``;
 * an isometry ``B L_b`` maps x to ``B(x + b)``, hence products compose as
   ``(Ba L_a)(Bb L_b) = (Ba Bb) L_{Bb^-1 a + b}`` with the translation
-  reduced mod 1.
+  reduced mod 1 (mod 4 in quarter units).
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 
-from .arith import as_quarter, format_rational, mod1, parse_rational
+from .arith import format_quarter, parse_quarter, quarters_as_rationals
 
 #: largest holonomy group expand_holonomy will build
 HOLONOMY_CAP = 2**16
@@ -79,7 +79,8 @@ class SignedPermutation:
         return self.perm == tuple(range(self.dim))
 
     def apply(self, vector):
-        """Image of a coordinate vector (entries int or Fraction)."""
+        """Image of an integer coordinate vector, such as a lattice vector
+        or a translation in quarter units."""
         if len(vector) != self.dim:
             raise ValueError("dimension mismatch")
         out = [0] * self.dim
@@ -181,16 +182,27 @@ def _cycles(b: SignedPermutation):
 @dataclass(frozen=True)
 class IsometryElement:
     """A Euclidean isometry B L_b with B a signed permutation and b taken
-    mod 1 with coordinates in {0, 1/4, 1/2, 3/4}."""
+    mod 1.
+
+    ``translation`` is the one format for translations throughout the
+    package: a tuple of ints in quarter units, entry q standing for the
+    coordinate q/4, reduced mod 4 by the constructor (so each entry lies in
+    0..3).  Any other coordinate type, rationals, floats and bools included,
+    raises TypeError; ``from_json`` and ``to_json`` convert to and from the
+    rational interchange form.
+    """
 
     linear: SignedPermutation
-    translation: tuple[Fraction, ...]
+    translation: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.translation) != self.linear.dim:
             raise ValueError("translation length must equal the dimension")
-        reduced = tuple(mod1(as_quarter(t)) for t in self.translation)
-        object.__setattr__(self, "translation", reduced)
+        if any(type(q) is not int for q in self.translation):
+            raise TypeError(
+                f"translation coordinates must be int quarter units, got {self.translation!r}"
+            )
+        object.__setattr__(self, "translation", tuple(q % 4 for q in self.translation))
 
     @property
     def dim(self) -> int:
@@ -198,7 +210,7 @@ class IsometryElement:
 
     @classmethod
     def identity(cls, n: int) -> "IsometryElement":
-        return cls(SignedPermutation.identity(n), (Fraction(0),) * n)
+        return cls(SignedPermutation.identity(n), (0,) * n)
 
     def is_identity(self) -> bool:
         return self.linear.is_identity() and all(t == 0 for t in self.translation)
@@ -209,13 +221,11 @@ class IsometryElement:
             raise ValueError("dimension mismatch")
         linear = self.linear.compose(other.linear)
         shifted = other.linear.inverse().apply(self.translation)
-        translation = tuple((a + b) % 1 for a, b in zip(shifted, other.translation))
-        return _raw_isometry(linear, translation)
+        return IsometryElement(linear, tuple(a + b for a, b in zip(shifted, other.translation)))
 
     def inverse(self) -> "IsometryElement":
-        linear = self.linear.inverse()
         moved = self.linear.apply(self.translation)
-        return _raw_isometry(linear, tuple((-t) % 1 for t in moved))
+        return IsometryElement(self.linear.inverse(), tuple(-q for q in moved))
 
     def sort_key(self):
         return (self.linear.perm, self.linear.signs, self.translation)
@@ -223,35 +233,25 @@ class IsometryElement:
     def key_string(self) -> str:
         perm = ",".join(str(p + 1) for p in self.linear.perm)
         signs = ",".join("+" if s > 0 else "-" for s in self.linear.signs)
-        trans = ",".join(str(format_rational(t)) for t in self.translation)
+        trans = ",".join(str(format_quarter(q)) for q in self.translation)
         return f"{perm}|{signs}|{trans}"
 
     def to_json(self) -> dict:
         obj = self.linear.to_json()
-        obj["translation"] = [format_rational(t) for t in self.translation]
+        obj["translation"] = [format_quarter(q) for q in self.translation]
         return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "IsometryElement":
         linear = SignedPermutation.from_json(obj)
-        translation = tuple(parse_rational(t) for t in obj.get("translation", []))
+        translation = tuple(parse_quarter(t) for t in obj.get("translation", []))
         if not translation:
-            translation = (Fraction(0),) * linear.dim
+            translation = (0,) * linear.dim
         return cls(linear, translation)
 
     def __str__(self) -> str:
-        trans = ",".join(str(format_rational(t)) for t in self.translation)
+        trans = ",".join(str(format_quarter(q)) for q in self.translation)
         return f"{self.linear}L[{trans}]"
-
-
-def _raw_isometry(linear: SignedPermutation, translation: tuple[Fraction, ...]) -> IsometryElement:
-    # bypasses the normalizing constructor; callers must pass translations
-    # already reduced mod 1 on the quarter grid (true for products and
-    # inverses of reduced elements)
-    elem = object.__new__(IsometryElement)
-    object.__setattr__(elem, "linear", linear)
-    object.__setattr__(elem, "translation", translation)
-    return elem
 
 
 @dataclass(frozen=True)
@@ -337,8 +337,9 @@ def expand_holonomy(
             elif known.translation != prod.translation:
                 raise HolonomyExpansionError(
                     "inconsistent cocycle: linear part "
-                    f"{prod.linear} carries translations {known.translation} and "
-                    f"{prod.translation} mod 1"
+                    f"{prod.linear} carries translations "
+                    f"{quarters_as_rationals(known.translation)} and "
+                    f"{quarters_as_rationals(prod.translation)} mod 1"
                 )
     return BieberbachGroup(dim=dim, holonomy=tuple(reps.values()), generators=gens, name=name)
 
@@ -349,15 +350,15 @@ def coset_is_torsion_free(element: IsometryElement) -> bool:
     With p_B the orthogonal projection onto the fixed space of B, the coset
     of B L_b contains torsion iff p_B(b) lies in p_B(Z^n); per positive
     cycle of B that is the condition sum(eps * b) in Z, so the coset is
-    torsion free iff some positive cycle gives a non-integer sum.
+    torsion free iff some positive cycle gives a non-integer sum (a quarter
+    sum not divisible by 4).
     """
-    for indices, eps, sigma in element.linear.cycles():
-        if sigma != 1:
-            continue
-        total = sum((e * element.translation[j] for j, e in zip(indices, eps)), Fraction(0))
-        if total.denominator != 1:
-            return True
-    return False
+    translation = element.translation
+    return any(
+        sum(e * translation[j] for j, e in zip(indices, eps)) % 4
+        for indices, eps, sigma in element.linear.cycles()
+        if sigma == 1
+    )
 
 
 def is_torsion_free(group: BieberbachGroup) -> bool:
@@ -459,7 +460,7 @@ def classify_holonomy(group: BieberbachGroup) -> HolonomyClass:
 def is_diagonal_type(group: BieberbachGroup) -> bool:
     """All linear parts diagonal sign matrices and all translations in (1/2)Z^n."""
     return all(e.linear.is_diagonal() for e in group.holonomy) and all(
-        t.denominator in (1, 2) for e in group.holonomy for t in e.translation
+        q % 2 == 0 for e in group.holonomy for q in e.translation
     )
 
 
@@ -541,8 +542,9 @@ def validate(group: BieberbachGroup) -> ValidationReport:
             elif known.translation != prod.translation:
                 cocycle = False
                 detail = detail or (
-                    f"product {a}*{b} demands translation {prod.translation} for "
-                    f"{prod.linear}, stored {known.translation}"
+                    f"product {a}*{b} demands translation "
+                    f"{quarters_as_rationals(prod.translation)} for {prod.linear}, "
+                    f"stored {quarters_as_rationals(known.translation)}"
                 )
     torsion_free = is_torsion_free(group) if closure and cocycle else False
     if closure and cocycle and not torsion_free:
@@ -588,10 +590,3 @@ def validate_generators(
     report = validate(group)
     return (group if report.accepted else None), report
 
-
-def require_valid(group: BieberbachGroup) -> BieberbachGroup:
-    """Return the group if accepted, else raise GroupValidationError."""
-    report = validate(group)
-    if not report.accepted:
-        raise GroupValidationError(report)
-    return group

@@ -83,12 +83,6 @@ def _resolve_group(spec: str) -> BieberbachGroup:
         return families.catalog(spec)
     except KeyError:
         pass
-    if spec.startswith(("hw5/", "hw7/")):
-        dim = int(spec[2])
-        for group in families.hw_groups(dim):
-            if group.name == spec:
-                return group
-        raise KeyError(f"unknown built-in group {spec!r}")
     if os.path.exists(spec):
         return _load_group_file(spec)
     raise KeyError(
@@ -256,13 +250,21 @@ def _family_members(kind: str, dim: int) -> list[BieberbachGroup]:
     if kind == "kn":
         return families.kn_family(dim)
     if kind == "hw-catalog":
-        if dim == 3:
-            return [families.catalog(f"hw3/M{i}") for i in (1, 2, 3)]
-        return list(families.hw_groups(dim))
+        prefix = f"hw{dim}/"
+        names = [name for name in families.catalog_names() if name.startswith(prefix)]
+        if not names:
+            raise ValueError(f"no built-in Hantzsche-Wendt data in dimension {dim}")
+        return [families.catalog(name) for name in names]
     raise ValueError(f"unknown family kind {kind!r}")
 
 
 def cmd_family(args) -> int:
+    if args.count_only and args.kind == "kn":
+        print(families.kn_family_size(args.dim))
+        return 0
+    if args.count_only and args.kind == "z2":
+        print(families.z2_family_size(args.dim))
+        return 0
     members = _family_members(args.kind, args.dim)
     if args.count_only:
         print(len(members))
@@ -295,10 +297,7 @@ def cmd_family(args) -> int:
 def _load_array_file(path: str) -> families.GhwArray:
     with open(path, "r", encoding="utf-8") as handle:
         obj = json.load(handle)
-    from .arith import parse_rational
-
-    rows = [[parse_rational(v) for v in row] for row in obj["rows"]]
-    return families.GhwArray.from_rows(rows)
+    return families.GhwArray.from_rows(obj["rows"])
 
 
 def cmd_graph(args) -> int:
@@ -307,14 +306,18 @@ def cmd_graph(args) -> int:
     else:
         if args.dim is None:
             return _fail("graph needs --dim (with --index or --all) or --array FILE")
-        arrays = list(families.kn_arrays(args.dim))
         if args.all:
-            array_list = [(a.bit_string(), a) for a in arrays]
+            array_list = [(a.bit_string(), a) for a in families.kn_arrays(args.dim)]
         else:
+            size = families.kn_family_size(args.dim)
             index = args.index if args.index is not None else 0
-            if not 0 <= index < len(arrays):
-                return _fail(f"index {index} outside 0..{len(arrays) - 1}")
-            array_list = [(arrays[index].bit_string(), arrays[index])]
+            if not 0 <= index < size:
+                return _fail(f"index {index} outside 0..{size - 1}")
+            # kn_arrays order: the first free bit is the most significant
+            width = families.free_parameter_count(args.dim)
+            bits = [(index >> shift) & 1 for shift in reversed(range(width))]
+            array = families.GhwArray.from_bits(args.dim, bits)
+            array_list = [(array.bit_string(), array)]
     if args.json:
         payload = [graphs.graph_of(a).to_json() for _bits, a in array_list]
         _print_json(payload[0] if len(payload) == 1 else payload)

@@ -6,18 +6,19 @@
   translations, including the Hantzsche-Wendt groups;
 * the {0, 1/2}-array family with holonomy Z2^(n-1) and first Betti
   number one, parameterized by the free strict upper triangle;
-* a named catalog of fixed example groups (dimensions 3, 4, 6), embedded
+* a named catalog of fixed example groups (dimensions 3 to 7), embedded
   verbatim rather than re-derived.
+
+Translations are written in quarter units throughout (2 is 1/2, 1 is 1/4).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .arith import as_quarter, mod1
+from .arith import format_quarter, parse_quarter
 from .bieberbach import (
     BieberbachGroup,
     GroupValidationError,
@@ -27,9 +28,6 @@ from .bieberbach import (
     is_torsion_free,
     validate,
 )
-
-HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
 
 #: largest n for which the full Z2^(n-1) array family may be enumerated
 DEFAULT_KN_CAP = 8
@@ -59,10 +57,14 @@ def z2_linear(n: int, j: int, h: int) -> SignedPermutation:
     return SignedPermutation(tuple(perm), tuple(signs))
 
 
-def z2_parameters(n: int) -> list[tuple[int, int]]:
-    """All (j, h) with 0 <= j <= [(n-1)/2], 0 <= h < n - 2j, j + h != 0."""
+def _require_z2_dim(n: int) -> None:
     if n < 2:
         raise ValueError(f"the family needs dimension >= 2, got n={n}")
+
+
+def z2_parameters(n: int) -> list[tuple[int, int]]:
+    """All (j, h) with 0 <= j <= [(n-1)/2], 0 <= h < n - 2j, j + h != 0."""
+    _require_z2_dim(n)
     return [
         (j, h)
         for j in range((n - 1) // 2 + 1)
@@ -75,7 +77,7 @@ def z2_group(n: int, j: int, h: int, name: str | None = None) -> BieberbachGroup
     """The group generated by z2_linear(n, j, h) composed with L_{e_n/2}."""
     if (j, h) not in z2_parameters(n):
         raise ValueError(f"invalid parameters j={j}, h={h} for n={n}")
-    translation = tuple(HALF if i == n - 1 else Fraction(0) for i in range(n))
+    translation = tuple(2 if i == n - 1 else 0 for i in range(n))
     generator = IsometryElement(z2_linear(n, j, h), translation)
     group = expand_holonomy([generator], n, name=name or f"M[{j},{h}]")
     return _require(group)
@@ -88,6 +90,7 @@ def z2_family(n: int) -> list[BieberbachGroup]:
 
 def z2_family_size(n: int) -> int:
     """Closed-form cardinality (n - [(n-1)/2]) * ([(n-1)/2] + 1) - 1."""
+    _require_z2_dim(n)
     half = (n - 1) // 2
     return (n - half) * (half + 1) - 1
 
@@ -97,14 +100,15 @@ def z2_family_size(n: int) -> int:
 
 
 def diagonal_group(sign_columns, translations, name: str | None = None) -> BieberbachGroup:
-    """Group generated by diagonal sign matrices with the given translations.
+    """Group generated by diagonal sign matrices with the given translations
+    (quarter units).
 
     Raises GroupValidationError carrying the full report if any structural
     check fails (used to build Hantzsche-Wendt groups and the dimension-3
     Z2^2 trio).
     """
     columns = [tuple(col) for col in sign_columns]
-    shifts = [tuple(as_quarter(t) for t in trans) for trans in translations]
+    shifts = [tuple(trans) for trans in translations]
     if len(columns) != len(shifts):
         raise ValueError("need exactly one translation per sign column")
     if not columns:
@@ -121,16 +125,11 @@ def diagonal_group(sign_columns, translations, name: str | None = None) -> Biebe
     return group
 
 
-def hw_linear(n: int, i: int) -> SignedPermutation:
-    """The diagonal matrix fixing e_i (1-based) and negating every other axis."""
-    return SignedPermutation.diagonal(tuple(1 if k == i - 1 else -1 for k in range(n)))
-
-
-# Translation vectors (in half units) of sample Hantzsche-Wendt groups:
-# generator i uses hw_linear(n, i) and translates by row i below.  The
-# first entry per dimension is the classical chain b_i = (e_i + e_{i+1})/2;
-# the others were found by search over {0, 1/2} translations, each
-# re-validated at construction time.
+# Translation vectors (in half units, doubled when read) of sample
+# Hantzsche-Wendt groups: generator i fixes e_i, negates every other axis
+# and translates by row i below.  The first entry per dimension is the
+# classical chain b_i = (e_i + e_{i+1})/2; the others were found by search
+# over {0, 1/2} translations, each re-validated at construction time.
 _HW_DATA: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {
     5: (
         (
@@ -181,20 +180,20 @@ _HW_DATA: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {
 }
 
 
+def _hw_group(n: int, index: int) -> BieberbachGroup:
+    """hw{n}/H{index} from its half-unit rows in _HW_DATA."""
+    columns = [tuple(1 if k == i else -1 for k in range(n)) for i in range(n - 1)]
+    translations = [tuple(2 * x for x in row) for row in _HW_DATA[n][index - 1]]
+    return diagonal_group(columns, translations, name=f"hw{n}/H{index}")
+
+
 def hw_groups(n: int) -> tuple[BieberbachGroup, ...]:
     """Built-in Hantzsche-Wendt groups in odd dimension n."""
     if n == 3:
         return (catalog("hw3/M1"),)
     if n not in _HW_DATA:
         raise ValueError(f"no built-in Hantzsche-Wendt data in dimension {n}")
-    groups = []
-    for index, rows in enumerate(_HW_DATA[n], start=1):
-        columns = [tuple(1 if k == i else -1 for k in range(n)) for i in range(n - 1)]
-        translations = [tuple(Fraction(x, 2) for x in row) for row in rows]
-        groups.append(
-            diagonal_group(columns, translations, name=f"hw{n}/H{index}")
-        )
-    return tuple(groups)
+    return tuple(catalog(f"hw{n}/H{index}") for index in range(1, len(_HW_DATA[n]) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +206,10 @@ class GhwArray:
     generator (which negates only axis i), column n the derived translation
     of the product of all generators.
 
+    Entries are quarter units like every translation, so each is 0 or 2.
+    ``from_rows`` reads and ``to_json`` writes the rational interchange form
+    (0 and "1/2").
+
     Forced entries: subdiagonal (i+1, i) = 1/2, diagonal zero except
     (n, n) = 1/2, zero below the subdiagonal; every row carries an even
     number of 1/2 entries, equivalently the last column is the sum of the
@@ -214,7 +217,7 @@ class GhwArray:
     """
 
     n: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         n = self.n
@@ -224,21 +227,20 @@ class GhwArray:
             raise ValueError(f"entries must form an {n}x{n} array")
         for row in self.entries:
             for value in row:
-                if value not in (0, HALF):
-                    raise ValueError(f"entries must be 0 or 1/2, got {value}")
+                if value not in (0, 2):
+                    raise ValueError(f"entries must be 0 or 1/2, got {format_quarter(value)}")
         for c in range(n - 1):
-            if self.entries[c + 1][c] != HALF:
+            if self.entries[c + 1][c] != 2:
                 raise ValueError(f"subdiagonal entry ({c + 2},{c + 1}) must be 1/2")
             if self.entries[c][c] != 0:
                 raise ValueError(f"diagonal entry ({c + 1},{c + 1}) must be 0")
             for r in range(c + 2, n):
                 if self.entries[r][c] != 0:
                     raise ValueError(f"entry ({r + 1},{c + 1}) below the subdiagonal must be 0")
-        if self.entries[n - 1][n - 1] != HALF:
+        if self.entries[n - 1][n - 1] != 2:
             raise ValueError(f"entry ({n},{n}) must be 1/2")
         for r in range(n):
-            derived = mod1(sum(self.entries[r][c] for c in range(n - 1)))
-            if self.entries[r][n - 1] != derived:
+            if self.entries[r][n - 1] != sum(self.entries[r][: n - 1]) % 4:
                 raise ValueError(
                     f"row {r + 1} has an odd number of 1/2 entries: "
                     "the last column must be the sum of the others mod 1"
@@ -246,7 +248,7 @@ class GhwArray:
 
     @classmethod
     def from_rows(cls, rows) -> "GhwArray":
-        entries = tuple(tuple(as_quarter(v) for v in row) for row in rows)
+        entries = tuple(tuple(parse_quarter(v) for v in row) for row in rows)
         return cls(len(entries), entries)
 
     @classmethod
@@ -257,20 +259,20 @@ class GhwArray:
         positions = free_positions(n)
         if len(bits) != len(positions):
             raise ValueError(f"need {len(positions)} bits for n={n}, got {len(bits)}")
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for c in range(n - 1):
-            rows[c + 1][c] = HALF
+            rows[c + 1][c] = 2
         for (r, c), bit in zip(positions, bits):
-            rows[r][c] = HALF if bit else Fraction(0)
+            rows[r][c] = 2 if bit else 0
         for r in range(n):
-            rows[r][n - 1] = mod1(sum(rows[r][c] for c in range(n - 1)))
+            rows[r][n - 1] = sum(rows[r][: n - 1]) % 4
         return cls(n, tuple(tuple(row) for row in rows))
 
-    def column(self, c: int) -> tuple[Fraction, ...]:
+    def column(self, c: int) -> tuple[int, ...]:
         return tuple(self.entries[r][c] for r in range(self.n))
 
     def bits(self) -> tuple[int, ...]:
-        return tuple(int(2 * self.entries[r][c]) for r, c in free_positions(self.n))
+        return tuple(self.entries[r][c] // 2 for r, c in free_positions(self.n))
 
     def bit_string(self) -> str:
         return "".join(str(b) for b in self.bits())
@@ -278,7 +280,7 @@ class GhwArray:
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "rows": [[str(v) if v else 0 for v in row] for row in self.entries],
+            "rows": [[format_quarter(v) for v in row] for row in self.entries],
         }
 
 
@@ -305,12 +307,18 @@ def kn_group_from_array(array: GhwArray, name: str | None = None) -> BieberbachG
     return _require(expand_holonomy(generators, n, name=name))
 
 
-def kn_arrays(n: int, cap: int = DEFAULT_KN_CAP):
-    """All arrays for dimension n, lexicographic in the free bit vector."""
+def kn_family_size(n: int, cap: int = DEFAULT_KN_CAP) -> int:
+    """2^((n-1)(n-2)/2) members, for the dimensions kn_arrays admits."""
     if n < 2:
         raise ValueError(f"the family needs n >= 2, got {n}")
     if n > cap:
         raise ValueError(f"dimension {n} exceeds the family cap {cap}")
+    return 2 ** free_parameter_count(n)
+
+
+def kn_arrays(n: int, cap: int = DEFAULT_KN_CAP):
+    """All arrays for dimension n, lexicographic in the free bit vector."""
+    kn_family_size(n, cap)
     for bits in itertools.product((0, 1), repeat=free_parameter_count(n)):
         yield GhwArray.from_bits(n, bits)
 
@@ -345,9 +353,9 @@ def _jtilde_pairs(n: int, pairs) -> tuple[list[int], list[int]]:
 def _dim6_z4z2_generators() -> list[IsometryElement]:
     perm, signs = _jtilde_pairs(6, [(0, 1), (2, 3)])
     b1 = SignedPermutation(tuple(perm), tuple(signs))
-    t1 = tuple(QUARTER if i == 4 else Fraction(0) for i in range(6))
+    t1 = (0, 0, 0, 0, 1, 0)
     b2 = SignedPermutation.diagonal((-1, -1, 1, 1, 1, 1))
-    t2 = tuple(HALF if i == 5 else Fraction(0) for i in range(6))
+    t2 = (0, 0, 0, 0, 0, 2)
     return [IsometryElement(b1, t1), IsometryElement(b2, t2)]
 
 
@@ -355,30 +363,17 @@ def _dim6_z4z2_prime_generators() -> list[IsometryElement]:
     perm, signs = _jtilde_pairs(6, [(0, 1)])
     signs[2], signs[3], signs[4], signs[5] = 1, -1, -1, 1
     b1 = SignedPermutation(tuple(perm), tuple(signs))
-    t1 = tuple(QUARTER if i == 5 else Fraction(0) for i in range(6))
+    t1 = (0, 0, 0, 0, 0, 1)
     b2 = SignedPermutation.diagonal((-1, -1, -1, 1, -1, 1))
-    t2 = tuple(HALF if i in (3, 4) else Fraction(0) for i in range(6))
+    t2 = (0, 0, 0, 2, 2, 0)
     return [IsometryElement(b1, t1), IsometryElement(b2, t2)]
 
 
-def _hw3_data():
-    half = HALF
-    zero = Fraction(0)
-    return {
-        "hw3/M1": (
-            [(-1, -1, 1), (-1, 1, -1)],
-            [(half, zero, half), (zero, half, zero)],
-        ),
-        "hw3/M2": (
-            [(-1, -1, 1), (1, -1, 1)],
-            [(zero, half, half), (zero, zero, half)],
-        ),
-        "hw3/M3": (
-            [(-1, -1, 1), (1, -1, 1)],
-            [(zero, half, half), (half, zero, zero)],
-        ),
-    }
-
+_HW3_DATA = {
+    "hw3/M1": ([(-1, -1, 1), (-1, 1, -1)], [(2, 0, 2), (0, 2, 0)]),
+    "hw3/M2": ([(-1, -1, 1), (1, -1, 1)], [(0, 2, 2), (0, 0, 2)]),
+    "hw3/M3": ([(-1, -1, 1), (1, -1, 1)], [(0, 2, 2), (2, 0, 0)]),
+}
 
 _Z2_CATALOG = {
     "dim3/m10": (3, 1, 0),
@@ -391,12 +386,22 @@ _Z2_CATALOG = {
     "dim4/m01": (4, 0, 1),
 }
 
+_DIM6_GENERATORS = {
+    "dim6/z4z2_M": _dim6_z4z2_generators,
+    "dim6/z4z2_Mp": _dim6_z4z2_prime_generators,
+    "dim6/z4_M": lambda: _dim6_z4z2_generators()[:1],
+    "dim6/z4_Mp": lambda: _dim6_z4z2_prime_generators()[:1],
+}
+
+_HW_NAMES = {
+    f"hw{n}/H{index}": (n, index)
+    for n, samples in _HW_DATA.items()
+    for index in range(1, len(samples) + 1)
+}
+
 
 def catalog_names() -> list[str]:
-    names = list(_Z2_CATALOG)
-    names += ["hw3/M1", "hw3/M2", "hw3/M3"]
-    names += ["dim6/z4z2_M", "dim6/z4z2_Mp", "dim6/z4_M", "dim6/z4_Mp"]
-    return names
+    return [*_Z2_CATALOG, *_HW3_DATA, *_DIM6_GENERATORS, *_HW_NAMES]
 
 
 @lru_cache(maxsize=None)
@@ -405,16 +410,11 @@ def catalog(name: str) -> BieberbachGroup:
     if name in _Z2_CATALOG:
         n, j, h = _Z2_CATALOG[name]
         return z2_group(n, j, h, name=name)
-    hw3 = _hw3_data()
-    if name in hw3:
-        columns, translations = hw3[name]
+    if name in _HW3_DATA:
+        columns, translations = _HW3_DATA[name]
         return diagonal_group(columns, translations, name=name)
-    if name == "dim6/z4z2_M":
-        return _require(expand_holonomy(_dim6_z4z2_generators(), 6, name=name))
-    if name == "dim6/z4z2_Mp":
-        return _require(expand_holonomy(_dim6_z4z2_prime_generators(), 6, name=name))
-    if name == "dim6/z4_M":
-        return _require(expand_holonomy(_dim6_z4z2_generators()[:1], 6, name=name))
-    if name == "dim6/z4_Mp":
-        return _require(expand_holonomy(_dim6_z4z2_prime_generators()[:1], 6, name=name))
+    if name in _DIM6_GENERATORS:
+        return _require(expand_holonomy(_DIM6_GENERATORS[name](), 6, name=name))
+    if name in _HW_NAMES:
+        return _hw_group(*_HW_NAMES[name])
     raise KeyError(f"unknown catalog name {name!r}; known names: {', '.join(catalog_names())}")

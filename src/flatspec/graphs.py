@@ -10,11 +10,8 @@ family graphs therefore collapses to equality of canonical edge sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .families import GhwArray
-
-HALF = Fraction(1, 2)
 
 
 class GraphShapeError(ValueError):
@@ -41,12 +38,13 @@ class GhwGraph:
 
 
 def graph_of(array: GhwArray) -> GhwGraph:
-    """Arrow v_i -> v_j iff the (i, j) entry of the array is 1/2."""
+    """Arrow v_i -> v_j iff the (i, j) entry of the array is 1/2 (2 quarter
+    units; the only other entry value is 0)."""
     edges = {
         (r + 1, c + 1)
         for r in range(array.n)
         for c in range(array.n)
-        if array.entries[r][c] == HALF
+        if array.entries[r][c]
     }
     return GhwGraph(array.n, frozenset(edges))
 
@@ -54,7 +52,7 @@ def graph_of(array: GhwArray) -> GhwGraph:
 def array_of(graph: GhwGraph) -> GhwArray:
     """Inverse of graph_of; raises if the edge set violates the array shape."""
     rows = [
-        [HALF if (r + 1, c + 1) in graph.edges else Fraction(0) for c in range(graph.n)]
+        [2 if (r + 1, c + 1) in graph.edges else 0 for c in range(graph.n)]
         for r in range(graph.n)
     ]
     try:

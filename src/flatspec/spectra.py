@@ -99,19 +99,15 @@ def character_sum(
     group: BieberbachGroup, element: IsometryElement, norm_sq: int, cap: int | None = None
 ) -> GaussianInt:
     """e(gamma, N): the exact character sum over shell vectors fixed by the
-    linear part of gamma."""
+    linear part of gamma.  With the translation in quarter units q, each
+    term exp(-2*pi*i * v.b) is the unit i^(-v.q)."""
     if element not in group.holonomy:
         raise ValueError("element is not a holonomy representative of the group")
     shell = lattice.shell_vectors(group.dim, norm_sq, cap)
     fixed = lattice.fixed_vectors(shell, element.linear)
-    if all(t == 0 for t in element.translation):
+    quarters = element.translation
+    if not any(quarters):
         return GaussianInt(len(fixed), 0)
-    quarters = []
-    for t in element.translation:
-        scaled = 4 * t
-        if scaled.denominator != 1:
-            raise ValueError(f"unsupported character denominator in translation {element.translation}")
-        quarters.append(int(scaled))
     counts = [0, 0, 0, 0]
     for vector in fixed:
         counts[sum(q * v for q, v in zip(quarters, vector)) % 4] += 1
@@ -149,16 +145,28 @@ def d_p(group: BieberbachGroup, p: int, norm_sq: int) -> int:
     return multiplicity_row(group, norm_sq)[p]
 
 
+def _row_value(row: tuple[int, ...], mode: str) -> int:
+    """One figure of a multiplicity row: 'f' sums every degree (d_f), 'e'
+    the even degrees (d_e), 'o' the odd ones (d_o), and 'p<k>' is d_k."""
+    if mode == "f":
+        return sum(row)
+    if mode == "e":
+        return sum(row[0::2])
+    if mode == "o":
+        return sum(row[1::2])
+    return row[int(mode[1:])]
+
+
 def d_f(group: BieberbachGroup, norm_sq: int) -> int:
-    return sum(multiplicity_row(group, norm_sq))
+    return _row_value(multiplicity_row(group, norm_sq), "f")
 
 
 def d_e(group: BieberbachGroup, norm_sq: int) -> int:
-    return sum(multiplicity_row(group, norm_sq)[0::2])
+    return _row_value(multiplicity_row(group, norm_sq), "e")
 
 
 def d_o(group: BieberbachGroup, norm_sq: int) -> int:
-    return sum(multiplicity_row(group, norm_sq)[1::2])
+    return _row_value(multiplicity_row(group, norm_sq), "o")
 
 
 def betti(group: BieberbachGroup, p: int) -> int:
@@ -180,15 +188,15 @@ class MultiplicityRow:
 
     @property
     def d_f(self) -> int:
-        return sum(self.d)
+        return _row_value(self.d, "f")
 
     @property
     def d_e(self) -> int:
-        return sum(self.d[0::2])
+        return _row_value(self.d, "e")
 
     @property
     def d_o(self) -> int:
-        return sum(self.d[1::2])
+        return _row_value(self.d, "o")
 
     @classmethod
     def from_group(cls, group: BieberbachGroup, norm_sq: int) -> "MultiplicityRow":
@@ -256,9 +264,9 @@ def theorem_check(group: BieberbachGroup, n_max: int, cap: int | None = None) ->
             TheoremCase(
                 norm_sq=norm_sq,
                 shell_size=size,
-                d_f=sum(row),
-                d_e=sum(row[0::2]),
-                d_o=sum(row[1::2]),
+                d_f=_row_value(row, "f"),
+                d_e=_row_value(row, "e"),
+                d_o=_row_value(row, "o"),
                 expected_f=2 ** (group.dim - rank) * size,
             )
         )
@@ -296,17 +304,6 @@ def _normalize_mode(mode, dim: int) -> str:
     raise ValueError(f"unknown comparison mode {mode!r}")
 
 
-def _mode_value(group: BieberbachGroup, norm_sq: int, mode: str) -> int:
-    row = multiplicity_row(group, norm_sq)
-    if mode == "f":
-        return sum(row)
-    if mode == "e":
-        return sum(row[0::2])
-    if mode == "o":
-        return sum(row[1::2])
-    return row[int(mode[1:])]
-
-
 def compare_spectra(
     left: BieberbachGroup,
     right: BieberbachGroup,
@@ -320,8 +317,8 @@ def compare_spectra(
     label = _normalize_mode(mode, left.dim)
     for norm_sq in range(n_max + 1):
         lattice.shell_vectors(left.dim, norm_sq, cap)  # cap enforcement up front
-        a = _mode_value(left, norm_sq, label)
-        b = _mode_value(right, norm_sq, label)
+        a = _row_value(multiplicity_row(left, norm_sq), label)
+        b = _row_value(multiplicity_row(right, norm_sq), label)
         if a != b:
             return SpectralComparison(label, n_max, False, (norm_sq, a, b))
     return SpectralComparison(label, n_max, True, None)

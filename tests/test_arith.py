@@ -1,6 +1,5 @@
-"""Exact scalar arithmetic: binomials, quarter-turn units, rationals."""
-
-from fractions import Fraction
+"""Exact scalar arithmetic: binomials, quarter-turn units, and the
+rational interchange form of quarter units."""
 
 import pytest
 from hypothesis import given
@@ -9,11 +8,9 @@ from hypothesis import strategies as st
 from flatspec.arith import (
     GI_ONE,
     GaussianInt,
-    as_quarter,
     binomial,
-    format_rational,
-    mod1,
-    parse_rational,
+    format_quarter,
+    parse_quarter,
     quarter_root_power,
 )
 
@@ -75,28 +72,24 @@ def test_gaussian_json_form():
     assert GaussianInt(-2, 1).to_json() == {"re": -2, "im": 1}
 
 
-def test_as_quarter_accepts_quarters_only():
-    assert as_quarter(Fraction(3, 4)) == Fraction(3, 4)
-    assert as_quarter(2) == Fraction(2)
-    with pytest.raises(ValueError):
-        as_quarter(Fraction(1, 3))
+def test_parse_quarter_accepts_quarters_only():
+    assert parse_quarter("3/4") == 3
+    assert parse_quarter(2) == 8
+    with pytest.raises(ValueError, match="denominator"):
+        parse_quarter("1/3")
     with pytest.raises(TypeError):
-        as_quarter(0.5)
-
-
-def test_mod1_reduces_into_unit_interval():
-    assert mod1(Fraction(-1, 2)) == Fraction(1, 2)
-    assert mod1(Fraction(9, 4)) == Fraction(1, 4)
-    assert mod1(Fraction(3)) == 0
+        parse_quarter(0.5)
+    with pytest.raises(TypeError):
+        parse_quarter(True)
 
 
 def test_parse_and_format_round_trip():
-    for text, value in [("1/2", Fraction(1, 2)), ("3/4", Fraction(3, 4)), (2, Fraction(2))]:
-        assert parse_rational(text) == value
-    assert format_rational(Fraction(1, 2)) == "1/2"
-    assert format_rational(Fraction(5)) == 5
-    assert parse_rational(format_rational(Fraction(3, 4))) == Fraction(3, 4)
+    for text, value in [("1/2", 2), ("3/4", 3), (2, 8)]:
+        assert parse_quarter(text) == value
+    assert format_quarter(2) == "1/2"
+    assert format_quarter(20) == 5
+    assert parse_quarter(format_quarter(3)) == 3
     with pytest.raises(ValueError):
-        parse_rational("1/3")
+        parse_quarter("1/3")
     with pytest.raises(TypeError):
-        parse_rational(0.25)
+        parse_quarter(0.25)

@@ -1,7 +1,6 @@
 """Group model: composition convention, expansion, validation, classification."""
 
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +24,6 @@ from flatspec.bieberbach import (
 )
 from flatspec.families import catalog, kn_family, torus
 from flatspec.lattice import fixed_space_dim
-
-HALF = Fraction(1, 2)
-
 
 def iso(signs, translation):
     return IsometryElement(SignedPermutation.diagonal(signs), tuple(translation))
@@ -85,10 +81,15 @@ def test_signed_permutation_json_round_trip():
 
 
 def test_translation_reduced_mod_one_and_quarter_checked():
-    elem = IsometryElement(SignedPermutation.identity(2), (Fraction(5, 4), Fraction(-1, 2)))
-    assert elem.translation == (Fraction(1, 4), Fraction(1, 2))
-    with pytest.raises(ValueError):
-        IsometryElement(SignedPermutation.identity(1), (Fraction(1, 3),))
+    elem = IsometryElement(SignedPermutation.identity(2), (5, -2))
+    assert elem.translation == (1, 2)
+    with pytest.raises(ValueError, match="denominator"):
+        IsometryElement.from_json({"perm": [1], "signs": [1], "translation": ["1/3"]})
+
+
+def test_from_json_reduces_translations_mod_one():
+    obj = {"perm": [1, 2, 3], "signs": [1, 1, 1], "translation": ["-1/2", "9/4", 3]}
+    assert IsometryElement.from_json(obj).translation == (2, 1, 0)
 
 
 def test_identity_composition():
@@ -100,10 +101,10 @@ def test_identity_composition():
 def test_compose_matches_hand_composition():
     # gamma o gamma for gamma = (diag(-1,-1,1), (1/2, 0, 1/2)) is a lattice
     # translation, i.e. the identity representative
-    gamma = iso((-1, -1, 1), (HALF, 0, HALF))
+    gamma = iso((-1, -1, 1), (2, 0, 2))
     square = gamma.compose(gamma)
     assert square.linear.is_identity()
-    assert square.translation == (Fraction(0), Fraction(0), Fraction(0))
+    assert square.translation == (0, 0, 0)
 
 
 def test_compose_follows_the_semidirect_rule():
@@ -113,7 +114,7 @@ def test_compose_follows_the_semidirect_rule():
     product = gamma1.compose(gamma2)
     expected_linear = gamma1.linear.compose(gamma2.linear)
     moved = gamma2.linear.apply(gamma1.translation)
-    expected_translation = tuple((a + b) % 1 for a, b in zip(moved, gamma2.translation))
+    expected_translation = tuple((a + b) % 4 for a, b in zip(moved, gamma2.translation))
     assert product.linear == expected_linear
     assert product.translation == expected_translation
 
@@ -124,7 +125,7 @@ def test_compose_dimension_mismatch():
 
 
 def test_isometry_inverse():
-    gamma = iso((-1, 1, 1), (HALF, Fraction(1, 4), 0))
+    gamma = iso((-1, 1, 1), (2, 1, 0))
     assert gamma.compose(gamma.inverse()).is_identity()
     assert gamma.inverse().compose(gamma).is_identity()
 
@@ -155,8 +156,8 @@ def test_expand_empty_generators_gives_torus():
 def test_expand_detects_inconsistent_cocycle():
     # the same linear part with two different translations mod 1
     gens = [
-        iso((-1, 1), (0, HALF)),
-        iso((-1, 1), (0, Fraction(1, 4))),
+        iso((-1, 1), (0, 2)),
+        iso((-1, 1), (0, 1)),
     ]
     with pytest.raises(HolonomyExpansionError):
         expand_holonomy(gens, 2)
@@ -164,8 +165,8 @@ def test_expand_detects_inconsistent_cocycle():
 
 def test_expand_cap():
     gens = [
-        IsometryElement(SignedPermutation((1, 0, 2), (1, 1, 1)), (0, 0, HALF)),
-        IsometryElement(SignedPermutation((0, 2, 1), (1, 1, 1)), (HALF, 0, 0)),
+        IsometryElement(SignedPermutation((1, 0, 2), (1, 1, 1)), (0, 0, 2)),
+        IsometryElement(SignedPermutation((0, 2, 1), (1, 1, 1)), (2, 0, 0)),
     ]
     with pytest.raises(HolonomyExpansionError):
         expand_holonomy(gens, 3, cap=4)
@@ -202,7 +203,7 @@ def test_all_k4_members_are_torsion_free():
 
 
 def test_coset_criterion_on_klein_generator():
-    glide = iso((-1, 1), (0, HALF))
+    glide = iso((-1, 1), (0, 2))
     reflection = iso((-1, 1), (0, 0))
     assert coset_is_torsion_free(glide)
     assert not coset_is_torsion_free(reflection)
@@ -275,7 +276,7 @@ def test_validate_generators_happy_path():
 
 
 def test_validate_generators_expansion_failure():
-    gens = [iso((-1, 1), (0, HALF)), iso((-1, 1), (0, Fraction(1, 4)))]
+    gens = [iso((-1, 1), (0, 2)), iso((-1, 1), (0, 1))]
     group, report = validate_generators(gens, 2)
     assert group is None
     assert not report.accepted
@@ -316,7 +317,7 @@ def test_group_json_round_trip():
 @st.composite
 def diagonal_isometries(draw, n):
     signs = tuple(draw(st.sampled_from((1, -1))) for _ in range(n))
-    translation = tuple(draw(st.sampled_from((0, HALF))) for _ in range(n))
+    translation = tuple(draw(st.sampled_from((0, 2))) for _ in range(n))
     return IsometryElement(SignedPermutation.diagonal(signs), translation)
 
 

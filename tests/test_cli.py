@@ -1,6 +1,7 @@
 """CLI: golden outputs, interchange formats, exit codes."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,7 @@ def test_compare_golden_and_text(capsys):
 
 def test_family_counts(capsys):
     assert run(capsys, "family", "kn", "--dim", "4", "--count-only") == (0, "8\n")
+    assert run(capsys, "family", "kn", "--dim", "8", "--count-only") == (0, "2097152\n")
     assert run(capsys, "family", "z2", "--dim", "4", "--count-only") == (0, "5\n")
     assert run(capsys, "family", "hw-catalog", "--dim", "3", "--count-only") == (0, "3\n")
     assert run(capsys, "family", "hw-catalog", "--dim", "5", "--count-only") == (0, "3\n")
@@ -154,6 +156,40 @@ def test_graph_golden_and_json(capsys):
     assert_golden(capsys, "graph_klein.dot", "graph", "--dim", "2")
     code, out = run(capsys, "graph", "--dim", "4", "--index", "0", "--json")
     assert json.loads(out)["edges"] == [[2, 1], [2, 4], [3, 2], [3, 4], [4, 3], [4, 4]]
+
+
+def test_graph_index_picks_the_lexicographic_member(capsys):
+    from flatspec.families import kn_arrays
+    from flatspec.graphs import graph_of
+
+    for index, array in enumerate(kn_arrays(4)):
+        code, out = run(capsys, "graph", "--dim", "4", "--index", str(index), "--json")
+        assert code == 0
+        assert json.loads(out) == graph_of(array).to_json()
+
+
+def test_graph_index_builds_one_array(capsys):
+    start = time.perf_counter()
+    code, out = run(capsys, "graph", "--dim", "8", "--index", "2097151", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    graph = json.loads(out)
+    assert graph["n"] == 8
+    # every free bit set: all 21 free entries plus the forced ones
+    assert [1, 7] in graph["edges"] and [8, 8] in graph["edges"]
+
+
+def test_family_count_errors_are_kept(capsys):
+    for kind, dim in [("kn", "1"), ("kn", "9"), ("z2", "1"), ("hw-catalog", "4")]:
+        code, out = run(capsys, "family", kind, "--dim", dim, "--count-only")
+        assert code == 2
+        assert "error" in json.loads(out)
+
+
+def test_hw_names_resolve_through_the_catalog(capsys):
+    code, out = run(capsys, "betti", "hw5/H2", "--json")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["group"] == "hw5/H2"
 
 
 def test_graph_from_array_file(capsys):

@@ -1,7 +1,5 @@
 """Family constructors and the named catalog."""
 
-from fractions import Fraction
-
 import pytest
 
 from flatspec.bieberbach import GroupValidationError, is_torsion_free, validate
@@ -22,9 +20,6 @@ from flatspec.families import (
     z2_group,
     z2_parameters,
 )
-
-HALF = Fraction(1, 2)
-
 
 # Z2 family -------------------------------------------------------------------
 
@@ -65,7 +60,7 @@ def test_z2_group_rejects_bad_parameters():
 def test_diagonal_group_builds_the_hw_didicosm():
     g = diagonal_group(
         [(-1, -1, 1), (-1, 1, -1)],
-        [(HALF, 0, HALF), (0, HALF, 0)],
+        [(2, 0, 2), (0, 2, 0)],
     )
     assert g.order == 4
     assert g.canonical_key() == catalog("hw3/M1").canonical_key()
@@ -95,30 +90,30 @@ def test_free_positions_and_count():
 
 def test_klein_bottle_array():
     array = GhwArray.from_bits(2, ())
-    assert array.entries == ((Fraction(0), Fraction(0)), (HALF, HALF))
-    assert array.column(0) == (Fraction(0), HALF)
+    assert array.entries == ((0, 0), (2, 2))
+    assert array.column(0) == (0, 2)
 
 
 def test_array_invariants_rejected():
     # wrong subdiagonal
     with pytest.raises(ValueError):
-        GhwArray.from_rows([[0, 0], [0, HALF]])
+        GhwArray.from_rows([[0, 0], [0, "1/2"]])
     # odd parity row
     with pytest.raises(ValueError):
-        GhwArray.from_rows([[HALF, 0], [HALF, HALF]])
+        GhwArray.from_rows([["1/2", 0], ["1/2", "1/2"]])
     # nonzero diagonal in a leading column
     with pytest.raises(ValueError):
         GhwArray.from_rows(
-            [[HALF, 0, HALF], [HALF, 0, HALF], [0, HALF, HALF]]
+            [["1/2", 0, "1/2"], ["1/2", 0, "1/2"], [0, "1/2", "1/2"]]
         )
     # entry below the subdiagonal
     with pytest.raises(ValueError):
         GhwArray.from_rows(
-            [[0, 0, 0], [HALF, 0, HALF], [HALF, HALF, 0]]
+            [[0, 0, 0], ["1/2", 0, "1/2"], ["1/2", "1/2", 0]]
         )
     # entries outside {0, 1/2}
     with pytest.raises(ValueError):
-        GhwArray.from_rows([[0, 0], [Fraction(1, 4), Fraction(1, 4)]])
+        GhwArray.from_rows([[0, 0], ["1/4", "1/4"]])
 
 
 def test_array_round_trip_bits():
@@ -132,13 +127,13 @@ def test_array_round_trip_bits():
 def test_published_dimension_four_array_shape():
     # x = y = z = 0 member: second column (0, 0, 1/2, 0), last column derived
     array = GhwArray.from_bits(4, (0, 0, 0))
-    assert array.column(0) == (0, HALF, 0, 0)
-    assert array.column(1) == (0, 0, HALF, 0)
-    assert array.column(2) == (0, 0, 0, HALF)
-    assert array.column(3) == (0, HALF, HALF, HALF)
+    assert array.column(0) == (0, 2, 0, 0)
+    assert array.column(1) == (0, 0, 2, 0)
+    assert array.column(2) == (0, 0, 0, 2)
+    assert array.column(3) == (0, 2, 2, 2)
     # x = z = 0, y = 1/2 flips exactly entries (1,3) and the derived (1,4)
     array = GhwArray.from_bits(4, (0, 1, 0))
-    assert array.entries[0] == (0, 0, HALF, HALF)
+    assert array.entries[0] == (0, 0, 2, 2)
 
 
 def test_kn_group_from_array_klein_bottle():
@@ -147,7 +142,7 @@ def test_kn_group_from_array_klein_bottle():
     assert group.order == 2
     gamma = group.holonomy[1]
     assert gamma.linear.signs == (-1, 1)
-    assert gamma.translation == (Fraction(0), HALF)
+    assert gamma.translation == (0, 2)
 
 
 def test_kn_family_counts_and_keys():
@@ -213,6 +208,12 @@ def test_catalog_names_are_stable():
         "dim6/z4z2_Mp",
         "dim6/z4_M",
         "dim6/z4_Mp",
+        "hw5/H1",
+        "hw5/H2",
+        "hw5/H3",
+        "hw7/H1",
+        "hw7/H2",
+        "hw7/H3",
     }
 
 
@@ -231,20 +232,20 @@ def test_catalog_hw_data_matches_published_columns():
     m1 = catalog("hw3/M1")
     g1, g2 = m1.generators
     assert g1.linear.signs == (-1, -1, 1)
-    assert g1.translation == (HALF, 0, HALF)
+    assert g1.translation == (2, 0, 2)
     assert g2.linear.signs == (-1, 1, -1)
-    assert g2.translation == (0, HALF, 0)
+    assert g2.translation == (0, 2, 0)
     # derived third representative: B3 = B1 B2 with b3 = B2 b1 + b2 mod 1
     b3 = next(e for e in m1.holonomy if e.linear.signs == (1, -1, -1))
-    assert b3.translation == (HALF, HALF, HALF)
+    assert b3.translation == (2, 2, 2)
 
 
 def test_catalog_dim6_data():
     m = catalog("dim6/z4z2_M")
     g1, g2 = m.generators
-    assert g1.translation == (0, 0, 0, 0, Fraction(1, 4), 0)
+    assert g1.translation == (0, 0, 0, 0, 1, 0)
     assert g1.linear.order() == 4
-    assert g2.translation == (0, 0, 0, 0, 0, HALF)
+    assert g2.translation == (0, 0, 0, 0, 0, 2)
     assert m.order == 8
     assert catalog("dim6/z4_M").order == 4
 
@@ -265,6 +266,14 @@ def test_torus():
     assert t.name == "T^3"
     with pytest.raises(ValueError):
         torus(0)
+
+
+def test_catalog_builds_hw_groups_one_name_at_a_time():
+    catalog.cache_clear()
+    group = catalog("hw7/H2")
+    assert group.name == "hw7/H2" and group.order == 64
+    assert catalog.cache_info().currsize == 1
+    assert hw_groups(7)[1] is group
 
 
 def test_hw_groups_by_dimension():
