@@ -1,9 +1,15 @@
-"""Cubic-lattice shells: exact enumeration of the integer vectors with a
-given squared norm, and of the sub-shell fixed by a signed permutation.
+"""Cubic-lattice shells and the theta series that count them.
 
 The eigenvalue parameter throughout is the integer squared norm N (the
 actual Laplace eigenvalue being 4*pi^2*N).  The cubic lattice is self-dual,
 so shells serve for both the lattice and its dual.
+
+The vectors fixed by a signed permutation are one integer m per cycle of
+sign product +1, so the spectral path only counts them, as coefficients of
+products of one-dimensional theta series (``theta_counts``).
+``shell_vectors`` and ``fixed_vectors`` list vectors: they are public API
+and the test oracle for the series, no longer part of the spectral path.
+``check_norm`` is the one place the squared-norm cap is enforced.
 """
 
 from __future__ import annotations
@@ -61,10 +67,9 @@ class Shell:
         }
 
 
-def shell_vectors(n: int, norm_sq: int, cap: int | None = None) -> Shell:
-    """The shell of squared norm ``norm_sq`` in Z^n."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+def check_norm(norm_sq: int, cap: int | None = None) -> None:
+    """Reject a negative squared norm, or one above the cap (the
+    FLATSPEC_SHELL_CAP value when ``cap`` is None)."""
     if norm_sq < 0:
         raise ValueError(f"squared norm must be >= 0, got {norm_sq}")
     limit = shell_cap() if cap is None else cap
@@ -73,11 +78,13 @@ def shell_vectors(n: int, norm_sq: int, cap: int | None = None) -> Shell:
             f"squared norm {norm_sq} exceeds the shell cap {limit} "
             f"(raise via {SHELL_CAP_ENV} or the cap argument)"
         )
-    return _shell(n, norm_sq)
 
 
-@lru_cache(maxsize=None)
-def _shell(n: int, norm_sq: int) -> Shell:
+def shell_vectors(n: int, norm_sq: int, cap: int | None = None) -> Shell:
+    """The shell of squared norm ``norm_sq`` in Z^n."""
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    check_norm(norm_sq, cap)
     out: list[IntVector] = []
     prefix: list[int] = []
 
@@ -105,37 +112,51 @@ def fixed_vectors(shell: Shell, b: SignedPermutation) -> tuple[IntVector, ...]:
     """The sub-list of shell vectors v with Bv = v, in shell order."""
     if b.dim != shell.dim:
         raise ValueError(f"dimension mismatch: shell dim {shell.dim}, matrix dim {b.dim}")
-    return _fixed(shell.dim, shell.norm_sq, b)
+    return tuple(v for v in shell.vectors if b.apply(v) == v)
 
 
-@lru_cache(maxsize=None)
-def _fixed(n: int, norm_sq: int, b: SignedPermutation) -> tuple[IntVector, ...]:
-    # A fixed vector is constant*eps on each positive cycle and zero on the
-    # rest, so enumerate one integer per positive cycle.
-    positive = [(indices, eps, len(indices)) for indices, eps, sigma in b.cycles() if sigma == 1]
-    if not positive:
-        return (((0,) * n,) if norm_sq == 0 else ())
-    found: list[IntVector] = []
-    values: list[int] = []
+def cycle_factors(b: SignedPermutation, quarters: IntVector) -> tuple[tuple[int, int], ...]:
+    """One theta factor (l, c) per cycle of B with sign product +1: l is
+    the cycle length and c = sum eps[t] * quarters[indices[t]] mod 4, so the
+    fixed vector m * eps on that cycle has squared norm l*m^2 and pairs with
+    the translation to m*c quarter units."""
+    return tuple(
+        (len(indices), sum(e * quarters[j] for j, e in zip(indices, eps)) % 4)
+        for indices, eps, sigma in b.cycles()
+        if sigma == 1
+    )
 
-    def assign(k: int, remaining: int) -> None:
-        if k == len(positive):
-            if remaining == 0:
-                vector = [0] * n
-                for (indices, eps, _), value in zip(positive, values):
-                    for j, e in zip(indices, eps):
-                        vector[j] = value * e
-                found.append(tuple(vector))
-            return
-        length = positive[k][2]
-        bound = math.isqrt(remaining // length)
-        for value in range(-bound, bound + 1):
-            values.append(value)
-            assign(k + 1, remaining - length * value * value)
-            values.pop()
 
-    assign(0, norm_sq)
-    return tuple(sorted(found))
+def theta_counts(factors, norm_sq: int) -> tuple[int, int, int, int]:
+    """The q^N coefficient of the product over (l, c) of
+    sum_m i^(-c*m) q^(l*m^2), as exact counts of i^0, i^-1, i^-2, i^-3:
+    entry k counts the integer tuples (m_1, ...) with sum l*m^2 = N and
+    sum c*m = k mod 4."""
+    # m -> -m turns c into -c, so c = 3 counts as c = 1
+    return _theta(tuple(sorted((l, min(c % 4, -c % 4)) for l, c in factors)), norm_sq)
+
+
+@lru_cache(maxsize=1 << 16)
+def _theta(factors: tuple[tuple[int, int], ...], norm_sq: int) -> tuple[int, int, int, int]:
+    if not factors:
+        return (1, 0, 0, 0) if norm_sq == 0 else (0, 0, 0, 0)
+    (length, c), rest = factors[-1], factors[:-1]
+    counts = list(_theta(rest, norm_sq))
+    for m in range(1, math.isqrt(norm_sq // length) + 1):
+        sub = _theta(rest, norm_sq - length * m * m)
+        up, down = c * m % 4, -c * m % 4
+        for k in range(4):
+            counts[k] += sub[k - up] + sub[k - down]
+    return tuple(counts)
+
+
+def shell_count(n: int, norm_sq: int, cap: int | None = None) -> int:
+    """r_n(N), the size of the shell of squared norm N in Z^n, from the
+    theta series without listing the shell."""
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    check_norm(norm_sq, cap)
+    return theta_counts(((1, 0),) * n, norm_sq)[0]
 
 
 def fixed_space_dim(b: SignedPermutation) -> int:

@@ -10,6 +10,18 @@ B.  Translations live in (1/4)Z^n, so every character value is a Gaussian
 integer and the averaged sums must come out as nonnegative integers; any
 failure of exactness raises instead of rounding.
 
+The fixed lattice of B is the orthogonal sum of one rank-one lattice per
+cycle of sign product +1: the vectors m * eps along a cycle of length l,
+of squared norm l*m^2.  With the translation in quarter units q and
+c = sum eps[t] * q[indices[t]] over that cycle, the sum is therefore
+
+    e(gamma, N) = [q^N]  prod over positive cycles (l, c) of
+                         sum over m in Z of  i^(-c*m) q^(l*m^2)
+
+a coefficient of a product of one-dimensional theta series, which
+``lattice.theta_counts`` returns as exact counts of the four units, so no
+vector is ever listed.
+
 Traces of the p-th exterior representation are the coefficients of
 det(Id + t*B), computed as a product of sparse cycle factors; for an
 involution they coincide with the Krawtchouk value K_p^n(n - n_B).
@@ -19,10 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from . import lattice
-from .arith import GI_ZERO, GaussianInt, binomial, quarter_root_power
+from .arith import GaussianInt, binomial
 from .bieberbach import BieberbachGroup, IsometryElement, SignedPermutation, classify_holonomy
 
 
@@ -66,56 +77,20 @@ def trace_p(b: SignedPermutation, p: int) -> int:
     return exterior_trace_coeffs(b)[p]
 
 
-def _sorting_parity(values) -> int:
-    inversions = 0
-    values = list(values)
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if values[i] > values[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
-
-
-def trace_p_oracle(b: SignedPermutation, p: int) -> int:
-    """Independent trace via the explicit action on the wedge basis."""
-    n = b.dim
-    if n > 12:
-        raise ValueError(f"wedge-basis oracle capped at dimension 12, got {n}")
-    if not 0 <= p <= n:
-        raise ValueError(f"p must satisfy 0 <= p <= {n}, got {p}")
-    total = 0
-    for subset in combinations(range(n), p):
-        image = [b.perm[j] for j in subset]
-        if set(image) != set(subset):
-            continue
-        sign = 1
-        for j in subset:
-            sign *= b.signs[j]
-        total += sign * _sorting_parity(image)
-    return total
-
-
 def character_sum(
     group: BieberbachGroup, element: IsometryElement, norm_sq: int, cap: int | None = None
 ) -> GaussianInt:
     """e(gamma, N): the exact character sum over shell vectors fixed by the
-    linear part of gamma.  With the translation in quarter units q, each
-    term exp(-2*pi*i * v.b) is the unit i^(-v.q)."""
+    linear part of gamma, as the theta-product coefficient of the module
+    docstring.  With the translation in quarter units q, each term
+    exp(-2*pi*i * v.b) is the unit i^(-v.q)."""
     if element not in group.holonomy:
         raise ValueError("element is not a holonomy representative of the group")
-    shell = lattice.shell_vectors(group.dim, norm_sq, cap)
-    fixed = lattice.fixed_vectors(shell, element.linear)
-    quarters = element.translation
-    if not any(quarters):
-        return GaussianInt(len(fixed), 0)
-    counts = [0, 0, 0, 0]
-    for vector in fixed:
-        counts[sum(q * v for q, v in zip(quarters, vector)) % 4] += 1
-    total = GI_ZERO
-    for q, count in enumerate(counts):
-        if count:
-            total = total + quarter_root_power(q).scaled(count)
-    return total
+    lattice.check_norm(norm_sq, cap)
+    factors = lattice.cycle_factors(element.linear, element.translation)
+    counts = lattice.theta_counts(factors, norm_sq)
+    # the units i^0, i^-1, i^-2, i^-3 (quarter_root_power) are 1, -i, -1, i
+    return GaussianInt(counts[0] - counts[2], counts[3] - counts[1])
 
 
 @lru_cache(maxsize=None)
@@ -126,15 +101,14 @@ def multiplicity_row(group: BieberbachGroup, norm_sq: int) -> tuple[int, ...]:
     order = group.order
     row = []
     for p in range(group.dim + 1):
-        total = GI_ZERO
-        for coeffs, value in zip(traces, sums):
-            total = total + value.scaled(coeffs[p])
-        if total.im != 0 or total.re % order != 0 or total.re < 0:
+        re = sum(coeffs[p] * value.re for coeffs, value in zip(traces, sums))
+        im = sum(coeffs[p] * value.im for coeffs, value in zip(traces, sums))
+        if im != 0 or re % order != 0 or re < 0:
             raise ArithmeticError(
                 f"multiplicity is not a nonnegative integer for {group.label()} "
-                f"p={p} N={norm_sq}: averaged sum {total}/{order}"
+                f"p={p} N={norm_sq}: averaged sum {GaussianInt(re, im)}/{order}"
             )
-        row.append(total.re // order)
+        row.append(re // order)
     return tuple(row)
 
 
@@ -258,7 +232,7 @@ def theorem_check(group: BieberbachGroup, n_max: int, cap: int | None = None) ->
     rank = cls.elementary_rank
     cases = []
     for norm_sq in range(n_max + 1):
-        size = lattice.shell_vectors(group.dim, norm_sq, cap).count
+        size = lattice.shell_count(group.dim, norm_sq, cap)
         row = multiplicity_row(group, norm_sq)
         cases.append(
             TheoremCase(
@@ -316,7 +290,7 @@ def compare_spectra(
         raise ValueError(f"dimension mismatch: {left.dim} vs {right.dim}")
     label = _normalize_mode(mode, left.dim)
     for norm_sq in range(n_max + 1):
-        lattice.shell_vectors(left.dim, norm_sq, cap)  # cap enforcement up front
+        lattice.check_norm(norm_sq, cap)  # cap enforcement up front
         a = _row_value(multiplicity_row(left, norm_sq), label)
         b = _row_value(multiplicity_row(right, norm_sq), label)
         if a != b:

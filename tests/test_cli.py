@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from flatspec import lattice
 from flatspec.cli import main
+from flatspec.spectra import multiplicity_row
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -245,6 +247,34 @@ def test_shell_cap_env_respected(capsys, monkeypatch):
     code, out = run(capsys, "spectrum", "torus:2", "--norms", "9")
     assert code == 2
     assert "cap" in json.loads(out)["error"]
+    # the scans stop at the first norm above the cap, N = 4
+    at_four = "squared norm 4 exceeds the shell cap 3 (raise via FLATSPEC_SHELL_CAP or the cap argument)"
+    for argv in (
+        ("compare", "hw3/M1", "hw3/M2", "--mode", "f", "--nmax", "9"),
+        ("family", "kn", "--dim", "4", "--verify-theorem", "9"),
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out) == {"error": at_four}
     monkeypatch.delenv("FLATSPEC_SHELL_CAP")
     code, _ = run(capsys, "spectrum", "torus:2", "--norms", "9")
     assert code == 0
+
+
+def test_spectral_commands_list_no_lattice_vectors(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spectral path must not list lattice vectors")
+
+    monkeypatch.setattr(lattice, "shell_vectors", refuse)
+    monkeypatch.setattr(lattice, "fixed_vectors", refuse)
+    multiplicity_row.cache_clear()
+    for argv in (
+        ("spectrum", "hw3/M1", "hw3/M3", "torus:3", "--norms", "0,1,5", "--char-sums"),
+        ("spectrum", "dim6/z4z2_Mp", "--norms", "2,3", "--char-sums", "--json"),
+        ("betti", "dim6/z4_Mp", "dim6/z4z2_M"),
+        ("betti", "hw5/H1", "hw5/H2"),
+        ("compare", "hw3/M1", "hw3/M2", "--mode", "f", "--nmax", "12"),
+        ("family", "kn", "--dim", "4", "--verify-theorem", "6"),
+    ):
+        code, _ = run(capsys, *argv)
+        assert code == 0, argv

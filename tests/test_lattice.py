@@ -12,9 +12,11 @@ from flatspec.bieberbach import SignedPermutation
 from flatspec.lattice import (
     Shell,
     ShellCapExceeded,
+    cycle_factors,
     fixed_space_dim,
     fixed_vectors,
     shell_vectors,
+    theta_counts,
 )
 
 
@@ -142,6 +144,8 @@ def test_fixed_vectors_agree_with_brute_filter(b, norm_sq):
     shell = shell_vectors(b.dim, norm_sq)
     brute = tuple(v for v in shell.vectors if b.apply(v) == v)
     assert fixed_vectors(shell, b) == brute
+    # one integer per positive cycle: the theta series counts the same set
+    assert theta_counts(cycle_factors(b, (0,) * b.dim), norm_sq) == (len(brute), 0, 0, 0)
 
 
 def test_fixed_space_dim_examples():

@@ -3,11 +3,12 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import trace_p_oracle
 
 from flatspec.arith import GaussianInt, binomial
 from flatspec.bieberbach import SignedPermutation, classify_holonomy, is_orientable
 from flatspec.families import catalog, hw_groups, kn_family, torus, z2_family, z2_group, z2_parameters
-from flatspec.lattice import fixed_space_dim, shell_vectors
+from flatspec.lattice import ShellCapExceeded, fixed_space_dim, shell_count, shell_vectors
 from flatspec.spectra import (
     MultiplicityRow,
     betti,
@@ -23,7 +24,6 @@ from flatspec.spectra import (
     multiplicity_row,
     theorem_check,
     trace_p,
-    trace_p_oracle,
     z2_betti_closed_form,
     z2_closed_forms,
 )
@@ -371,6 +371,25 @@ def test_compare_dimension_six_pairs():
     assert verdict.first_difference == (0, 16, 8)
     assert not compare_spectra(m, mp, "e", 0).equal
     assert not compare_spectra(m, mp, "o", 0).equal
+
+
+def test_every_cap_check_gives_the_shell_message():
+    m1, m2 = catalog("hw3/M1"), catalog("hw3/M2")
+    calls = (
+        lambda: shell_vectors(3, 5, cap=4),
+        lambda: shell_count(3, 5, cap=4),
+        lambda: character_sum(m1, m1.holonomy[1], 5, cap=4),
+        lambda: compare_spectra(m1, m2, "f", 9, cap=4),
+        lambda: theorem_check(m1, 9, cap=4),
+    )
+    for call in calls:
+        with pytest.raises(ShellCapExceeded) as err:
+            call()
+        assert str(err.value) == (
+            "squared norm 5 exceeds the shell cap 4 (raise via FLATSPEC_SHELL_CAP or the cap argument)"
+        )
+    with pytest.raises(ValueError):
+        character_sum(m1, m1.holonomy[1], -1)
 
 
 def test_compare_mode_validation_and_dimension_check():

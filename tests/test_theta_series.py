@@ -1,0 +1,112 @@
+"""The theta-series engine against shell enumeration, and identities that
+hold whatever engine computes the spectrum."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import enumerated_character_sums, reference_row
+
+from flatspec.arith import binomial
+from flatspec.families import (
+    GhwArray,
+    catalog,
+    catalog_names,
+    free_parameter_count,
+    kn_family,
+    kn_group_from_array,
+    torus,
+    z2_family,
+    z2_group,
+    z2_parameters,
+)
+from flatspec.lattice import shell_count, shell_vectors, theta_counts
+from flatspec.spectra import character_sum, multiplicity_row
+
+
+def _kn_member(n, bits):
+    return kn_group_from_array(GhwArray.from_bits(n, bits))
+
+
+kn_members = st.integers(2, 5).flatmap(
+    lambda n: st.lists(
+        st.integers(0, 1), min_size=free_parameter_count(n), max_size=free_parameter_count(n)
+    ).map(lambda bits: _kn_member(n, bits))
+)
+z2_members = st.integers(2, 6).flatmap(
+    lambda n: st.sampled_from(z2_parameters(n)).map(lambda jh: z2_group(n, *jh))
+)
+catalog_groups = st.sampled_from(catalog_names()).map(catalog)
+quarter_groups = st.sampled_from([n for n in catalog_names() if n.startswith("dim6/z4")]).map(
+    catalog
+)
+groups = st.one_of(catalog_groups, kn_members, z2_members, quarter_groups)
+
+
+@settings(deadline=None)
+@given(groups, st.integers(0, 12))
+def test_character_sums_and_rows_match_enumeration(group, norm_sq):
+    sums = enumerated_character_sums(group, norm_sq)
+    assert [character_sum(group, element, norm_sq) for element in group.holonomy] == sums
+    assert multiplicity_row(group, norm_sq) == reference_row(group, sums)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 8), st.integers(0, 30))
+def test_shell_count_matches_enumeration(n, norm_sq):
+    assert shell_count(n, norm_sq) == shell_vectors(n, norm_sq).count
+
+
+def test_theta_counts_of_small_products():
+    assert theta_counts((), 0) == (1, 0, 0, 0)
+    assert theta_counts((), 3) == (0, 0, 0, 0)
+    # m = +-1 on one factor of length 2 with c = 1: i^-1 and i^1
+    assert theta_counts(((2, 1),), 2) == (0, 1, 0, 1)
+    # c = 3 is c = 1 with m negated
+    assert theta_counts(((1, 3), (2, 2)), 3) == theta_counts(((2, 2), (1, 1)), 3)
+
+
+# engine-independent identities -------------------------------------------------
+
+
+def _euler_groups():
+    yield from kn_family(5)
+    yield from z2_family(6)
+    for name in catalog_names():
+        yield catalog(name)
+
+
+def test_euler_characteristic_of_every_row_vanishes():
+    # Hodge theory pairs d_p(N) between degrees for N > 0; at N = 0 the
+    # alternating sum is the Euler characteristic, 0 for a flat manifold.
+    for group in _euler_groups():
+        for norm_sq in range(31):
+            row = multiplicity_row(group, norm_sq)
+            assert sum((-1) ** p * d for p, d in enumerate(row)) == 0, (group.label(), norm_sq)
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def jacobi_r4(n):
+    return 1 if n == 0 else 8 * sum(d for d in _divisors(n) if d % 4)
+
+
+def jacobi_r8(n):
+    return 1 if n == 0 else 16 * sum((-1) ** (n + d) * d**3 for d in _divisors(n))
+
+
+@pytest.mark.parametrize("n,jacobi", [(4, jacobi_r4), (8, jacobi_r8)])
+def test_torus_rows_follow_jacobi(n, jacobi):
+    group = torus(n)
+    for norm_sq in range(1001):
+        size = jacobi(norm_sq)
+        assert shell_count(n, norm_sq) == size
+        assert multiplicity_row(group, norm_sq) == tuple(
+            binomial(n, p) * size for p in range(n + 1)
+        )
+
+
+def test_torus_row_far_out_in_dimension_eight():
+    size = jacobi_r8(2000)
+    assert multiplicity_row(torus(8), 2000) == tuple(binomial(8, p) * size for p in range(9))
