@@ -87,6 +87,11 @@ def character_sum(
     if element not in group.holonomy:
         raise ValueError("element is not a holonomy representative of the group")
     lattice.check_norm(norm_sq, cap)
+    return _character_value(element, norm_sq)
+
+
+def _character_value(element: IsometryElement, norm_sq: int) -> GaussianInt:
+    """character_sum without its membership and cap checks."""
     factors = lattice.cycle_factors(element.linear, element.translation)
     counts = lattice.theta_counts(factors, norm_sq)
     # the units i^0, i^-1, i^-2, i^-3 (quarter_root_power) are 1, -i, -1, i
@@ -96,7 +101,8 @@ def character_sum(
 @lru_cache(maxsize=None)
 def multiplicity_row(group: BieberbachGroup, norm_sq: int) -> tuple[int, ...]:
     """(d_0, ..., d_n) at squared norm N, each certified integral and >= 0."""
-    sums = [character_sum(group, elem, norm_sq) for elem in group.holonomy]
+    lattice.check_norm(norm_sq)
+    sums = [_character_value(elem, norm_sq) for elem in group.holonomy]
     traces = [exterior_trace_coeffs(elem.linear) for elem in group.holonomy]
     order = group.order
     row = []

@@ -1,14 +1,40 @@
-"""Brute-force references for the spectral engine.
+"""Brute-force references for the group checks and the spectral engine.
 
-They list what the engine only counts: the shell, the sub-shell fixed by a
-signed permutation, and the wedge basis of the exterior powers.  They are
-slow on purpose and live here, not in the package.
+They do what the package avoids: compose every pair of coset
+representatives, and list the shell, the sub-shell fixed by a signed
+permutation, and the wedge basis of the exterior powers.  They are slow on
+purpose and live here, not in the package.
 """
 
 from itertools import combinations
 
 from flatspec.arith import GI_ZERO, GaussianInt, quarter_root_power
+from flatspec.bieberbach import SignedPermutation
 from flatspec.lattice import fixed_vectors, shell_vectors
+
+
+def pairwise_group_check(group) -> tuple[bool, bool, bool]:
+    """(closure, cocycle, abelian) from all |F|^2 products of
+    representatives, each formed as (Ba Bb) L_{Bb^-1 a + b} through the
+    inverse matrix: closure iff every product's linear part has a
+    representative, cocycle iff the identity's translation is 0 and every
+    product's translation matches its representative's mod Z^n, abelian iff
+    all linear parts commute."""
+    by_linear = {e.linear: e for e in group.holonomy}
+    identity = by_linear.get(SignedPermutation.identity(group.dim))
+    closure, cocycle, abelian = True, identity is not None and not any(identity.translation), True
+    for a in group.holonomy:
+        for b in group.holonomy:
+            linear = a.linear.compose(b.linear)
+            shifted = b.linear.inverse().apply(a.translation)
+            translation = tuple((x + y) % 4 for x, y in zip(shifted, b.translation))
+            known = by_linear.get(linear)
+            if known is None:
+                closure = False
+            elif known.translation != translation:
+                cocycle = False
+            abelian = abelian and linear == b.linear.compose(a.linear)
+    return closure, cocycle, abelian
 
 
 def sorting_parity(values) -> int:
