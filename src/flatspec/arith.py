@@ -27,58 +27,16 @@ def binomial(n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class GaussianInt:
-    """A Gaussian integer re + im*i with exact ring arithmetic."""
+    """A Gaussian integer re + im*i: the exact value of a character sum."""
 
     re: int = 0
     im: int = 0
-
-    def __add__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self) -> "GaussianInt":
-        return GaussianInt(-self.re, -self.im)
-
-    def scaled(self, k: int) -> "GaussianInt":
-        """Multiply by an ordinary integer."""
-        return GaussianInt(k * self.re, k * self.im)
-
-    def conjugate(self) -> "GaussianInt":
-        return GaussianInt(self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return bool(self.re or self.im)
 
     def to_json(self) -> dict:
         return {"re": self.re, "im": self.im}
 
     def __str__(self) -> str:
         return f"{self.re}{self.im:+d}i"
-
-
-GI_ZERO = GaussianInt(0, 0)
-GI_ONE = GaussianInt(1, 0)
-
-# e^(-2*pi*i*q/4) for q = 0, 1, 2, 3
-_QUARTER_TURNS = (
-    GaussianInt(1, 0),
-    GaussianInt(0, -1),
-    GaussianInt(-1, 0),
-    GaussianInt(0, 1),
-)
-
-
-def quarter_root_power(q: int) -> GaussianInt:
-    """The unit e^(-2*pi*i*q/4); q is taken mod 4."""
-    return _QUARTER_TURNS[q % 4]
 
 
 def parse_quarter(value: int | str) -> int:

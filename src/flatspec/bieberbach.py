@@ -24,10 +24,10 @@ from functools import lru_cache
 
 from .arith import format_quarter, parse_quarter, quarters_as_rationals
 
-#: largest holonomy group expand_holonomy will build.  Expansion and
-#: validation each cost O(|F| * g) composes for g generators, so the cap is
-#: reachable: the hyperoctahedral group B_6 (|F| = 46080, 3 generators)
-#: expands in about 2.5 s and validates in about 1.7 s (CPython 3.11, Xeon).
+#: largest holonomy group expand_holonomy will build, read at each call.
+#: Expansion and validation cost O(|F| * g) composes for g generators, so it
+#: is reachable: B_6 (|F| = 46080, 3 generators) expands in about 2.5 s and
+#: validates in about 1.7 s (CPython 3.11, Xeon).
 HOLONOMY_CAP = 2**16
 
 
@@ -312,19 +312,14 @@ def group_from_json(obj: dict) -> BieberbachGroup:
     return expand_holonomy(generators, dim, name=obj.get("name"))
 
 
-def expand_holonomy(
-    generators,
-    dim: int,
-    name: str | None = None,
-    cap: int = HOLONOMY_CAP,
-) -> BieberbachGroup:
+def expand_holonomy(generators, dim: int, name: str | None = None) -> BieberbachGroup:
     """Breadth-first closure of the generators' linear parts modulo Z^n.
 
     Keeps one representative per linear part (the identity's translation is
     0 by construction).  Raises HolonomyExpansionError if two products demand
     different translations mod 1 for the same linear part, or if the closure
-    exceeds ``cap``.  Costs |F| * g composes for g generators; see
-    HOLONOMY_CAP for the time at the largest admitted group.
+    exceeds HOLONOMY_CAP elements.  Costs |F| * g composes for g generators;
+    see HOLONOMY_CAP for the time at the largest admitted group.
     """
     gens = tuple(generators)
     for g in gens:
@@ -339,9 +334,9 @@ def expand_holonomy(
             prod = elem.compose(gen)
             known = reps.get(prod.linear)
             if known is None:
-                if len(reps) >= cap:
+                if len(reps) >= HOLONOMY_CAP:
                     raise HolonomyExpansionError(
-                        f"holonomy closure exceeded the cap of {cap} elements"
+                        f"holonomy closure exceeded the cap of {HOLONOMY_CAP} elements"
                     )
                 reps[prod.linear] = prod
                 queue.append(prod)
@@ -394,51 +389,41 @@ class HolonomyClass:
     description: str
 
 
-def _partitions(total: int, largest: int | None = None):
-    if total == 0:
-        yield ()
-        return
-    if largest is None:
-        largest = total
-    for part in range(min(total, largest), 0, -1):
-        for rest in _partitions(total - part, part):
-            yield (part,) + rest
+def _primary_factors(orders) -> tuple[int, ...] | None:
+    """The primary cyclic factors, descending, of the abelian group with
+    these element orders; None if the counts fit no group of that order.
 
-
-def _abelian_candidates(order: int):
-    """All abelian groups of the given order, as primary cyclic factors."""
-    factors = {}
-    m = order
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
+    For a prime p, |A[p^k]| / |A[p^(k-1)]| = p^r, where r is the number of
+    cyclic factors of order at least p^k."""
+    m = len(orders)
+    factors = []
+    rest, p = m, 2
+    while rest > 1:
+        exponent = 0
+        while rest % p == 0:
+            rest //= p
+            exponent += 1
+        if exponent:
+            counts = [sum(1 for o in orders if p**k % o == 0) for k in range(exponent + 1)]
+            logs = [next((r for r in range(exponent + 1) if p**r == c), None) for c in counts]
+            if None in logs:
+                return None
+            ranks = [b - a for a, b in zip(logs, logs[1:])] + [0]
+            for k in range(1, exponent + 1):
+                factors += [p**k] * (ranks[k - 1] - ranks[k])
         p += 1
-    if m > 1:
-        factors[m] = factors.get(m, 0) + 1
-    per_prime = []
-    for p, a in sorted(factors.items()):
-        per_prime.append([tuple(p**part for part in parts) for parts in _partitions(a)])
-    for combo in itertools.product(*per_prime):
-        yield tuple(sorted((d for group in combo for d in group), reverse=True))
-
-
-def _order_statistics(cyclic_factors) -> tuple[int, ...]:
-    stats = []
-    for element in itertools.product(*(range(d) for d in cyclic_factors)):
-        stats.append(math.lcm(*(d // math.gcd(d, a) for d, a in zip(cyclic_factors, element))))
-    return tuple(sorted(stats))
+    # a product other than |F| means the representatives are not a group
+    return tuple(sorted(factors, reverse=True)) if math.prod(factors) == m else None
 
 
 def classify_holonomy(group: BieberbachGroup) -> HolonomyClass:
-    """Classify F: elementary abelian 2-groups exactly, other small abelian
-    groups by isomorphism type (order statistics determine abelian groups).
-    F is abelian iff the generators commute (the representatives serve if
-    there are none): g(g-1) products, plus O(|F|) for the orders."""
+    """Classify F: elementary abelian 2-groups by rank, other abelian groups
+    by their primary cyclic factors, read off the element orders.  F is
+    abelian iff the generators commute (the representatives serve if there
+    are none): g(g-1) products, plus O(|F| log |F|) for the orders."""
     parts = group.linear_parts()
     m = len(parts)
-    orders = sorted(b.order() for b in parts)
+    orders = [b.order() for b in parts]
     gens = tuple(g.linear for g in group.generators) or parts
     abelian = all(a.compose(b) == b.compose(a) for a, b in itertools.combinations(gens, 2))
     if abelian and all(o <= 2 for o in orders):
@@ -451,12 +436,9 @@ def classify_holonomy(group: BieberbachGroup) -> HolonomyClass:
             else:
                 description = f"Z2^{rank}"
             return HolonomyClass(m, True, rank, description)
-    if abelian and m <= 16:
-        ours = tuple(orders)
-        for factors in _abelian_candidates(m):
-            if _order_statistics(factors) == ours:
-                description = " x ".join(f"Z{d}" for d in factors)
-                return HolonomyClass(m, True, None, description)
+    factors = _primary_factors(orders) if abelian else None
+    if factors is not None:
+        return HolonomyClass(m, True, None, " x ".join(f"Z{d}" for d in factors))
     kind = "abelian" if abelian else "nonabelian"
     return HolonomyClass(m, abelian, None, f"{kind} of order {m}")
 

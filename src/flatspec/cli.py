@@ -58,9 +58,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _format_gaussian(value: GaussianInt) -> str:
-    if value.im == 0:
-        return str(value.re)
-    return f"{value.re}{value.im:+d}i"
+    return str(value.re) if value.im == 0 else str(value)
 
 
 def _load_group_file(path: str) -> BieberbachGroup:
@@ -244,6 +242,16 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _print_kn_graphs(dim: int) -> int:
+    """The DOT graph of every K_dim member, each under a '// K<n>[bits]' line."""
+    chunks = [
+        f"// {families.kn_name(array)}\n" + graphs.to_dot(graphs.graph_of(array))
+        for array in families.kn_arrays(dim)
+    ]
+    print("\n".join(chunks), end="")
+    return 0
+
+
 def _family_members(kind: str, dim: int) -> list[BieberbachGroup]:
     if kind == "z2":
         return families.z2_family(dim)
@@ -265,6 +273,8 @@ def cmd_family(args) -> int:
     if args.count_only and args.kind == "z2":
         print(families.z2_family_size(args.dim))
         return 0
+    if args.graphs and args.kind == "kn" and args.verify_theorem is None:
+        return _print_kn_graphs(args.dim)
     members = _family_members(args.kind, args.dim)
     if args.count_only:
         print(len(members))
@@ -280,15 +290,7 @@ def cmd_family(args) -> int:
         print(f"{total - failures}/{total} groups satisfy d_f = 2^(n-k)|shell| and d_e = d_o")
         return 0 if failures == 0 else 2
     if args.graphs:
-        if args.kind != "kn":
-            return _fail("--graphs is only defined for the kn family")
-        chunks = []
-        for array in families.kn_arrays(args.dim):
-            bits = array.bit_string()
-            name = f"K{args.dim}[{bits}]" if bits else f"K{args.dim}"
-            chunks.append(f"// {name}\n" + graphs.to_dot(graphs.graph_of(array)))
-        print("\n".join(chunks), end="")
-        return 0
+        return _fail("--graphs is only defined for the kn family")
     for group in members:
         print(json.dumps(group.to_json(), sort_keys=True))
     return 0
@@ -302,35 +304,27 @@ def _load_array_file(path: str) -> families.GhwArray:
 
 def cmd_graph(args) -> int:
     if args.array:
-        array_list = [(None, _load_array_file(args.array))]
+        arrays = [_load_array_file(args.array)]
+    elif args.dim is None:
+        return _fail("graph needs --dim (with --index or --all) or --array FILE")
+    elif args.all and not args.json:
+        return _print_kn_graphs(args.dim)
+    elif args.all:
+        arrays = list(families.kn_arrays(args.dim))
     else:
-        if args.dim is None:
-            return _fail("graph needs --dim (with --index or --all) or --array FILE")
-        if args.all:
-            array_list = [(a.bit_string(), a) for a in families.kn_arrays(args.dim)]
-        else:
-            size = families.kn_family_size(args.dim)
-            index = args.index if args.index is not None else 0
-            if not 0 <= index < size:
-                return _fail(f"index {index} outside 0..{size - 1}")
-            # kn_arrays order: the first free bit is the most significant
-            width = families.free_parameter_count(args.dim)
-            bits = [(index >> shift) & 1 for shift in reversed(range(width))]
-            array = families.GhwArray.from_bits(args.dim, bits)
-            array_list = [(array.bit_string(), array)]
+        size = families.kn_family_size(args.dim)
+        index = args.index if args.index is not None else 0
+        if not 0 <= index < size:
+            return _fail(f"index {index} outside 0..{size - 1}")
+        # kn_arrays order: the first free bit is the most significant
+        width = families.free_parameter_count(args.dim)
+        bits = [(index >> shift) & 1 for shift in reversed(range(width))]
+        arrays = [families.GhwArray.from_bits(args.dim, bits)]
     if args.json:
-        payload = [graphs.graph_of(a).to_json() for _bits, a in array_list]
+        payload = [graphs.graph_of(a).to_json() for a in arrays]
         _print_json(payload[0] if len(payload) == 1 else payload)
-        return 0
-    chunks = []
-    for bits, array in array_list:
-        dot = graphs.to_dot(graphs.graph_of(array))
-        if bits is not None and args.all:
-            name = f"K{array.n}[{bits}]" if bits else f"K{array.n}"
-            chunks.append(f"// {name}\n{dot}")
-        else:
-            chunks.append(dot)
-    print("\n".join(chunks), end="")
+    else:
+        print(graphs.to_dot(graphs.graph_of(arrays[0])), end="")
     return 0
 
 
@@ -408,14 +402,7 @@ def main(argv=None) -> int:
     except GroupValidationError as exc:
         print(json.dumps({"error": str(exc), "report": exc.report.to_json()}, sort_keys=True))
         return 2
-    except (
-        ValueError,
-        KeyError,
-        ArithmeticError,
-        lattice.ShellCapExceeded,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ValueError, KeyError, ArithmeticError, lattice.ShellCapExceeded, OSError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         return _fail(str(message))
 

@@ -30,7 +30,7 @@ from .bieberbach import (
 )
 
 #: largest n for which the full Z2^(n-1) array family may be enumerated
-DEFAULT_KN_CAP = 8
+KN_CAP = 8
 
 
 def _require(group: BieberbachGroup) -> BieberbachGroup:
@@ -103,9 +103,9 @@ def diagonal_group(sign_columns, translations, name: str | None = None) -> Biebe
     """Group generated by diagonal sign matrices with the given translations
     (quarter units).
 
-    Raises GroupValidationError carrying the full report if any structural
-    check fails (used to build Hantzsche-Wendt groups and the dimension-3
-    Z2^2 trio).
+    Raises GroupValidationError carrying the full report if the group has
+    torsion (used to build Hantzsche-Wendt groups and the dimension-3 Z2^2
+    trio).
     """
     columns = [tuple(col) for col in sign_columns]
     shifts = [tuple(trans) for trans in translations]
@@ -118,11 +118,7 @@ def diagonal_group(sign_columns, translations, name: str | None = None) -> Biebe
         IsometryElement(SignedPermutation.diagonal(col), trans)
         for col, trans in zip(columns, shifts)
     ]
-    group = expand_holonomy(generators, n, name=name)
-    report = validate(group)
-    if not report.accepted:
-        raise GroupValidationError(report)
-    return group
+    return _require(expand_holonomy(generators, n, name=name))
 
 
 # Translation vectors (in half units, doubled when read) of sample
@@ -293,7 +289,7 @@ def free_parameter_count(n: int) -> int:
     return (n - 1) * (n - 2) // 2
 
 
-def kn_group_from_array(array: GhwArray, name: str | None = None) -> BieberbachGroup:
+def kn_group_from_array(array: GhwArray) -> BieberbachGroup:
     """The torsion-free group read off an array: generator i negates axis i
     and translates by column i."""
     n = array.n
@@ -301,31 +297,34 @@ def kn_group_from_array(array: GhwArray, name: str | None = None) -> BieberbachG
     for c in range(n - 1):
         signs = tuple(-1 if k == c else 1 for k in range(n))
         generators.append(IsometryElement(SignedPermutation.diagonal(signs), array.column(c)))
-    if name is None:
-        bit_string = array.bit_string()
-        name = f"K{n}[{bit_string}]" if bit_string else f"K{n}"
-    return _require(expand_holonomy(generators, n, name=name))
+    return _require(expand_holonomy(generators, n, name=kn_name(array)))
 
 
-def kn_family_size(n: int, cap: int = DEFAULT_KN_CAP) -> int:
+def kn_name(array: GhwArray) -> str:
+    """K<n>[bits], or K<n> when the array has no free bits."""
+    bit_string = array.bit_string()
+    return f"K{array.n}[{bit_string}]" if bit_string else f"K{array.n}"
+
+
+def kn_family_size(n: int) -> int:
     """2^((n-1)(n-2)/2) members, for the dimensions kn_arrays admits."""
     if n < 2:
         raise ValueError(f"the family needs n >= 2, got {n}")
-    if n > cap:
-        raise ValueError(f"dimension {n} exceeds the family cap {cap}")
+    if n > KN_CAP:
+        raise ValueError(f"dimension {n} exceeds the family cap {KN_CAP}")
     return 2 ** free_parameter_count(n)
 
 
-def kn_arrays(n: int, cap: int = DEFAULT_KN_CAP):
+def kn_arrays(n: int):
     """All arrays for dimension n, lexicographic in the free bit vector."""
-    kn_family_size(n, cap)
+    kn_family_size(n)
     for bits in itertools.product((0, 1), repeat=free_parameter_count(n)):
         yield GhwArray.from_bits(n, bits)
 
 
-def kn_family(n: int, cap: int = DEFAULT_KN_CAP) -> list[BieberbachGroup]:
+def kn_family(n: int) -> list[BieberbachGroup]:
     """All 2^((n-1)(n-2)/2) groups, each validated torsion-free."""
-    return [kn_group_from_array(array) for array in kn_arrays(n, cap)]
+    return [kn_group_from_array(array) for array in kn_arrays(n)]
 
 
 # ---------------------------------------------------------------------------

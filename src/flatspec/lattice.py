@@ -9,7 +9,8 @@ sign product +1, so the spectral path only counts them, as coefficients of
 products of one-dimensional theta series (``theta_counts``).
 ``shell_vectors`` and ``fixed_vectors`` list vectors: they are public API
 and the test oracle for the series, no longer part of the spectral path.
-``check_norm`` is the one place the squared-norm cap is enforced.
+``check_norm`` is the one place the squared-norm cap is enforced, and
+``shell_cap()``, read from FLATSPEC_SHELL_CAP at each call, the one cap.
 """
 
 from __future__ import annotations
@@ -67,24 +68,22 @@ class Shell:
         }
 
 
-def check_norm(norm_sq: int, cap: int | None = None) -> None:
-    """Reject a negative squared norm, or one above the cap (the
-    FLATSPEC_SHELL_CAP value when ``cap`` is None)."""
+def check_norm(norm_sq: int) -> None:
+    """Reject a negative squared norm, or one above ``shell_cap()``."""
     if norm_sq < 0:
         raise ValueError(f"squared norm must be >= 0, got {norm_sq}")
-    limit = shell_cap() if cap is None else cap
+    limit = shell_cap()
     if norm_sq > limit:
         raise ShellCapExceeded(
-            f"squared norm {norm_sq} exceeds the shell cap {limit} "
-            f"(raise via {SHELL_CAP_ENV} or the cap argument)"
+            f"squared norm {norm_sq} exceeds the shell cap {limit} (raise via {SHELL_CAP_ENV})"
         )
 
 
-def shell_vectors(n: int, norm_sq: int, cap: int | None = None) -> Shell:
+def shell_vectors(n: int, norm_sq: int) -> Shell:
     """The shell of squared norm ``norm_sq`` in Z^n."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    check_norm(norm_sq, cap)
+    check_norm(norm_sq)
     out: list[IntVector] = []
     prefix: list[int] = []
 
@@ -150,12 +149,12 @@ def _theta(factors: tuple[tuple[int, int], ...], norm_sq: int) -> tuple[int, int
     return tuple(counts)
 
 
-def shell_count(n: int, norm_sq: int, cap: int | None = None) -> int:
+def shell_count(n: int, norm_sq: int) -> int:
     """r_n(N), the size of the shell of squared norm N in Z^n, from the
     theta series without listing the shell."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    check_norm(norm_sq, cap)
+    check_norm(norm_sq)
     return theta_counts(((1, 0),) * n, norm_sq)[0]
 
 

@@ -77,16 +77,14 @@ def trace_p(b: SignedPermutation, p: int) -> int:
     return exterior_trace_coeffs(b)[p]
 
 
-def character_sum(
-    group: BieberbachGroup, element: IsometryElement, norm_sq: int, cap: int | None = None
-) -> GaussianInt:
+def character_sum(group: BieberbachGroup, element: IsometryElement, norm_sq: int) -> GaussianInt:
     """e(gamma, N): the exact character sum over shell vectors fixed by the
     linear part of gamma, as the theta-product coefficient of the module
     docstring.  With the translation in quarter units q, each term
     exp(-2*pi*i * v.b) is the unit i^(-v.q)."""
     if element not in group.holonomy:
         raise ValueError("element is not a holonomy representative of the group")
-    lattice.check_norm(norm_sq, cap)
+    lattice.check_norm(norm_sq)
     return _character_value(element, norm_sq)
 
 
@@ -94,7 +92,7 @@ def _character_value(element: IsometryElement, norm_sq: int) -> GaussianInt:
     """character_sum without its membership and cap checks."""
     factors = lattice.cycle_factors(element.linear, element.translation)
     counts = lattice.theta_counts(factors, norm_sq)
-    # the units i^0, i^-1, i^-2, i^-3 (quarter_root_power) are 1, -i, -1, i
+    # the units i^0, i^-1, i^-2, i^-3 are 1, -i, -1, i
     return GaussianInt(counts[0] - counts[2], counts[3] - counts[1])
 
 
@@ -227,7 +225,7 @@ class TheoremCheck:
         return all(case.ok for case in self.cases)
 
 
-def theorem_check(group: BieberbachGroup, n_max: int, cap: int | None = None) -> TheoremCheck:
+def theorem_check(group: BieberbachGroup, n_max: int) -> TheoremCheck:
     """Requires holonomy Z_2^k; verifies the closed form for 0 <= N <= n_max
     against multiplicities computed by direct summation."""
     cls = classify_holonomy(group)
@@ -238,7 +236,7 @@ def theorem_check(group: BieberbachGroup, n_max: int, cap: int | None = None) ->
     rank = cls.elementary_rank
     cases = []
     for norm_sq in range(n_max + 1):
-        size = lattice.shell_count(group.dim, norm_sq, cap)
+        size = lattice.shell_count(group.dim, norm_sq)
         row = multiplicity_row(group, norm_sq)
         cases.append(
             TheoremCase(
@@ -285,18 +283,15 @@ def _normalize_mode(mode, dim: int) -> str:
 
 
 def compare_spectra(
-    left: BieberbachGroup,
-    right: BieberbachGroup,
-    mode,
-    n_max: int,
-    cap: int | None = None,
+    left: BieberbachGroup, right: BieberbachGroup, mode, n_max: int
 ) -> SpectralComparison:
     """Scan N = 0..n_max and report the first distinguishing eigenvalue."""
     if left.dim != right.dim:
         raise ValueError(f"dimension mismatch: {left.dim} vs {right.dim}")
     label = _normalize_mode(mode, left.dim)
     for norm_sq in range(n_max + 1):
-        lattice.check_norm(norm_sq, cap)  # cap enforcement up front
+        # multiplicity_row skips its own check on a cache hit
+        lattice.check_norm(norm_sq)
         a = _row_value(multiplicity_row(left, norm_sq), label)
         b = _row_value(multiplicity_row(right, norm_sq), label)
         if a != b:

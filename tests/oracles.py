@@ -1,16 +1,21 @@
 """Brute-force references for the group checks and the spectral engine.
 
 They do what the package avoids: compose every pair of coset
-representatives, and list the shell, the sub-shell fixed by a signed
-permutation, and the wedge basis of the exterior powers.  They are slow on
-purpose and live here, not in the package.
+representatives, search every abelian type of a given order, and list the
+shell, the sub-shell fixed by a signed permutation, and the wedge basis of
+the exterior powers.  They are slow on purpose and live here, not in the
+package.
 """
 
-from itertools import combinations
+import math
+from itertools import combinations, product
 
-from flatspec.arith import GI_ZERO, GaussianInt, quarter_root_power
+from flatspec.arith import GaussianInt
 from flatspec.bieberbach import SignedPermutation
 from flatspec.lattice import fixed_vectors, shell_vectors
+
+# (re, im) of the unit e^(-2*pi*i*q/4) for q = 0, 1, 2, 3
+QUARTER_TURNS = ((1, 0), (0, -1), (-1, 0), (0, 1))
 
 
 def pairwise_group_check(group) -> tuple[bool, bool, bool]:
@@ -76,10 +81,9 @@ def enumerated_character_sums(group, norm_sq: int) -> list[GaussianInt]:
         counts = [0, 0, 0, 0]
         for vector in fixed_vectors(shell, element.linear):
             counts[sum(q * v for q, v in zip(element.translation, vector)) % 4] += 1
-        total = GI_ZERO
-        for q, count in enumerate(counts):
-            total = total + quarter_root_power(q).scaled(count)
-        sums.append(total)
+        re = sum(count * QUARTER_TURNS[q][0] for q, count in enumerate(counts))
+        im = sum(count * QUARTER_TURNS[q][1] for q, count in enumerate(counts))
+        sums.append(GaussianInt(re, im))
     return sums
 
 
@@ -89,9 +93,66 @@ def reference_row(group, sums) -> tuple[int, ...]:
     nonnegative integer."""
     row = []
     for p in range(group.dim + 1):
-        total = GI_ZERO
-        for element, value in zip(group.holonomy, sums):
-            total = total + value.scaled(trace_p_oracle(element.linear, p))
-        assert total.im == 0 and total.re % group.order == 0 and total.re >= 0, total
-        row.append(total.re // group.order)
+        traces = [trace_p_oracle(element.linear, p) for element in group.holonomy]
+        re = sum(t * value.re for t, value in zip(traces, sums))
+        im = sum(t * value.im for t, value in zip(traces, sums))
+        assert im == 0 and re % group.order == 0 and re >= 0, (re, im)
+        row.append(re // group.order)
     return tuple(row)
+
+
+def partitions(total: int, largest: int | None = None):
+    if total == 0:
+        yield ()
+        return
+    if largest is None:
+        largest = total
+    for part in range(min(total, largest), 0, -1):
+        for rest in partitions(total - part, part):
+            yield (part,) + rest
+
+
+def abelian_candidates(order: int):
+    """All abelian groups of the given order, as primary cyclic factors."""
+    factors = {}
+    m = order
+    p = 2
+    while p * p <= m:
+        while m % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            m //= p
+        p += 1
+    if m > 1:
+        factors[m] = factors.get(m, 0) + 1
+    per_prime = []
+    for p, a in sorted(factors.items()):
+        per_prime.append([tuple(p**part for part in parts) for parts in partitions(a)])
+    for combo in product(*per_prime):
+        yield tuple(sorted((d for group in combo for d in group), reverse=True))
+
+
+def order_statistics(cyclic_factors) -> tuple[int, ...]:
+    stats = []
+    for element in product(*(range(d) for d in cyclic_factors)):
+        stats.append(math.lcm(*(d // math.gcd(d, a) for d, a in zip(cyclic_factors, element))))
+    return tuple(sorted(stats))
+
+
+def holonomy_description_by_search(group) -> str:
+    """The holonomy description by search: elementary abelian 2-groups by
+    rank, other abelian groups by the one candidate type whose order
+    statistics match the representatives' (order statistics determine
+    finite abelian groups), without a bound on the order."""
+    parts = group.linear_parts()
+    m = len(parts)
+    orders = tuple(sorted(b.order() for b in parts))
+    gens = [g.linear for g in group.generators] or parts
+    abelian = all(a.compose(b) == b.compose(a) for a, b in combinations(gens, 2))
+    if abelian and all(o <= 2 for o in orders) and 2 ** (m.bit_length() - 1) == m:
+        rank = m.bit_length() - 1
+        return "trivial" if rank == 0 else "Z2" if rank == 1 else f"Z2^{rank}"
+    if abelian:
+        for factors in abelian_candidates(m):
+            if order_statistics(factors) == orders:
+                return " x ".join(f"Z{d}" for d in factors)
+    return f"{'abelian' if abelian else 'nonabelian'} of order {m}"

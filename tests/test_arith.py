@@ -1,18 +1,11 @@
-"""Exact scalar arithmetic: binomials, quarter-turn units, and the
-rational interchange form of quarter units."""
+"""Exact scalar arithmetic: binomials, the Gaussian-integer output value,
+and the rational interchange form of quarter units."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flatspec.arith import (
-    GI_ONE,
-    GaussianInt,
-    binomial,
-    format_quarter,
-    parse_quarter,
-    quarter_root_power,
-)
+from flatspec.arith import GaussianInt, binomial, format_quarter, parse_quarter
 
 
 def test_binomial_small_cases():
@@ -35,37 +28,6 @@ def test_binomial_rejects_negative_n():
 def test_binomial_pascal_rule(n, data):
     k = data.draw(st.integers(1, n - 1))
     assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
-def test_quarter_root_values():
-    assert quarter_root_power(0) == GaussianInt(1, 0)
-    assert quarter_root_power(1) == GaussianInt(0, -1)
-    assert quarter_root_power(2) == GaussianInt(-1, 0)
-    assert quarter_root_power(3) == GaussianInt(0, 1)
-
-
-@given(st.integers(-100, 100), st.integers(-100, 100))
-def test_quarter_root_is_a_character(a, b):
-    assert quarter_root_power(a) * quarter_root_power(b) == quarter_root_power(a + b)
-
-
-@given(st.integers(-100, 100))
-def test_quarter_root_fourth_power_is_one(q):
-    w = quarter_root_power(q)
-    assert w * w * w * w == GI_ONE
-
-
-def test_gaussian_ring_arithmetic():
-    a = GaussianInt(1, 2)
-    b = GaussianInt(3, -1)
-    assert a + b == GaussianInt(4, 1)
-    assert a - b == GaussianInt(-2, 3)
-    assert a * b == GaussianInt(5, 5)
-    assert -a == GaussianInt(-1, -2)
-    assert a.scaled(3) == GaussianInt(3, 6)
-    assert a.conjugate() == GaussianInt(1, -2)
-    assert not GaussianInt(0, 0)
-    assert a
 
 
 def test_gaussian_json_form():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatspec import bieberbach
 from flatspec.bieberbach import (
     BieberbachGroup,
     GroupValidationError,
@@ -163,13 +164,14 @@ def test_expand_detects_inconsistent_cocycle():
         expand_holonomy(gens, 2)
 
 
-def test_expand_cap():
+def test_expand_cap(monkeypatch):
     gens = [
         IsometryElement(SignedPermutation((1, 0, 2), (1, 1, 1)), (0, 0, 2)),
         IsometryElement(SignedPermutation((0, 2, 1), (1, 1, 1)), (2, 0, 0)),
     ]
-    with pytest.raises(HolonomyExpansionError):
-        expand_holonomy(gens, 3, cap=4)
+    monkeypatch.setattr(bieberbach, "HOLONOMY_CAP", 4)
+    with pytest.raises(HolonomyExpansionError, match="the cap of 4 elements"):
+        expand_holonomy(gens, 3)
 
 
 def test_generator_order_independence():

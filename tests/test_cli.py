@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from flatspec import lattice
+from flatspec import families, lattice
 from flatspec.cli import main
 from flatspec.spectra import multiplicity_row
 
@@ -149,6 +149,29 @@ def test_family_graphs_golden(capsys):
     assert_golden(capsys, "family_k4_graphs.txt", "family", "kn", "--dim", "4", "--graphs")
 
 
+def test_graph_all_prints_the_family_graphs(capsys):
+    assert_golden(capsys, "family_k4_graphs.txt", "graph", "--dim", "4", "--all")
+    code, out = run(capsys, "graph", "--dim", "4", "--all", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert isinstance(payload, list) and len(payload) == 8
+    assert payload[0]["edges"] == [[2, 1], [2, 4], [3, 2], [3, 4], [4, 3], [4, 4]]
+
+
+def test_family_graphs_build_no_groups(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("--graphs built a group")
+
+    monkeypatch.setattr(families, "expand_holonomy", refuse)
+    assert_golden(capsys, "family_k4_graphs.txt", "family", "kn", "--dim", "4", "--graphs")
+
+
+def test_family_kn_count_beyond_the_cap(capsys):
+    code, out = run(capsys, "family", "kn", "--dim", "9", "--count-only")
+    assert code == 2
+    assert json.loads(out) == {"error": "dimension 9 exceeds the family cap 8"}
+
+
 def test_family_graphs_requires_kn(capsys):
     code, out = run(capsys, "family", "z2", "--dim", "3", "--graphs")
     assert code == 2
@@ -248,7 +271,7 @@ def test_shell_cap_env_respected(capsys, monkeypatch):
     assert code == 2
     assert "cap" in json.loads(out)["error"]
     # the scans stop at the first norm above the cap, N = 4
-    at_four = "squared norm 4 exceeds the shell cap 3 (raise via FLATSPEC_SHELL_CAP or the cap argument)"
+    at_four = "squared norm 4 exceeds the shell cap 3 (raise via FLATSPEC_SHELL_CAP)"
     for argv in (
         ("compare", "hw3/M1", "hw3/M2", "--mode", "f", "--nmax", "9"),
         ("family", "kn", "--dim", "4", "--verify-theorem", "9"),

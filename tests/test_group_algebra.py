@@ -6,7 +6,7 @@ import time
 from dataclasses import replace
 
 import pytest
-from oracles import pairwise_group_check
+from oracles import abelian_candidates, holonomy_description_by_search, pairwise_group_check
 
 from flatspec import lattice, spectra
 from flatspec.bieberbach import (
@@ -75,6 +75,52 @@ def test_validate_and_classify_agree_with_the_pairwise_oracle(label):
 def test_hyperoctahedral_orders_and_classes():
     assert [hyperoctahedral(n).order for n in (3, 4)] == [48, 384]
     assert classify_holonomy(hyperoctahedral(3)).description == "nonabelian of order 48"
+
+
+def abelian_group(factors) -> BieberbachGroup:
+    """Z_{d_1} x ... x Z_{d_r} for prime powers d, zero translations: Z_{2^k}
+    as a cycle of length 2^(k-1) with one sign flip, an odd Z_d as a d-cycle,
+    each on its own coordinates."""
+    blocks = [(d // 2, -1) if d % 2 == 0 else (d, 1) for d in factors]
+    n = sum(length for length, _sign in blocks)
+    generators, start = [], 0
+    for length, sign in blocks:
+        perm, signs = list(range(n)), [1] * n
+        for j in range(length):
+            perm[start + j] = start + (j + 1) % length
+        signs[start] = sign
+        generators.append(IsometryElement(SignedPermutation(tuple(perm), tuple(signs)), (0,) * n))
+        start += length
+    return expand_holonomy(generators, max(n, 1))
+
+
+def test_classify_matches_the_search_on_every_abelian_type_to_order_128():
+    checked = 0
+    for order in range(1, 129):
+        for factors in abelian_candidates(order):
+            group = abelian_group(factors)
+            assert group.order == order, factors
+            cls = classify_holonomy(group)
+            assert cls.description == holonomy_description_by_search(group), factors
+            if any(d > 2 for d in factors):
+                assert cls.description == " x ".join(f"Z{d}" for d in factors)
+                assert cls.abelian and cls.elementary_rank is None
+            checked += 1
+    assert checked == 247  # sum over m <= 128 of the number of abelian groups of order m
+
+
+@pytest.mark.parametrize("label", [label for label in CASES if CASES[label].order <= 64])
+def test_classify_matches_the_search_on_catalog_and_families(label):
+    group = CASES[label]
+    assert classify_holonomy(group).description == holonomy_description_by_search(group)
+
+
+def test_representatives_that_are_not_a_group_stay_unnamed():
+    group = catalog("dim6/z4z2_M")
+    # element orders 1, 4, 2, 2, 4, 4, 2, 4: drop one or two, or repeat four
+    for reps in (group.holonomy[:-1], group.holonomy[:-2], group.holonomy[:4] * 2):
+        corrupted = BieberbachGroup(group.dim, reps, group.generators)
+        assert classify_holonomy(corrupted).description == f"abelian of order {len(reps)}"
 
 
 def _mutations(group):

@@ -84,9 +84,10 @@ def test_shell_order_and_negation_closure():
         assert sum(x * x for x in v) == 6
 
 
-def test_shell_cap_error_names_the_cap():
+def test_shell_cap_error_names_the_cap(monkeypatch):
+    monkeypatch.setenv("FLATSPEC_SHELL_CAP", "49")
     with pytest.raises(ShellCapExceeded) as err:
-        shell_vectors(3, 50, cap=49)
+        shell_vectors(3, 50)
     assert "49" in str(err.value)
     assert "50" in str(err.value)
 

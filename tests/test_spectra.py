@@ -1,5 +1,9 @@
 """Spectral engine: Krawtchouk traces, character sums, multiplicities."""
 
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -373,23 +377,51 @@ def test_compare_dimension_six_pairs():
     assert not compare_spectra(m, mp, "o", 0).equal
 
 
-def test_every_cap_check_gives_the_shell_message():
+def test_every_cap_check_gives_the_shell_message(monkeypatch):
     m1, m2 = catalog("hw3/M1"), catalog("hw3/M2")
+    # the two spectra agree in mode f up to N = 4, so the scan reaches N = 5
     calls = (
-        lambda: shell_vectors(3, 5, cap=4),
-        lambda: shell_count(3, 5, cap=4),
-        lambda: character_sum(m1, m1.holonomy[1], 5, cap=4),
-        lambda: compare_spectra(m1, m2, "f", 9, cap=4),
-        lambda: theorem_check(m1, 9, cap=4),
+        lambda: shell_vectors(3, 5),
+        lambda: shell_count(3, 5),
+        lambda: character_sum(m1, m1.holonomy[1], 5),
+        lambda: compare_spectra(m1, m2, "f", 5),
+        lambda: theorem_check(m1, 5),
     )
+    monkeypatch.setenv("FLATSPEC_SHELL_CAP", "4")
     for call in calls:
         with pytest.raises(ShellCapExceeded) as err:
             call()
-        assert str(err.value) == (
-            "squared norm 5 exceeds the shell cap 4 (raise via FLATSPEC_SHELL_CAP or the cap argument)"
-        )
+        assert str(err.value) == "squared norm 5 exceeds the shell cap 4 (raise via FLATSPEC_SHELL_CAP)"
+    monkeypatch.setenv("FLATSPEC_SHELL_CAP", "5")
+    for call in calls:
+        call()
     with pytest.raises(ValueError):
         character_sum(m1, m1.holonomy[1], -1)
+
+
+def _functions(module):
+    """Every function a module defines, its classes' methods included."""
+    for _name, obj in inspect.getmembers(module):
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isclass(obj):
+            for _n, f in inspect.getmembers(obj):
+                if inspect.isfunction(f) or inspect.ismethod(f):
+                    yield f
+        elif callable(obj):
+            yield obj
+
+
+def test_no_function_takes_a_per_call_cap():
+    import flatspec
+
+    public = [getattr(flatspec, name) for name in flatspec.__all__]
+    functions = [obj for obj in public if callable(obj) and not inspect.isclass(obj)]
+    for info in pkgutil.iter_modules(flatspec.__path__):
+        functions += _functions(importlib.import_module(f"flatspec.{info.name}"))
+    assert len(functions) > 100
+    taking_cap = [f.__qualname__ for f in functions if "cap" in inspect.signature(f).parameters]
+    assert taking_cap == []
 
 
 def test_compare_mode_validation_and_dimension_check():
