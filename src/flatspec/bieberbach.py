@@ -237,6 +237,21 @@ class IsometryElement:
         moved = self.linear.apply(self.translation)
         return IsometryElement(self.linear.inverse(), tuple(-q for q in moved))
 
+    def theta_key(self) -> tuple[tuple[int, int], ...]:
+        """The coset's data on the fixed lattice of B, which alone decide
+        torsion and e(gamma, N): one pair (l, c) per cycle of sign product +1,
+        sorted, with l the cycle length and c = sum eps[t] * q[indices[t]]
+        mod 4 for the translation q.  The fixed vector m * eps on the cycle
+        has squared norm l*m^2 and pairs with q to m*c quarter units; m -> -m
+        swaps c and 4 - c, so c is folded to min(c, 4 - c)."""
+        q = self.translation
+        key = []
+        for indices, eps, sigma in self.linear.cycles():
+            if sigma == 1:
+                c = sum(e * q[j] for j, e in zip(indices, eps)) % 4
+                key.append((len(indices), min(c, 4 - c)))
+        return tuple(sorted(key))
+
     def sort_key(self):
         return (self.linear.perm, self.linear.signs, self.translation)
 
@@ -355,16 +370,10 @@ def coset_is_torsion_free(element: IsometryElement) -> bool:
 
     With p_B the orthogonal projection onto the fixed space of B, the coset
     of B L_b contains torsion iff p_B(b) lies in p_B(Z^n); per positive
-    cycle of B that is the condition sum(eps * b) in Z, so the coset is
-    torsion free iff some positive cycle gives a non-integer sum (a quarter
-    sum not divisible by 4).
+    cycle of B that is the condition sum(eps * b) in Z.  So the coset is
+    torsion free iff some pair (l, c) of its theta key has c != 0.
     """
-    translation = element.translation
-    return any(
-        sum(e * translation[j] for j, e in zip(indices, eps)) % 4
-        for indices, eps, sigma in element.linear.cycles()
-        if sigma == 1
-    )
+    return any(c for _, c in element.theta_key())
 
 
 def is_torsion_free(group: BieberbachGroup) -> bool:
@@ -426,19 +435,11 @@ def classify_holonomy(group: BieberbachGroup) -> HolonomyClass:
     orders = [b.order() for b in parts]
     gens = tuple(g.linear for g in group.generators) or parts
     abelian = all(a.compose(b) == b.compose(a) for a, b in itertools.combinations(gens, 2))
-    if abelian and all(o <= 2 for o in orders):
-        rank = m.bit_length() - 1
-        if 2**rank == m:
-            if rank == 0:
-                description = "trivial"
-            elif rank == 1:
-                description = "Z2"
-            else:
-                description = f"Z2^{rank}"
-            return HolonomyClass(m, True, rank, description)
     factors = _primary_factors(orders) if abelian else None
     if factors is not None:
-        return HolonomyClass(m, True, None, " x ".join(f"Z{d}" for d in factors))
+        rank = len(factors) if set(factors) <= {2} else None
+        text = " x ".join(f"Z{d}" for d in factors) or "trivial"
+        return HolonomyClass(m, True, rank, f"Z2^{rank}" if rank and rank > 1 else text)
     kind = "abelian" if abelian else "nonabelian"
     return HolonomyClass(m, abelian, None, f"{kind} of order {m}")
 

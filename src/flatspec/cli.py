@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+from collections.abc import Iterable
 
 from . import families, graphs, lattice, spectra
 from .arith import GaussianInt
@@ -252,7 +253,7 @@ def _print_kn_graphs(dim: int) -> int:
     return 0
 
 
-def _family_members(kind: str, dim: int) -> list[BieberbachGroup]:
+def _family_members(kind: str, dim: int) -> Iterable[BieberbachGroup]:
     if kind == "z2":
         return families.z2_family(dim)
     if kind == "kn":
@@ -277,16 +278,16 @@ def cmd_family(args) -> int:
         return _print_kn_graphs(args.dim)
     members = _family_members(args.kind, args.dim)
     if args.count_only:
-        print(len(members))
+        print(sum(1 for _ in members))
         return 0
     if args.verify_theorem is not None:
-        failures = 0
+        total = failures = 0
         for group in members:
             check = spectra.theorem_check(group, args.verify_theorem)
             status = "pass" if check.ok else "FAIL"
+            total += 1
             failures += 0 if check.ok else 1
             print(f"{group.label()}: {status} (N <= {args.verify_theorem})")
-        total = len(members)
         print(f"{total - failures}/{total} groups satisfy d_f = 2^(n-k)|shell| and d_e = d_o")
         return 0 if failures == 0 else 2
     if args.graphs:
@@ -322,7 +323,7 @@ def cmd_graph(args) -> int:
         arrays = [families.GhwArray.from_bits(args.dim, bits)]
     if args.json:
         payload = [graphs.graph_of(a).to_json() for a in arrays]
-        _print_json(payload[0] if len(payload) == 1 else payload)
+        _print_json(payload if args.all else payload[0])
     else:
         print(graphs.to_dot(graphs.graph_of(arrays[0])), end="")
     return 0

@@ -15,6 +15,7 @@ Translations are written in quarter units throughout (2 is 1/2, 1 is 1/4).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -322,9 +323,11 @@ def kn_arrays(n: int):
         yield GhwArray.from_bits(n, bits)
 
 
-def kn_family(n: int) -> list[BieberbachGroup]:
-    """All 2^((n-1)(n-2)/2) groups, each validated torsion-free."""
-    return [kn_group_from_array(array) for array in kn_arrays(n)]
+def kn_family(n: int) -> Iterator[BieberbachGroup]:
+    """All 2^((n-1)(n-2)/2) groups, each validated torsion-free, built one at
+    a time as the result is iterated; n is checked at the call."""
+    kn_family_size(n)
+    return map(kn_group_from_array, kn_arrays(n))
 
 
 # ---------------------------------------------------------------------------

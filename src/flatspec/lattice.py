@@ -6,7 +6,8 @@ so shells serve for both the lattice and its dual.
 
 The vectors fixed by a signed permutation are one integer m per cycle of
 sign product +1, so the spectral path only counts them, as coefficients of
-products of one-dimensional theta series (``theta_counts``).
+products of one-dimensional theta series (``theta_counts``), one per pair
+(l, c) of a coset's theta key (``IsometryElement.theta_key``).
 ``shell_vectors`` and ``fixed_vectors`` list vectors: they are public API
 and the test oracle for the series, no longer part of the spectral path.
 ``check_norm`` is the one place the squared-norm cap is enforced, and
@@ -114,35 +115,19 @@ def fixed_vectors(shell: Shell, b: SignedPermutation) -> tuple[IntVector, ...]:
     return tuple(v for v in shell.vectors if b.apply(v) == v)
 
 
-def cycle_factors(b: SignedPermutation, quarters: IntVector) -> tuple[tuple[int, int], ...]:
-    """One theta factor (l, c) per cycle of B with sign product +1: l is
-    the cycle length and c = sum eps[t] * quarters[indices[t]] mod 4, so the
-    fixed vector m * eps on that cycle has squared norm l*m^2 and pairs with
-    the translation to m*c quarter units."""
-    return tuple(
-        (len(indices), sum(e * quarters[j] for j, e in zip(indices, eps)) % 4)
-        for indices, eps, sigma in b.cycles()
-        if sigma == 1
-    )
-
-
-def theta_counts(factors, norm_sq: int) -> tuple[int, int, int, int]:
-    """The q^N coefficient of the product over (l, c) of
-    sum_m i^(-c*m) q^(l*m^2), as exact counts of i^0, i^-1, i^-2, i^-3:
-    entry k counts the integer tuples (m_1, ...) with sum l*m^2 = N and
-    sum c*m = k mod 4."""
-    # m -> -m turns c into -c, so c = 3 counts as c = 1
-    return _theta(tuple(sorted((l, min(c % 4, -c % 4)) for l, c in factors)), norm_sq)
-
-
 @lru_cache(maxsize=1 << 16)
-def _theta(factors: tuple[tuple[int, int], ...], norm_sq: int) -> tuple[int, int, int, int]:
-    if not factors:
+def theta_counts(key: tuple[tuple[int, int], ...], norm_sq: int) -> tuple[int, int, int, int]:
+    """The q^N coefficient of the product over the pairs (l, c) of a theta
+    key of sum_m i^(-c*m) q^(l*m^2), as exact counts of i^0, i^-1, i^-2,
+    i^-3: entry k counts the integer tuples (m_1, ...) with sum l*m^2 = N
+    and sum c*m = k mod 4.  Exact for any pairs: the fold and sort done by
+    ``IsometryElement.theta_key`` only let equal cosets share entries."""
+    if not key:
         return (1, 0, 0, 0) if norm_sq == 0 else (0, 0, 0, 0)
-    (length, c), rest = factors[-1], factors[:-1]
-    counts = list(_theta(rest, norm_sq))
+    (length, c), rest = key[-1], key[:-1]
+    counts = list(theta_counts(rest, norm_sq))
     for m in range(1, math.isqrt(norm_sq // length) + 1):
-        sub = _theta(rest, norm_sq - length * m * m)
+        sub = theta_counts(rest, norm_sq - length * m * m)
         up, down = c * m % 4, -c * m % 4
         for k in range(4):
             counts[k] += sub[k - up] + sub[k - down]

@@ -18,9 +18,10 @@ c = sum eps[t] * q[indices[t]] over that cycle, the sum is therefore
     e(gamma, N) = [q^N]  prod over positive cycles (l, c) of
                          sum over m in Z of  i^(-c*m) q^(l*m^2)
 
-a coefficient of a product of one-dimensional theta series, which
-``lattice.theta_counts`` returns as exact counts of the four units, so no
-vector is ever listed.
+a coefficient of a product of one-dimensional theta series.  The pairs
+(l, c) are gamma's theta key (``IsometryElement.theta_key``, which also
+decides torsion), and ``lattice.theta_counts`` returns the coefficient as
+exact counts of the four units, so no vector is ever listed.
 
 Traces of the p-th exterior representation are the coefficients of
 det(Id + t*B), computed as a product of sparse cycle factors; for an
@@ -90,15 +91,15 @@ def character_sum(group: BieberbachGroup, element: IsometryElement, norm_sq: int
 
 def _character_value(element: IsometryElement, norm_sq: int) -> GaussianInt:
     """character_sum without its membership and cap checks."""
-    factors = lattice.cycle_factors(element.linear, element.translation)
-    counts = lattice.theta_counts(factors, norm_sq)
+    counts = lattice.theta_counts(element.theta_key(), norm_sq)
     # the units i^0, i^-1, i^-2, i^-3 are 1, -i, -1, i
     return GaussianInt(counts[0] - counts[2], counts[3] - counts[1])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def multiplicity_row(group: BieberbachGroup, norm_sq: int) -> tuple[int, ...]:
-    """(d_0, ..., d_n) at squared norm N, each certified integral and >= 0."""
+    """(d_0, ..., d_n) at squared norm N, each certified integral and >= 0;
+    the cache keeps the 64 latest rows, so a sweep holds only a few groups."""
     lattice.check_norm(norm_sq)
     sums = [_character_value(elem, norm_sq) for elem in group.holonomy]
     traces = [exterior_trace_coeffs(elem.linear) for elem in group.holonomy]

@@ -2,6 +2,7 @@
 
 import json
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -156,6 +157,39 @@ def test_graph_all_prints_the_family_graphs(capsys):
     payload = json.loads(out)
     assert isinstance(payload, list) and len(payload) == 8
     assert payload[0]["edges"] == [[2, 1], [2, 4], [3, 2], [3, 4], [4, 3], [4, 4]]
+
+
+def test_graph_all_json_is_a_list_even_of_one(capsys):
+    # K_2 has a single member
+    code, out = run(capsys, "graph", "--dim", "2", "--all", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert isinstance(payload, list) and len(payload) == 1
+    assert payload[0]["n"] == 2
+    code, out = run(capsys, "graph", "--dim", "2", "--index", "0", "--json")
+    assert json.loads(out) == payload[0]
+
+
+def test_family_sweep_holds_few_groups(capsys, monkeypatch):
+    # each member costs two rows (N = 0, 1), so a full row cache pins
+    # maxsize // 2 groups, plus the one being checked
+    alive = weakref.WeakSet()
+    most = 0
+    build = families.kn_group_from_array
+
+    def tracked(array):
+        nonlocal most
+        group = build(array)
+        alive.add(group)
+        most = max(most, len(alive))
+        return group
+
+    monkeypatch.setattr(families, "kn_group_from_array", tracked)
+    multiplicity_row.cache_clear()
+    code, out = run(capsys, "family", "kn", "--dim", "5", "--verify-theorem", "1")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("64/64 ")
+    assert most <= multiplicity_row.cache_info().maxsize // 2 + 1
 
 
 def test_family_graphs_build_no_groups(capsys, monkeypatch):

@@ -147,7 +147,7 @@ def test_kn_group_from_array_klein_bottle():
 
 def test_kn_family_counts_and_keys():
     for n, expected in [(2, 1), (3, 2), (4, 8), (5, 64)]:
-        family = kn_family(n)
+        family = list(kn_family(n))
         assert len(family) == expected
         assert len({g.canonical_key() for g in family}) == expected
         assert all(is_torsion_free(g) for g in family)

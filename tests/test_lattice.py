@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatspec.arith import binomial
-from flatspec.bieberbach import SignedPermutation
+from flatspec.bieberbach import IsometryElement, SignedPermutation
 from flatspec.lattice import (
     Shell,
     ShellCapExceeded,
-    cycle_factors,
     fixed_space_dim,
     fixed_vectors,
     shell_vectors,
@@ -146,7 +145,7 @@ def test_fixed_vectors_agree_with_brute_filter(b, norm_sq):
     brute = tuple(v for v in shell.vectors if b.apply(v) == v)
     assert fixed_vectors(shell, b) == brute
     # one integer per positive cycle: the theta series counts the same set
-    assert theta_counts(cycle_factors(b, (0,) * b.dim), norm_sq) == (len(brute), 0, 0, 0)
+    assert theta_counts(IsometryElement(b, (0,) * b.dim).theta_key(), norm_sq) == (len(brute), 0, 0, 0)
 
 
 def test_fixed_space_dim_examples():

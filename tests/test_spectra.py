@@ -336,7 +336,7 @@ def test_theorem_check_examples():
     assert hw.rank == 2 and hw.ok
     assert hw.cases[1].d_f == 12 == 2 ** (3 - 2) * 6
 
-    k4 = theorem_check(kn_family(4)[0], 1)
+    k4 = theorem_check(next(kn_family(4)), 1)
     assert k4.rank == 3 and k4.ok
     assert k4.cases[1].d_f == 16 == 2 * 8
 

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import enumerated_character_sums, reference_row
 
+from test_translation_format import reference_torsion_free
+
 from flatspec.arith import binomial
+from flatspec.bieberbach import IsometryElement, SignedPermutation, coset_is_torsion_free
 from flatspec.families import (
     GhwArray,
     catalog,
@@ -19,7 +22,7 @@ from flatspec.families import (
     z2_group,
     z2_parameters,
 )
-from flatspec.lattice import shell_count, shell_vectors, theta_counts
+from flatspec.lattice import fixed_vectors, shell_count, shell_vectors, theta_counts
 from flatspec.spectra import character_sum, multiplicity_row
 
 
@@ -54,6 +57,26 @@ def test_character_sums_and_rows_match_enumeration(group, norm_sq):
 @given(st.integers(1, 8), st.integers(0, 30))
 def test_shell_count_matches_enumeration(n, norm_sq):
     assert shell_count(n, norm_sq) == shell_vectors(n, norm_sq).count
+
+
+@st.composite
+def cosets(draw):
+    """Any coset B L_q with n <= 6 and q in quarter units 0..3, group or not."""
+    n = draw(st.integers(1, 6))
+    perm = tuple(draw(st.permutations(range(n))))
+    signs = tuple(draw(st.sampled_from((1, -1))) for _ in range(n))
+    translation = tuple(draw(st.integers(0, 3)) for _ in range(n))
+    return IsometryElement(SignedPermutation(perm, signs), translation)
+
+
+@settings(deadline=None)
+@given(cosets(), st.integers(0, 12))
+def test_theta_key_counts_the_fixed_shell(element, norm_sq):
+    counts = [0, 0, 0, 0]
+    for v in fixed_vectors(shell_vectors(element.dim, norm_sq), element.linear):
+        counts[sum(q * x for q, x in zip(element.translation, v)) % 4] += 1
+    assert theta_counts(element.theta_key(), norm_sq) == tuple(counts)
+    assert coset_is_torsion_free(element) == reference_torsion_free(element)
 
 
 def test_theta_counts_of_small_products():
