@@ -25,9 +25,12 @@ from functools import lru_cache
 from .arith import format_quarter, parse_quarter, quarters_as_rationals
 
 #: largest holonomy group expand_holonomy will build, read at each call.
-#: Expansion and validation cost O(|F| * g) composes for g generators, so it
-#: is reachable: B_6 (|F| = 46080, 3 generators) expands in about 2.5 s and
-#: validates in about 1.7 s (CPython 3.11, Xeon).
+#: Expansion and validation cost O(|F| * g) products for g generators, so it
+#: is reachable: B_6 (|F| = 46080, 3 generators) expands in about 3 s and
+#: validates in about 4.5 s, its 138240 products overrunning the bounded
+#: product table (CPython 3.11, Xeon).  Groups with diagonal generators and
+#: translations in (1/2)Z^n expand by XOR of int masks instead: a K_6 member
+#: (32 cosets, 5 generators) in about 60 us, against 1.5 ms by composition.
 HOLONOMY_CAP = 2**16
 
 
@@ -145,15 +148,16 @@ class SignedPermutation:
 
 
 # few distinct linear parts occur per session, so product and inverse tables
-# stay small while holonomy expansion hits them constantly
-@lru_cache(maxsize=None)
+# stay small while holonomy expansion hits them constantly; the bound only
+# stops a huge group (B_6 needs 138240 products) from pinning its tables
+@lru_cache(maxsize=1 << 16)
 def _compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:
     perm = tuple(a.perm[b.perm[j]] for j in range(a.dim))
     signs = tuple(b.signs[j] * a.signs[b.perm[j]] for j in range(a.dim))
     return SignedPermutation(perm, signs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _inverse(b: SignedPermutation) -> SignedPermutation:
     perm = [0] * b.dim
     signs = [1] * b.dim
@@ -163,7 +167,7 @@ def _inverse(b: SignedPermutation) -> SignedPermutation:
     return SignedPermutation(tuple(perm), tuple(signs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _cycles(b: SignedPermutation):
     n = b.dim
     seen = [False] * n
@@ -243,14 +247,22 @@ class IsometryElement:
         sorted, with l the cycle length and c = sum eps[t] * q[indices[t]]
         mod 4 for the translation q.  The fixed vector m * eps on the cycle
         has squared norm l*m^2 and pairs with q to m*c quarter units; m -> -m
-        swaps c and 4 - c, so c is folded to min(c, 4 - c)."""
-        q = self.translation
-        key = []
-        for indices, eps, sigma in self.linear.cycles():
-            if sigma == 1:
-                c = sum(e * q[j] for j, e in zip(indices, eps)) % 4
-                key.append((len(indices), min(c, 4 - c)))
-        return tuple(sorted(key))
+        swaps c and 4 - c, so c is folded to min(c, 4 - c).
+
+        Computed on the first call and stored on the element, like the hash
+        of ``SignedPermutation``: the torsion test and the spectral
+        signature both read it."""
+        key = self.__dict__.get("_theta_key")
+        if key is None:
+            q = self.translation
+            pairs = []
+            for indices, eps, sigma in self.linear.cycles():
+                if sigma == 1:
+                    c = sum(e * q[j] for j, e in zip(indices, eps)) % 4
+                    pairs.append((len(indices), min(c, 4 - c)))
+            key = tuple(sorted(pairs))
+            object.__setattr__(self, "_theta_key", key)
+        return key
 
     def sort_key(self):
         return (self.linear.perm, self.linear.signs, self.translation)
@@ -288,6 +300,14 @@ class BieberbachGroup:
     holonomy: tuple[IsometryElement, ...]
     generators: tuple[IsometryElement, ...] = ()
     name: str | None = None
+
+    def __hash__(self) -> int:
+        # stored on first use: the row cache hashes the group on every call
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = hash((self.dim, self.holonomy, self.generators, self.name))
+            object.__setattr__(self, "_hash", value)
+        return value
 
     @property
     def order(self) -> int:
@@ -333,13 +353,29 @@ def expand_holonomy(generators, dim: int, name: str | None = None) -> Bieberbach
     Keeps one representative per linear part (the identity's translation is
     0 by construction).  Raises HolonomyExpansionError if two products demand
     different translations mod 1 for the same linear part, or if the closure
-    exceeds HOLONOMY_CAP elements.  Costs |F| * g composes for g generators;
+    exceeds HOLONOMY_CAP elements.  Costs |F| * g products for g generators;
     see HOLONOMY_CAP for the time at the largest admitted group.
+
+    When every generator is diagonal with translation in (1/2)Z^n, a product
+    is the XOR of (negation mask, half-translation mask) pairs, because a
+    diagonal B is its own inverse and -1/2 = 1/2 mod 1.  The same walk, in
+    the same order and with the same errors, then runs on int pairs, and the
+    representatives come from a bounded interning cache, so the members of a
+    family such as K_n share their coset objects.  Other groups take the
+    general product.
     """
     gens = tuple(generators)
     for g in gens:
         if g.dim != dim:
             raise ValueError(f"generator dimension {g.dim} != {dim}")
+    if all(g.linear.is_diagonal() and all(q % 2 == 0 for q in g.translation) for g in gens):
+        holonomy = _expand_masks(gens, dim)
+    else:
+        holonomy = _expand_elements(gens, dim)
+    return BieberbachGroup(dim=dim, holonomy=holonomy, generators=gens, name=name)
+
+
+def _expand_elements(gens, dim: int) -> tuple[IsometryElement, ...]:
     identity = IsometryElement.identity(dim)
     reps: dict[SignedPermutation, IsometryElement] = {identity.linear: identity}
     queue = deque([identity])
@@ -349,20 +385,67 @@ def expand_holonomy(generators, dim: int, name: str | None = None) -> Bieberbach
             prod = elem.compose(gen)
             known = reps.get(prod.linear)
             if known is None:
-                if len(reps) >= HOLONOMY_CAP:
-                    raise HolonomyExpansionError(
-                        f"holonomy closure exceeded the cap of {HOLONOMY_CAP} elements"
-                    )
+                _check_cap(len(reps))
                 reps[prod.linear] = prod
                 queue.append(prod)
             elif known.translation != prod.translation:
-                raise HolonomyExpansionError(
-                    "inconsistent cocycle: linear part "
-                    f"{prod.linear} carries translations "
-                    f"{quarters_as_rationals(known.translation)} and "
-                    f"{quarters_as_rationals(prod.translation)} mod 1"
+                raise _inconsistent(known, prod)
+    return tuple(reps.values())
+
+
+def _expand_masks(gens, dim: int) -> tuple[IsometryElement, ...]:
+    """_expand_elements for diagonal generators with translations in
+    (1/2)Z^n, on (negation, half-translation) bit masks, bit j for axis j."""
+    masks = [
+        (
+            sum(1 << j for j, s in enumerate(g.linear.signs) if s < 0),
+            sum(1 << j for j, q in enumerate(g.translation) if q),
+        )
+        for g in gens
+    ]
+    reps = {0: 0}  # negation mask -> half-translation mask
+    queue = deque([0])
+    while queue:
+        neg = queue.popleft()
+        trans = reps[neg]
+        for gen_neg, gen_trans in masks:
+            prod_neg, prod_trans = neg ^ gen_neg, trans ^ gen_trans
+            known = reps.get(prod_neg)
+            if known is None:
+                _check_cap(len(reps))
+                reps[prod_neg] = prod_trans
+                queue.append(prod_neg)
+            elif known != prod_trans:
+                raise _inconsistent(
+                    _diagonal_element(dim, prod_neg, known),
+                    _diagonal_element(dim, prod_neg, prod_trans),
                 )
-    return BieberbachGroup(dim=dim, holonomy=tuple(reps.values()), generators=gens, name=name)
+    return tuple(_diagonal_element(dim, neg, trans) for neg, trans in reps.items())
+
+
+@lru_cache(maxsize=1 << 16)
+def _diagonal_element(dim: int, neg: int, trans: int) -> IsometryElement:
+    """The diagonal coset representative with these bit masks: axis j
+    negated if bit j of neg is set, translated by 1/2 if bit j of trans is."""
+    signs = (-1 if neg >> j & 1 else 1 for j in range(dim))
+    translation = tuple(2 * (trans >> j & 1) for j in range(dim))
+    return IsometryElement(SignedPermutation.diagonal(signs), translation)
+
+
+def _check_cap(size: int) -> None:
+    if size >= HOLONOMY_CAP:
+        raise HolonomyExpansionError(
+            f"holonomy closure exceeded the cap of {HOLONOMY_CAP} elements"
+        )
+
+
+def _inconsistent(known: IsometryElement, prod: IsometryElement) -> HolonomyExpansionError:
+    return HolonomyExpansionError(
+        "inconsistent cocycle: linear part "
+        f"{prod.linear} carries translations "
+        f"{quarters_as_rationals(known.translation)} and "
+        f"{quarters_as_rationals(prod.translation)} mod 1"
+    )
 
 
 def coset_is_torsion_free(element: IsometryElement) -> bool:
@@ -535,13 +618,15 @@ def validate(group: BieberbachGroup) -> ValidationReport:
             if prod.linear not in reached:
                 reached.add(prod.linear)
                 queue.append(known)
+    seen = set()
     for rep in group.holonomy:
         if rep.linear not in reached:
             closure = False
             detail = detail or f"representative {rep} is not reached from the generators"
-        elif by_linear[rep.linear] != rep:
+        elif rep.linear in seen:
             cocycle = False
             detail = detail or f"linear part {rep.linear} has two representatives"
+        seen.add(rep.linear)
     witness = torsion_witness(group) if closure and cocycle else None
     torsion_free = closure and cocycle and witness is None
     if witness is not None:

@@ -23,6 +23,11 @@ a coefficient of a product of one-dimensional theta series.  The pairs
 decides torsion), and ``lattice.theta_counts`` returns the coefficient as
 exact counts of the four units, so no vector is ever listed.
 
+So d_p(N) depends on a coset only through its theta key and its traces.
+The spectral signature of a group sums the trace vectors of the cosets
+that share a key, and a row is (1/|F|) * sum over keys of
+T_p[key] * e(key, N): one theta lookup per key, not one per coset.
+
 Traces of the p-th exterior representation are the coefficients of
 det(Id + t*B), computed as a product of sparse cycle factors; for an
 involution they coincide with the Krawtchouk value K_p^n(n - n_B).
@@ -36,6 +41,9 @@ from functools import lru_cache
 from . import lattice
 from .arith import GaussianInt, binomial
 from .bieberbach import BieberbachGroup, IsometryElement, SignedPermutation, classify_holonomy
+
+#: the (l, c) pairs of IsometryElement.theta_key
+ThetaKey = tuple[tuple[int, int], ...]
 
 
 def krawtchouk(n: int, p: int, x: int) -> int:
@@ -52,7 +60,7 @@ def krawtchouk_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(krawtchouk(n, p, x) for x in range(n + 1)) for p in range(n + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def exterior_trace_coeffs(b: SignedPermutation) -> tuple[int, ...]:
     """Coefficients of det(Id + t*B): entry p is the trace on p-forms.
 
@@ -86,23 +94,45 @@ def character_sum(group: BieberbachGroup, element: IsometryElement, norm_sq: int
     if element not in group.holonomy:
         raise ValueError("element is not a holonomy representative of the group")
     lattice.check_norm(norm_sq)
-    return _character_value(element, norm_sq)
+    return _character_value(element.theta_key(), norm_sq)
 
 
-def _character_value(element: IsometryElement, norm_sq: int) -> GaussianInt:
-    """character_sum without its membership and cap checks."""
-    counts = lattice.theta_counts(element.theta_key(), norm_sq)
+def _character_value(key: ThetaKey, norm_sq: int) -> GaussianInt:
+    """e(gamma, N) for a coset with this theta key, without cap checks."""
+    counts = lattice.theta_counts(key, norm_sq)
     # the units i^0, i^-1, i^-2, i^-3 are 1, -i, -1, i
     return GaussianInt(counts[0] - counts[2], counts[3] - counts[1])
 
 
+def spectral_signature(group: BieberbachGroup) -> tuple[tuple[ThetaKey, tuple[int, ...]], ...]:
+    """Pairs (theta key, T) in order of first appearance, where T[p] sums
+    the traces on p-forms of the representatives with that key.
+
+    Computed on the first call and stored on the group rather than in a
+    cache, so it lives exactly as long as the group: O(|F| * n)."""
+    signature = group.__dict__.get("_spectral_signature")
+    if signature is None:
+        totals: dict[ThetaKey, tuple[int, ...]] = {}
+        for elem in group.holonomy:
+            key = elem.theta_key()
+            traces = exterior_trace_coeffs(elem.linear)
+            known = totals.get(key)
+            totals[key] = traces if known is None else tuple(map(sum, zip(known, traces)))
+        signature = tuple(totals.items())
+        object.__setattr__(group, "_spectral_signature", signature)
+    return signature
+
+
 @lru_cache(maxsize=64)
 def multiplicity_row(group: BieberbachGroup, norm_sq: int) -> tuple[int, ...]:
-    """(d_0, ..., d_n) at squared norm N, each certified integral and >= 0;
-    the cache keeps the 64 latest rows, so a sweep holds only a few groups."""
+    """(d_0, ..., d_n) at squared norm N, each certified integral and >= 0,
+    summed over the keys of the group's spectral signature (one theta lookup
+    per key); the cache keeps the 64 latest rows, so a sweep holds only a
+    few groups."""
     lattice.check_norm(norm_sq)
-    sums = [_character_value(elem, norm_sq) for elem in group.holonomy]
-    traces = [exterior_trace_coeffs(elem.linear) for elem in group.holonomy]
+    signature = spectral_signature(group)
+    sums = [_character_value(key, norm_sq) for key, _traces in signature]
+    traces = [traces for _key, traces in signature]
     order = group.order
     row = []
     for p in range(group.dim + 1):

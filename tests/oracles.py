@@ -1,17 +1,19 @@
 """Brute-force references for the group checks and the spectral engine.
 
 They do what the package avoids: compose every pair of coset
-representatives, search every abelian type of a given order, and list the
-shell, the sub-shell fixed by a signed permutation, and the wedge basis of
-the exterior powers.  They are slow on purpose and live here, not in the
-package.
+representatives, expand every group by the general product, search every
+abelian type of a given order, and list the shell, the sub-shell fixed by a
+signed permutation, and the wedge basis of the exterior powers.  They are
+slow on purpose and live here, not in the package.
 """
 
 import math
+from collections import deque
 from itertools import combinations, product
 
-from flatspec.arith import GaussianInt
-from flatspec.bieberbach import SignedPermutation
+from flatspec import bieberbach
+from flatspec.arith import GaussianInt, quarters_as_rationals
+from flatspec.bieberbach import HolonomyExpansionError, IsometryElement, SignedPermutation
 from flatspec.lattice import fixed_vectors, shell_vectors
 
 # (re, im) of the unit e^(-2*pi*i*q/4) for q = 0, 1, 2, 3
@@ -40,6 +42,35 @@ def pairwise_group_check(group) -> tuple[bool, bool, bool]:
                 cocycle = False
             abelian = abelian and linear == b.linear.compose(a.linear)
     return closure, cocycle, abelian
+
+
+def expand_by_compose(generators, dim: int) -> tuple[IsometryElement, ...]:
+    """The representatives expand_holonomy must return, by the breadth-first
+    walk over IsometryElement.compose for every group, with the same
+    errors; bieberbach.HOLONOMY_CAP is read at the call."""
+    identity = IsometryElement.identity(dim)
+    reps = {identity.linear: identity}
+    queue = deque([identity])
+    while queue:
+        elem = queue.popleft()
+        for gen in generators:
+            prod = elem.compose(gen)
+            known = reps.get(prod.linear)
+            if known is None:
+                if len(reps) >= bieberbach.HOLONOMY_CAP:
+                    raise HolonomyExpansionError(
+                        f"holonomy closure exceeded the cap of {bieberbach.HOLONOMY_CAP} elements"
+                    )
+                reps[prod.linear] = prod
+                queue.append(prod)
+            elif known.translation != prod.translation:
+                raise HolonomyExpansionError(
+                    "inconsistent cocycle: linear part "
+                    f"{prod.linear} carries translations "
+                    f"{quarters_as_rationals(known.translation)} and "
+                    f"{quarters_as_rationals(prod.translation)} mod 1"
+                )
+    return tuple(reps.values())
 
 
 def sorting_parity(values) -> int:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from flatspec import families, lattice
+from flatspec.bieberbach import IsometryElement
 from flatspec.cli import main
 from flatspec.spectra import multiplicity_row
 
@@ -190,6 +191,17 @@ def test_family_sweep_holds_few_groups(capsys, monkeypatch):
     assert code == 0
     assert out.splitlines()[-1].startswith("64/64 ")
     assert most <= multiplicity_row.cache_info().maxsize // 2 + 1
+
+
+def test_family_sweep_takes_the_mask_walk(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sweep composed isometries")
+
+    monkeypatch.setattr(IsometryElement, "compose", refuse)
+    guarded = run(capsys, "family", "kn", "--dim", "5", "--verify-theorem", "2")
+    monkeypatch.undo()
+    assert guarded == run(capsys, "family", "kn", "--dim", "5", "--verify-theorem", "2")
+    assert guarded[0] == 0 and guarded[1].splitlines()[-1].startswith("64/64 ")
 
 
 def test_family_graphs_build_no_groups(capsys, monkeypatch):

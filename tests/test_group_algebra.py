@@ -4,11 +4,19 @@ within |F| * g and g(g-1) products."""
 
 import time
 from dataclasses import replace
+from unittest import mock
 
 import pytest
-from oracles import abelian_candidates, holonomy_description_by_search, pairwise_group_check
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    abelian_candidates,
+    expand_by_compose,
+    holonomy_description_by_search,
+    pairwise_group_check,
+)
 
-from flatspec import lattice, spectra
+from flatspec import bieberbach, lattice, spectra
 from flatspec.bieberbach import (
     BieberbachGroup,
     IsometryElement,
@@ -154,6 +162,19 @@ def test_corrupted_groups_are_rejected(name):
         assert_agrees_with_oracle(replace(corrupted, generators=()))
 
 
+def test_repeated_representatives_fail_the_cocycle():
+    # equal copies: the identity eight times, and one coset of hw3/M1 twice
+    group = catalog("hw3/M1")
+    for repeated in (
+        BieberbachGroup(6, (IsometryElement.identity(6),) * 8),
+        replace(group, holonomy=(*group.holonomy, group.holonomy[2])),
+    ):
+        report = validate(repeated)
+        assert report.closure and not report.cocycle and not report.accepted
+        witness = f"linear part {repeated.holonomy[-1].linear} has two representatives"
+        assert report.error == witness
+
+
 def test_identity_coset_checked():
     group = catalog("hw3/M1")
     moved = IsometryElement(group.holonomy[0].linear, (2, 0, 0))
@@ -206,6 +227,15 @@ def test_signed_permutation_hash_matches_equality():
     assert len({a, b, a.inverse().inverse()}) == 1
 
 
+def test_group_hash_matches_equality():
+    group = catalog("hw3/M1")
+    copy = replace(group)
+    assert copy is not group and copy == group
+    fields = (group.dim, group.holonomy, group.generators, group.name)
+    assert hash(copy) == hash(group) == hash(fields)
+    assert len({group, copy, group.renamed("other")}) == 2
+
+
 def test_row_checks_the_norm_once_and_scans_no_membership(monkeypatch):
     expected = spectra.multiplicity_row(catalog("hw3/M1"), 5)
     calls = _count_calls(monkeypatch, lattice, "check_norm")
@@ -216,3 +246,49 @@ def test_row_checks_the_norm_once_and_scans_no_membership(monkeypatch):
     )
     assert spectra.multiplicity_row(catalog("hw3/M1").renamed("row-probe"), 5) == expected
     assert calls[0] == 1
+
+
+def _half_element(n, neg, trans):
+    signs = tuple(-1 if neg >> j & 1 else 1 for j in range(n))
+    translation = tuple(2 * (trans >> j & 1) for j in range(n))
+    return IsometryElement(SignedPermutation.diagonal(signs), translation)
+
+
+@st.composite
+def half_generator_sets(draw):
+    """(n, generators): diagonal with translations in (1/2)Z^n, n <= 6; the
+    set may be empty, hold a product of two of its members (dependent), or
+    a member's linear part with another translation (inconsistent)."""
+    n = draw(st.integers(1, 6))
+    masks = st.integers(0, 2**n - 1)
+    gens = draw(st.lists(st.builds(lambda a, b: _half_element(n, a, b), masks, masks), max_size=5))
+    if gens and draw(st.booleans()):
+        gens.append(draw(st.sampled_from(gens)).compose(draw(st.sampled_from(gens))))
+    if gens and draw(st.booleans()):
+        victim = draw(st.sampled_from(gens))
+        moved = tuple((q + 2 * draw(st.integers(0, 1))) % 4 for q in victim.translation)
+        gens.insert(draw(st.integers(0, len(gens))), IsometryElement(victim.linear, moved))
+    return n, gens
+
+
+def _outcome(expand):
+    try:
+        return expand()
+    except bieberbach.HolonomyExpansionError as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(half_generator_sets(), st.sampled_from([None, 4]))
+def test_mask_walk_matches_the_compose_walk(case, cap):
+    n, gens = case
+    cap = cap or bieberbach.HOLONOMY_CAP
+
+    def refuse(*args):
+        raise AssertionError("a diagonal half-translation group took the general product")
+
+    with mock.patch.object(bieberbach, "HOLONOMY_CAP", cap):
+        expected = _outcome(lambda: expand_by_compose(gens, n))
+        with mock.patch.object(IsometryElement, "compose", refuse):
+            got = _outcome(lambda: expand_holonomy(gens, n).holonomy)
+    assert got == expected

@@ -424,6 +424,19 @@ def test_no_function_takes_a_per_call_cap():
     assert taking_cap == []
 
 
+def test_every_cache_is_bounded():
+    import flatspec
+
+    maxsizes = {}
+    for info in pkgutil.iter_modules(flatspec.__path__):
+        for f in _functions(importlib.import_module(f"flatspec.{info.name}")):
+            if hasattr(f, "cache_info"):
+                maxsizes[f"{info.name}.{f.__qualname__}"] = f.cache_info().maxsize
+    assert len(maxsizes) >= 8
+    # catalog's keys are catalog_names(), so the registry bounds it
+    assert [name for name, size in maxsizes.items() if size is None] == ["families.catalog"]
+
+
 def test_compare_mode_validation_and_dimension_check():
     m1 = catalog("hw3/M1")
     with pytest.raises(ValueError):

@@ -4,12 +4,18 @@ hold whatever engine computes the spectrum."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import enumerated_character_sums, reference_row
+from oracles import enumerated_character_sums, reference_row, trace_p_oracle
 
+from test_group_algebra import CASES
 from test_translation_format import reference_torsion_free
 
 from flatspec.arith import binomial
-from flatspec.bieberbach import IsometryElement, SignedPermutation, coset_is_torsion_free
+from flatspec.bieberbach import (
+    IsometryElement,
+    SignedPermutation,
+    classify_holonomy,
+    coset_is_torsion_free,
+)
 from flatspec.families import (
     GhwArray,
     catalog,
@@ -23,7 +29,7 @@ from flatspec.families import (
     z2_parameters,
 )
 from flatspec.lattice import fixed_vectors, shell_count, shell_vectors, theta_counts
-from flatspec.spectra import character_sum, multiplicity_row
+from flatspec.spectra import character_sum, multiplicity_row, spectral_signature
 
 
 def _kn_member(n, bits):
@@ -77,6 +83,33 @@ def test_theta_key_counts_the_fixed_shell(element, norm_sq):
         counts[sum(q * x for q, x in zip(element.translation, v)) % 4] += 1
     assert theta_counts(element.theta_key(), norm_sq) == tuple(counts)
     assert coset_is_torsion_free(element) == reference_torsion_free(element)
+
+
+# the catalog (dim6/z4* included), K_n for n <= 5, the Z2 family for n <= 6,
+# T^3 and the hyperoctahedral B_3 and B_4
+@pytest.mark.parametrize("label", list(CASES))
+def test_signature_sums_the_traces_of_each_key(label):
+    group = CASES[label]
+    expected = {}
+    for element in group.holonomy:
+        traces = [trace_p_oracle(element.linear, p) for p in range(group.dim + 1)]
+        known = expected.setdefault(element.theta_key(), [0] * (group.dim + 1))
+        known[:] = [a + b for a, b in zip(known, traces)]
+    signature = spectral_signature(group)
+    assert {key: list(traces) for key, traces in signature} == expected
+    assert len(signature) == len(expected)
+    assert spectral_signature(group) is signature
+
+
+@pytest.mark.parametrize(
+    "label", [label for label, g in CASES.items() if classify_holonomy(g).elementary_rank is not None]
+)
+def test_only_the_identity_key_weighs_on_d_f(label):
+    # sum_p tr_p(B) = det(I + B), which is 0 for an involution B != I
+    group = CASES[label]
+    identity_key = ((1, 0),) * group.dim
+    for key, traces in spectral_signature(group):
+        assert sum(traces) == (2**group.dim if key == identity_key else 0), key
 
 
 def test_theta_counts_of_small_products():
