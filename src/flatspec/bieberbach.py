@@ -264,15 +264,6 @@ class IsometryElement:
             object.__setattr__(self, "_theta_key", key)
         return key
 
-    def sort_key(self):
-        return (self.linear.perm, self.linear.signs, self.translation)
-
-    def key_string(self) -> str:
-        perm = ",".join(str(p + 1) for p in self.linear.perm)
-        signs = ",".join("+" if s > 0 else "-" for s in self.linear.signs)
-        trans = ",".join(str(format_quarter(q)) for q in self.translation)
-        return f"{perm}|{signs}|{trans}"
-
     def to_json(self) -> dict:
         obj = self.linear.to_json()
         obj["translation"] = [format_quarter(q) for q in self.translation]
@@ -325,8 +316,9 @@ class BieberbachGroup:
 
     def canonical_key(self) -> str:
         """Deterministic serialization; equal keys iff identical coset
-        representative sets."""
-        return ";".join(e.key_string() for e in sorted(self.holonomy, key=IsometryElement.sort_key))
+        representative sets (``str`` of an element names its signed columns
+        and its translation mod 1, so it determines the coset)."""
+        return ";".join(sorted(str(e) for e in self.holonomy))
 
     def to_json(self) -> dict:
         return {
@@ -368,11 +360,16 @@ def expand_holonomy(generators, dim: int, name: str | None = None) -> Bieberbach
     for g in gens:
         if g.dim != dim:
             raise ValueError(f"generator dimension {g.dim} != {dim}")
-    if all(g.linear.is_diagonal() and all(q % 2 == 0 for q in g.translation) for g in gens):
+    if all(_half_diagonal(g) for g in gens):
         holonomy = _expand_masks(gens, dim)
     else:
         holonomy = _expand_elements(gens, dim)
     return BieberbachGroup(dim=dim, holonomy=holonomy, generators=gens, name=name)
+
+
+def _half_diagonal(element: IsometryElement) -> bool:
+    """Diagonal linear part and translation in (1/2)Z^n."""
+    return element.linear.is_diagonal() and all(q % 2 == 0 for q in element.translation)
 
 
 def _expand_elements(gens, dim: int) -> tuple[IsometryElement, ...]:
@@ -529,9 +526,7 @@ def classify_holonomy(group: BieberbachGroup) -> HolonomyClass:
 
 def is_diagonal_type(group: BieberbachGroup) -> bool:
     """All linear parts diagonal sign matrices and all translations in (1/2)Z^n."""
-    return all(e.linear.is_diagonal() for e in group.holonomy) and all(
-        q % 2 == 0 for e in group.holonomy for q in e.translation
-    )
+    return all(_half_diagonal(e) for e in group.holonomy)
 
 
 def is_orientable(group: BieberbachGroup) -> bool:

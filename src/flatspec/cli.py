@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from collections.abc import Iterable
 
 from . import families, graphs, lattice, spectra
 from .arith import GaussianInt
@@ -62,18 +61,21 @@ def _format_gaussian(value: GaussianInt) -> str:
     return str(value.re) if value.im == 0 else str(value)
 
 
-def _load_group_file(path: str) -> BieberbachGroup:
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
-    group = group_from_json(obj)
+        return json.load(handle)
+
+
+def _load_group_file(path: str) -> BieberbachGroup:
+    group = group_from_json(_read_json(path))
     if group.name is None:
         group = group.renamed(os.path.basename(path))
     return group
 
 
 def _resolve_group(spec: str) -> BieberbachGroup:
-    """A group from a catalog name, 'torus:N', a built-in HW name, or a
-    JSON file path (optionally prefixed 'file:')."""
+    """A group from a catalog name, 'torus:N', or a JSON file path
+    (optionally prefixed 'file:')."""
     if spec.startswith("file:"):
         return _load_group_file(spec[len("file:") :])
     if spec.startswith("torus:"):
@@ -86,7 +88,7 @@ def _resolve_group(spec: str) -> BieberbachGroup:
         return _load_group_file(spec)
     raise KeyError(
         f"unknown group spec {spec!r}: expected a catalog name, 'torus:N', "
-        "a built-in hw5/hw7 name, or a JSON file path"
+        "or a JSON file path"
     )
 
 
@@ -117,8 +119,7 @@ def _parse_norms(text: str) -> list[int]:
 
 
 def cmd_validate(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
+    obj = _read_json(args.file)
     dim = int(obj["dim"])
     generators = [IsometryElement.from_json(g) for g in obj.get("generators", [])]
     _group, report = validate_generators(generators, dim, name=obj.get("name"))
@@ -144,15 +145,17 @@ def cmd_krawtchouk(args) -> int:
     return 0
 
 
+def _char_sums(group: BieberbachGroup, norm_sq: int) -> list[GaussianInt]:
+    """e(gamma, N) for every representative but the identity, in order."""
+    return [spectra.character_sum(group, elem, norm_sq) for elem in group.holonomy[1:]]
+
+
 def _char_sum_table(groups, norm_sq: int) -> tuple[list[str], list[list[str]]]:
     width = max(g.order for g in groups) - 1
     headers = ["group"] + [f"e(gamma_{i})" for i in range(1, width + 1)]
     rows = []
     for group in groups:
-        sums = [
-            _format_gaussian(spectra.character_sum(group, elem, norm_sq))
-            for elem in group.holonomy[1:]
-        ]
+        sums = [_format_gaussian(value) for value in _char_sums(group, norm_sq)]
         rows.append([group.label()] + sums + [""] * (width - len(sums)))
     return headers, rows
 
@@ -169,10 +172,7 @@ def cmd_spectrum(args) -> int:
                 {
                     "group": group.label(),
                     "N": norm_sq,
-                    "e": [
-                        spectra.character_sum(group, elem, norm_sq).to_json()
-                        for elem in group.holonomy[1:]
-                    ],
+                    "e": [value.to_json() for value in _char_sums(group, norm_sq)],
                 }
                 for norm_sq in norms
                 for group in groups
@@ -253,33 +253,13 @@ def _print_kn_graphs(dim: int) -> int:
     return 0
 
 
-def _family_members(kind: str, dim: int) -> Iterable[BieberbachGroup]:
-    if kind == "z2":
-        return families.z2_family(dim)
-    if kind == "kn":
-        return families.kn_family(dim)
-    if kind == "hw-catalog":
-        prefix = f"hw{dim}/"
-        names = [name for name in families.catalog_names() if name.startswith(prefix)]
-        if not names:
-            raise ValueError(f"no built-in Hantzsche-Wendt data in dimension {dim}")
-        return [families.catalog(name) for name in names]
-    raise ValueError(f"unknown family kind {kind!r}")
-
-
 def cmd_family(args) -> int:
-    if args.count_only and args.kind == "kn":
-        print(families.kn_family_size(args.dim))
-        return 0
-    if args.count_only and args.kind == "z2":
-        print(families.z2_family_size(args.dim))
+    if args.count_only:
+        print(families.family_size(args.kind, args.dim))
         return 0
     if args.graphs and args.kind == "kn" and args.verify_theorem is None:
         return _print_kn_graphs(args.dim)
-    members = _family_members(args.kind, args.dim)
-    if args.count_only:
-        print(sum(1 for _ in members))
-        return 0
+    members = families.family_members(args.kind, args.dim)
     if args.verify_theorem is not None:
         total = failures = 0
         for group in members:
@@ -297,15 +277,9 @@ def cmd_family(args) -> int:
     return 0
 
 
-def _load_array_file(path: str) -> families.GhwArray:
-    with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
-    return families.GhwArray.from_rows(obj["rows"])
-
-
 def cmd_graph(args) -> int:
     if args.array:
-        arrays = [_load_array_file(args.array)]
+        arrays = [families.GhwArray.from_rows(_read_json(args.array)["rows"])]
     elif args.dim is None:
         return _fail("graph needs --dim (with --index or --all) or --array FILE")
     elif args.all and not args.json:
@@ -313,14 +287,7 @@ def cmd_graph(args) -> int:
     elif args.all:
         arrays = list(families.kn_arrays(args.dim))
     else:
-        size = families.kn_family_size(args.dim)
-        index = args.index if args.index is not None else 0
-        if not 0 <= index < size:
-            return _fail(f"index {index} outside 0..{size - 1}")
-        # kn_arrays order: the first free bit is the most significant
-        width = families.free_parameter_count(args.dim)
-        bits = [(index >> shift) & 1 for shift in reversed(range(width))]
-        arrays = [families.GhwArray.from_bits(args.dim, bits)]
+        arrays = [families.kn_array(args.dim, args.index)]
     if args.json:
         payload = [graphs.graph_of(a).to_json() for a in arrays]
         _print_json(payload if args.all else payload[0])
@@ -376,8 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("family", help="emit a built-in family (z2 | kn | hw-catalog)")
-    p.add_argument("kind", choices=["z2", "kn", "hw-catalog"])
+    kinds = " | ".join(families.FAMILY_KINDS)
+    p = sub.add_parser("family", help=f"emit a built-in family ({kinds})")
+    p.add_argument("kind", choices=families.FAMILY_KINDS)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--verify-theorem", type=int, metavar="NMAX", default=None)
@@ -386,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="directed graph of an array-family member")
     p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--index", type=int, default=None, help="lexicographic index into the family")
+    p.add_argument("--index", type=int, default=0, help="lexicographic index into the family")
     p.add_argument("--all", action="store_true")
     p.add_argument("--array", default=None, help="JSON file {\"rows\": [[0, \"1/2\", ...], ...]}")
     p.add_argument("--json", action="store_true")

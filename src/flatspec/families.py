@@ -1,23 +1,26 @@
-"""Constructors for the built-in manifold families.
+"""Constructors for the built-in manifold families, and the one registry of
+named groups and family kinds.
 
 * the one-generator family with holonomy Z2 (parameters j, h: j swap
   blocks, h sign flips, translation e_n/2);
 * diagonal-type groups from explicit sign columns and half-integer
-  translations, including the Hantzsche-Wendt groups;
+  translations: the Hantzsche-Wendt groups, the dimension-3 Z2^2 trio and
+  every member of the array family;
 * the {0, 1/2}-array family with holonomy Z2^(n-1) and first Betti
   number one, parameterized by the free strict upper triangle;
 * a named catalog of fixed example groups (dimensions 3 to 7), embedded
-  verbatim rather than re-derived.
+  verbatim rather than re-derived;
+* ``family_members`` and ``family_size``, the one place that decides what
+  each family kind holds and how many members it has.
 
 Translations are written in quarter units throughout (2 is 1/2, 1 is 1/4).
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .arith import format_quarter, parse_quarter
 from .bieberbach import (
@@ -26,12 +29,19 @@ from .bieberbach import (
     IsometryElement,
     SignedPermutation,
     expand_holonomy,
+    is_orientable,
     is_torsion_free,
     validate,
 )
 
-#: largest n for which the full Z2^(n-1) array family may be enumerated
+#: largest n for which the full Z2^(n-1) array family may be enumerated.
+#: Building costs about 0.85 ms per K_8 member (CPython 3.11, Xeon VM), so
+#: all 2^21 members of K_8 take about 30 minutes; counting the family and
+#: building one member by index stay cheap at the cap.
 KN_CAP = 8
+
+#: the built-in families, in the order the CLI offers them
+FAMILY_KINDS = ("z2", "kn", "hw-catalog")
 
 
 def _require(group: BieberbachGroup) -> BieberbachGroup:
@@ -105,8 +115,8 @@ def diagonal_group(sign_columns, translations, name: str | None = None) -> Biebe
     (quarter units).
 
     Raises GroupValidationError carrying the full report if the group has
-    torsion (used to build Hantzsche-Wendt groups and the dimension-3 Z2^2
-    trio).
+    torsion.  Builds the Hantzsche-Wendt groups, the dimension-3 Z2^2 trio
+    and every member of the array family.
     """
     columns = [tuple(col) for col in sign_columns]
     shifts = [tuple(trans) for trans in translations]
@@ -122,75 +132,19 @@ def diagonal_group(sign_columns, translations, name: str | None = None) -> Biebe
     return _require(expand_holonomy(generators, n, name=name))
 
 
-# Translation vectors (in half units, doubled when read) of sample
-# Hantzsche-Wendt groups: generator i fixes e_i, negates every other axis
-# and translates by row i below.  The first entry per dimension is the
-# classical chain b_i = (e_i + e_{i+1})/2; the others were found by search
-# over {0, 1/2} translations, each re-validated at construction time.
-_HW_DATA: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {
-    5: (
-        (
-            (1, 1, 0, 0, 0),
-            (0, 1, 1, 0, 0),
-            (0, 0, 1, 1, 0),
-            (0, 0, 0, 1, 1),
-        ),
-        (
-            (1, 0, 0, 0, 0),
-            (0, 1, 1, 0, 0),
-            (0, 0, 1, 1, 0),
-            (0, 0, 0, 1, 1),
-        ),
-        (
-            (1, 0, 0, 0, 0),
-            (0, 1, 1, 0, 0),
-            (0, 0, 1, 1, 0),
-            (1, 0, 0, 1, 1),
-        ),
-    ),
-    7: (
-        (
-            (1, 1, 0, 0, 0, 0, 0),
-            (0, 1, 1, 0, 0, 0, 0),
-            (0, 0, 1, 1, 0, 0, 0),
-            (0, 0, 0, 1, 1, 0, 0),
-            (0, 0, 0, 0, 1, 1, 0),
-            (0, 0, 0, 0, 0, 1, 1),
-        ),
-        (
-            (1, 0, 1, 0, 0, 0, 1),
-            (0, 1, 0, 0, 0, 1, 0),
-            (0, 1, 1, 0, 1, 0, 0),
-            (1, 0, 1, 1, 0, 1, 1),
-            (0, 0, 0, 0, 1, 0, 1),
-            (1, 0, 0, 0, 1, 1, 0),
-        ),
-        (
-            (1, 0, 1, 0, 0, 0, 0),
-            (0, 1, 1, 0, 0, 1, 0),
-            (0, 0, 1, 1, 1, 1, 0),
-            (0, 1, 1, 1, 0, 0, 0),
-            (0, 0, 0, 1, 1, 1, 1),
-            (0, 1, 0, 1, 0, 1, 0),
-        ),
-    ),
-}
-
-
-def _hw_group(n: int, index: int) -> BieberbachGroup:
-    """hw{n}/H{index} from its half-unit rows in _HW_DATA."""
+def _hw_sample(translations, name: str) -> BieberbachGroup:
+    """A Hantzsche-Wendt group: generator i fixes e_i, negates every other
+    axis and translates by row i."""
+    n = len(translations[0])
     columns = [tuple(1 if k == i else -1 for k in range(n)) for i in range(n - 1)]
-    translations = [tuple(2 * x for x in row) for row in _HW_DATA[n][index - 1]]
-    return diagonal_group(columns, translations, name=f"hw{n}/H{index}")
+    return diagonal_group(columns, translations, name=name)
 
 
 def hw_groups(n: int) -> tuple[BieberbachGroup, ...]:
-    """Built-in Hantzsche-Wendt groups in odd dimension n."""
-    if n == 3:
-        return (catalog("hw3/M1"),)
-    if n not in _HW_DATA:
-        raise ValueError(f"no built-in Hantzsche-Wendt data in dimension {n}")
-    return tuple(catalog(f"hw{n}/H{index}") for index in range(1, len(_HW_DATA[n]) + 1))
+    """Built-in Hantzsche-Wendt groups in odd dimension n: the orientable
+    members of the hw-catalog family (holonomy Z2^(n-1) and orientable is
+    the definition), so in dimension 3 the didicosm hw3/M1 alone."""
+    return tuple(g for g in family_members("hw-catalog", n) if is_orientable(g))
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +248,8 @@ def kn_group_from_array(array: GhwArray) -> BieberbachGroup:
     """The torsion-free group read off an array: generator i negates axis i
     and translates by column i."""
     n = array.n
-    generators = []
-    for c in range(n - 1):
-        signs = tuple(-1 if k == c else 1 for k in range(n))
-        generators.append(IsometryElement(SignedPermutation.diagonal(signs), array.column(c)))
-    return _require(expand_holonomy(generators, n, name=kn_name(array)))
+    columns = [tuple(-1 if k == c else 1 for k in range(n)) for c in range(n - 1)]
+    return diagonal_group(columns, map(array.column, range(n - 1)), name=kn_name(array))
 
 
 def kn_name(array: GhwArray) -> str:
@@ -316,22 +267,32 @@ def kn_family_size(n: int) -> int:
     return 2 ** free_parameter_count(n)
 
 
-def kn_arrays(n: int):
-    """All arrays for dimension n, lexicographic in the free bit vector."""
-    kn_family_size(n)
-    for bits in itertools.product((0, 1), repeat=free_parameter_count(n)):
-        yield GhwArray.from_bits(n, bits)
+def kn_array(n: int, index: int) -> GhwArray:
+    """Member ``index`` of kn_arrays(n), built alone: the members are in
+    lexicographic order of the free bit vector, so the first free bit is the
+    most significant bit of the index."""
+    size = kn_family_size(n)
+    if not 0 <= index < size:
+        raise ValueError(f"index {index} outside 0..{size - 1}")
+    width = free_parameter_count(n)
+    return GhwArray.from_bits(n, [(index >> shift) & 1 for shift in reversed(range(width))])
+
+
+def kn_arrays(n: int) -> Iterator[GhwArray]:
+    """All arrays for dimension n, lexicographic in the free bit vector, built
+    one at a time as the result is iterated; n is checked at the call."""
+    return map(partial(kn_array, n), range(kn_family_size(n)))
 
 
 def kn_family(n: int) -> Iterator[BieberbachGroup]:
     """All 2^((n-1)(n-2)/2) groups, each validated torsion-free, built one at
-    a time as the result is iterated; n is checked at the call."""
-    kn_family_size(n)
+    a time as the result is iterated; n is checked at the call.  See KN_CAP
+    for the cost at the cap (about 30 minutes for all of K_8)."""
     return map(kn_group_from_array, kn_arrays(n))
 
 
 # ---------------------------------------------------------------------------
-# named catalog
+# named catalog and family kinds
 
 
 def torus(n: int) -> BieberbachGroup:
@@ -341,82 +302,134 @@ def torus(n: int) -> BieberbachGroup:
     return expand_holonomy([], n, name=f"T^{n}")
 
 
-def _jtilde_pairs(n: int, pairs) -> tuple[list[int], list[int]]:
-    """perm/signs arrays with a rotation block (e_a -> -e_b, e_b -> e_a) on
-    each listed 0-based pair."""
-    perm = list(range(n))
-    signs = [1] * n
-    for a, b in pairs:
-        perm[a], perm[b] = b, a
-        signs[a], signs[b] = -1, 1
-    return perm, signs
+def _generated_group(rows, name: str) -> BieberbachGroup:
+    """The group generated by (0-based perm, signs, translation) rows."""
+    generators = [IsometryElement(SignedPermutation(perm, signs), t) for perm, signs, t in rows]
+    return _require(expand_holonomy(generators, len(rows[0][0]), name=name))
 
 
-def _dim6_z4z2_generators() -> list[IsometryElement]:
-    perm, signs = _jtilde_pairs(6, [(0, 1), (2, 3)])
-    b1 = SignedPermutation(tuple(perm), tuple(signs))
-    t1 = (0, 0, 0, 0, 1, 0)
-    b2 = SignedPermutation.diagonal((-1, -1, 1, 1, 1, 1))
-    t2 = (0, 0, 0, 0, 0, 2)
-    return [IsometryElement(b1, t1), IsometryElement(b2, t2)]
+# The first generator of each dimension-6 group carries rotation blocks
+# (e_a -> -e_b, e_b -> e_a) on the axis pairs it swaps; the Z4 examples keep
+# only that generator.
+_Z4Z2_M = (
+    ((1, 0, 3, 2, 4, 5), (-1, 1, -1, 1, 1, 1), (0, 0, 0, 0, 1, 0)),
+    ((0, 1, 2, 3, 4, 5), (-1, -1, 1, 1, 1, 1), (0, 0, 0, 0, 0, 2)),
+)
+_Z4Z2_MP = (
+    ((1, 0, 2, 3, 4, 5), (-1, 1, 1, -1, -1, 1), (0, 0, 0, 0, 0, 1)),
+    ((0, 1, 2, 3, 4, 5), (-1, -1, -1, 1, -1, 1), (0, 0, 0, 2, 2, 0)),
+)
 
-
-def _dim6_z4z2_prime_generators() -> list[IsometryElement]:
-    perm, signs = _jtilde_pairs(6, [(0, 1)])
-    signs[2], signs[3], signs[4], signs[5] = 1, -1, -1, 1
-    b1 = SignedPermutation(tuple(perm), tuple(signs))
-    t1 = (0, 0, 0, 0, 0, 1)
-    b2 = SignedPermutation.diagonal((-1, -1, -1, 1, -1, 1))
-    t2 = (0, 0, 0, 2, 2, 0)
-    return [IsometryElement(b1, t1), IsometryElement(b2, t2)]
-
-
-_HW3_DATA = {
-    "hw3/M1": ([(-1, -1, 1), (-1, 1, -1)], [(2, 0, 2), (0, 2, 0)]),
-    "hw3/M2": ([(-1, -1, 1), (1, -1, 1)], [(0, 2, 2), (0, 0, 2)]),
-    "hw3/M3": ([(-1, -1, 1), (1, -1, 1)], [(0, 2, 2), (2, 0, 0)]),
-}
-
-_Z2_CATALOG = {
-    "dim3/m10": (3, 1, 0),
-    "dim3/m02": (3, 0, 2),
-    "dim3/m01": (3, 0, 1),
-    "dim4/m11": (4, 1, 1),
-    "dim4/m10": (4, 1, 0),
-    "dim4/m03": (4, 0, 3),
-    "dim4/m02": (4, 0, 2),
-    "dim4/m01": (4, 0, 1),
-}
-
-_DIM6_GENERATORS = {
-    "dim6/z4z2_M": _dim6_z4z2_generators,
-    "dim6/z4z2_Mp": _dim6_z4z2_prime_generators,
-    "dim6/z4_M": lambda: _dim6_z4z2_generators()[:1],
-    "dim6/z4_Mp": lambda: _dim6_z4z2_prime_generators()[:1],
-}
-
-_HW_NAMES = {
-    f"hw{n}/H{index}": (n, index)
-    for n, samples in _HW_DATA.items()
-    for index in range(1, len(samples) + 1)
+# name -> builder called with the name; the insertion order is
+# catalog_names().  The builders look up expand_holonomy and the checks at
+# each call, so a wrapper installed on a module attribute sees every build.
+# The hw<n>/H* rows are Hantzsche-Wendt translations (see _hw_sample): the
+# first per dimension is the classical chain b_i = (e_i + e_{i+1})/2, the
+# others were found by search over {0, 1/2} translations.
+_CATALOG = {
+    "dim3/m10": partial(z2_group, 3, 1, 0),
+    "dim3/m02": partial(z2_group, 3, 0, 2),
+    "dim3/m01": partial(z2_group, 3, 0, 1),
+    "dim4/m11": partial(z2_group, 4, 1, 1),
+    "dim4/m10": partial(z2_group, 4, 1, 0),
+    "dim4/m03": partial(z2_group, 4, 0, 3),
+    "dim4/m02": partial(z2_group, 4, 0, 2),
+    "dim4/m01": partial(z2_group, 4, 0, 1),
+    "hw3/M1": partial(diagonal_group, [(-1, -1, 1), (-1, 1, -1)], [(2, 0, 2), (0, 2, 0)]),
+    "hw3/M2": partial(diagonal_group, [(-1, -1, 1), (1, -1, 1)], [(0, 2, 2), (0, 0, 2)]),
+    "hw3/M3": partial(diagonal_group, [(-1, -1, 1), (1, -1, 1)], [(0, 2, 2), (2, 0, 0)]),
+    "dim6/z4z2_M": partial(_generated_group, _Z4Z2_M),
+    "dim6/z4z2_Mp": partial(_generated_group, _Z4Z2_MP),
+    "dim6/z4_M": partial(_generated_group, _Z4Z2_M[:1]),
+    "dim6/z4_Mp": partial(_generated_group, _Z4Z2_MP[:1]),
+    "hw5/H1": partial(
+        _hw_sample,
+        ((2, 2, 0, 0, 0), (0, 2, 2, 0, 0), (0, 0, 2, 2, 0), (0, 0, 0, 2, 2)),
+    ),
+    "hw5/H2": partial(
+        _hw_sample,
+        ((2, 0, 0, 0, 0), (0, 2, 2, 0, 0), (0, 0, 2, 2, 0), (0, 0, 0, 2, 2)),
+    ),
+    "hw5/H3": partial(
+        _hw_sample,
+        ((2, 0, 0, 0, 0), (0, 2, 2, 0, 0), (0, 0, 2, 2, 0), (2, 0, 0, 2, 2)),
+    ),
+    "hw7/H1": partial(
+        _hw_sample,
+        (
+            (2, 2, 0, 0, 0, 0, 0),
+            (0, 2, 2, 0, 0, 0, 0),
+            (0, 0, 2, 2, 0, 0, 0),
+            (0, 0, 0, 2, 2, 0, 0),
+            (0, 0, 0, 0, 2, 2, 0),
+            (0, 0, 0, 0, 0, 2, 2),
+        ),
+    ),
+    "hw7/H2": partial(
+        _hw_sample,
+        (
+            (2, 0, 2, 0, 0, 0, 2),
+            (0, 2, 0, 0, 0, 2, 0),
+            (0, 2, 2, 0, 2, 0, 0),
+            (2, 0, 2, 2, 0, 2, 2),
+            (0, 0, 0, 0, 2, 0, 2),
+            (2, 0, 0, 0, 2, 2, 0),
+        ),
+    ),
+    "hw7/H3": partial(
+        _hw_sample,
+        (
+            (2, 0, 2, 0, 0, 0, 0),
+            (0, 2, 2, 0, 0, 2, 0),
+            (0, 0, 2, 2, 2, 2, 0),
+            (0, 2, 2, 2, 0, 0, 0),
+            (0, 0, 0, 2, 2, 2, 2),
+            (0, 2, 0, 2, 0, 2, 0),
+        ),
+    ),
 }
 
 
 def catalog_names() -> list[str]:
-    return [*_Z2_CATALOG, *_HW3_DATA, *_DIM6_GENERATORS, *_HW_NAMES]
+    return list(_CATALOG)
 
 
 @lru_cache(maxsize=None)
 def catalog(name: str) -> BieberbachGroup:
     """The named example group, built from its embedded data and validated."""
-    if name in _Z2_CATALOG:
-        n, j, h = _Z2_CATALOG[name]
-        return z2_group(n, j, h, name=name)
-    if name in _HW3_DATA:
-        columns, translations = _HW3_DATA[name]
-        return diagonal_group(columns, translations, name=name)
-    if name in _DIM6_GENERATORS:
-        return _require(expand_holonomy(_DIM6_GENERATORS[name](), 6, name=name))
-    if name in _HW_NAMES:
-        return _hw_group(*_HW_NAMES[name])
-    raise KeyError(f"unknown catalog name {name!r}; known names: {', '.join(catalog_names())}")
+    if name not in _CATALOG:
+        raise KeyError(f"unknown catalog name {name!r}; known names: {', '.join(_CATALOG)}")
+    return _CATALOG[name](name=name)
+
+
+def _hw_catalog_names(n: int) -> list[str]:
+    names = [name for name in _CATALOG if name.startswith(f"hw{n}/")]
+    if not names:
+        raise ValueError(f"no built-in Hantzsche-Wendt data in dimension {n}")
+    return names
+
+
+def family_members(kind: str, n: int) -> Iterable[BieberbachGroup]:
+    """The members of a built-in family in dimension n, in their fixed order:
+    z2_family(n), the lazy kn_family(n), or for hw-catalog every catalog name
+    hw<n>/... (in dimension 3 the didicosm and both amphidicosms)."""
+    if kind == "z2":
+        return z2_family(n)
+    if kind == "kn":
+        return kn_family(n)
+    if kind == "hw-catalog":
+        return [catalog(name) for name in _hw_catalog_names(n)]
+    raise ValueError(f"unknown family kind {kind!r}")
+
+
+def family_size(kind: str, n: int) -> int:
+    """The number of family_members(kind, n), with the same errors, building
+    nothing: the closed forms for z2 and kn, the catalog names for
+    hw-catalog."""
+    if kind == "z2":
+        return z2_family_size(n)
+    if kind == "kn":
+        return kn_family_size(n)
+    if kind == "hw-catalog":
+        return len(_hw_catalog_names(n))
+    raise ValueError(f"unknown family kind {kind!r}")

@@ -68,6 +68,16 @@ def canonical_vertex_order(graph: GhwGraph) -> tuple[int, ...]:
     into a not-yet-identified vertex leads to v_{i-1}.  Any failure of
     uniqueness means the graph is not of the family shape.
     """
+    return _canonical_labeling(graph)[0]
+
+
+def canonical_edges(graph: GhwGraph) -> frozenset[tuple[int, int]]:
+    """Edge set after the forced relabeling."""
+    return _canonical_labeling(graph)[1]
+
+
+def _canonical_labeling(graph: GhwGraph):
+    """(canonical_vertex_order, canonical_edges), shape-checked once."""
     n = graph.n
     out: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
     for i, j in graph.edges:
@@ -92,14 +102,7 @@ def canonical_vertex_order(graph: GhwGraph) -> tuple[int, ...]:
     relabel = {vertex: position + 1 for position, vertex in enumerate(order)}
     relabeled = frozenset((relabel[i], relabel[j]) for i, j in graph.edges)
     array_of(GhwGraph(n, relabeled))  # full shape check, raises GraphShapeError
-    return tuple(order)
-
-
-def canonical_edges(graph: GhwGraph) -> frozenset[tuple[int, int]]:
-    """Edge set after the forced relabeling."""
-    order = canonical_vertex_order(graph)
-    relabel = {vertex: position + 1 for position, vertex in enumerate(order)}
-    return frozenset((relabel[i], relabel[j]) for i, j in graph.edges)
+    return tuple(order), relabeled
 
 
 def graphs_isomorphic(left: GhwGraph, right: GhwGraph) -> bool:

@@ -6,7 +6,9 @@ from named caches.  A rename, a changed import or a cache turned into a
 plain function would break only traced benchmark runs; this runs one small
 traced job and checks its report.  The job is a K_n sweep, whose groups are
 all diagonal with half translations, so the benchmark's own compose counter
-must read 0.
+must read 0.  The sweep must also pass through the wrapped family
+constructors, once for the family and once per member: a registry that kept
+the function objects it saw at import would bypass the wrappers.
 """
 
 import importlib.util
@@ -44,6 +46,9 @@ def test_traced_worker_installs_every_hook(tmp_path):
     assert report.get("code") == 0
     assert "error" not in report
     assert report["counts"]["bieberbach.compose.calls"] == 0
+    spans = [report["names"][span[0]] for span in report["spans"]]
+    assert spans.count("families.kn_family") == 1
+    assert spans.count("families.kn_group_from_array") == 8
     traced, caches = _worker_tables()
     assert {name for name, _importers, _counter in traced} <= set(report["names"])
     for name in caches:

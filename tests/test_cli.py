@@ -129,6 +129,19 @@ def test_family_counts(capsys):
     assert run(capsys, "family", "hw-catalog", "--dim", "5", "--count-only") == (0, "3\n")
 
 
+@pytest.mark.parametrize(
+    "kind, dim",
+    [("z2", n) for n in range(2, 7)] + [("kn", n) for n in range(2, 6)]
+    + [("hw-catalog", n) for n in (3, 5, 7)],
+)
+def test_family_count_matches_the_stream(capsys, kind, dim):
+    code, count = run(capsys, "family", kind, "--dim", str(dim), "--count-only")
+    assert code == 0
+    code, out = run(capsys, "family", kind, "--dim", str(dim))
+    assert code == 0
+    assert int(count) == len(out.splitlines())
+
+
 def test_family_stream_is_valid_group_json(capsys):
     code, out = run(capsys, "family", "z2", "--dim", "3")
     assert code == 0
@@ -272,6 +285,7 @@ def test_graph_from_array_file(capsys):
 def test_graph_index_out_of_range(capsys):
     code, out = run(capsys, "graph", "--dim", "3", "--index", "5")
     assert code == 2
+    assert json.loads(out) == {"error": "index 5 outside 0..1"}
 
 
 def test_validate_accepts_klein_bottle(capsys):

@@ -8,9 +8,12 @@ from flatspec.families import (
     catalog,
     catalog_names,
     diagonal_group,
+    family_members,
+    family_size,
     free_parameter_count,
     free_positions,
     hw_groups,
+    kn_array,
     kn_arrays,
     kn_family,
     kn_group_from_array,
@@ -153,6 +156,15 @@ def test_kn_family_counts_and_keys():
         assert all(is_torsion_free(g) for g in family)
 
 
+@pytest.mark.parametrize("n", range(2, 6))
+def test_kn_array_is_the_indexed_member(n):
+    arrays = list(kn_arrays(n))
+    assert [kn_array(n, index) for index in range(len(arrays))] == arrays
+    for index in (-1, len(arrays)):
+        with pytest.raises(ValueError, match=rf"^index {index} outside 0..{len(arrays) - 1}$"):
+            kn_array(n, index)
+
+
 def test_kn_family_cap():
     with pytest.raises(ValueError):
         kn_family(9)
@@ -288,3 +300,16 @@ def test_hw_groups_by_dimension():
         assert report.orientable and report.diagonal_type
     with pytest.raises(ValueError):
         hw_groups(4)
+
+
+def test_family_registry():
+    for kind, n in [("z2", 4), ("kn", 4), ("hw-catalog", 3), ("hw-catalog", 7)]:
+        members = list(family_members(kind, n))
+        assert family_size(kind, n) == len(members)
+        assert all(group.dim == n for group in members)
+    assert [g.label() for g in family_members("hw-catalog", 3)] == ["hw3/M1", "hw3/M2", "hw3/M3"]
+    for call in (family_members, family_size):
+        with pytest.raises(ValueError, match="unknown family kind 'k9'"):
+            call("k9", 4)
+        with pytest.raises(ValueError, match="no built-in Hantzsche-Wendt data in dimension 4"):
+            call("hw-catalog", 4)
