@@ -26,11 +26,12 @@ from .arith import format_quarter, parse_quarter, quarters_as_rationals
 
 #: largest holonomy group expand_holonomy will build, read at each call.
 #: Expansion and validation cost O(|F| * g) products for g generators, so it
-#: is reachable: B_6 (|F| = 46080, 3 generators) expands in about 3 s and
-#: validates in about 4.5 s, its 138240 products overrunning the bounded
-#: product table (CPython 3.11, Xeon).  Groups with diagonal generators and
-#: translations in (1/2)Z^n expand by XOR of int masks instead: a K_6 member
-#: (32 cosets, 5 generators) in about 60 us, against 1.5 ms by composition.
+#: is reachable: B_6 (|F| = 46080, 3 generators) expands in about 2.5 s and
+#: validates in about 3 s, its 138240 products overrunning the bounded
+#: product table (CPython 3.11, Xeon VM).  A group with diagonal generators
+#: and translations in (1/2)Z^n keeps a basis of int mask pairs instead: a
+#: K_6 member (32 cosets, 5 generators) expands in about 6 us and passes the
+#: torsion test in about 25 us more, against 0.9 ms to compose its cosets.
 HOLONOMY_CAP = 2**16
 
 
@@ -44,6 +45,15 @@ class GroupValidationError(ValueError):
     def __init__(self, report: "ValidationReport"):
         self.report = report
         super().__init__(report.summary())
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls holding these fields, without
+    running __post_init__: for values valid by construction, such as the
+    product of two checked elements."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -152,9 +162,9 @@ class SignedPermutation:
 # stops a huge group (B_6 needs 138240 products) from pinning its tables
 @lru_cache(maxsize=1 << 16)
 def _compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:
-    perm = tuple(a.perm[b.perm[j]] for j in range(a.dim))
-    signs = tuple(b.signs[j] * a.signs[b.perm[j]] for j in range(a.dim))
-    return SignedPermutation(perm, signs)
+    perm = tuple(a.perm[k] for k in b.perm)
+    signs = tuple(s * a.signs[k] for s, k in zip(b.signs, b.perm))
+    return _signed_permutation(perm, signs)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -164,7 +174,13 @@ def _inverse(b: SignedPermutation) -> SignedPermutation:
     for j, (target, sign) in enumerate(zip(b.perm, b.signs)):
         perm[target] = j
         signs[target] = sign
-    return SignedPermutation(tuple(perm), tuple(signs))
+    return _signed_permutation(tuple(perm), tuple(signs))
+
+
+def _signed_permutation(perm: tuple[int, ...], signs: tuple[int, ...]) -> SignedPermutation:
+    """SignedPermutation(perm, signs) for a product or inverse of checked
+    ones, which is a signed permutation by construction."""
+    return _trusted(SignedPermutation, perm=perm, signs=signs, _hash=hash((perm, signs)))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -234,12 +250,27 @@ class IsometryElement:
             raise ValueError("dimension mismatch")
         b = other.linear
         a = self.translation
-        shifted = tuple(s * a[p] + t for p, s, t in zip(b.perm, b.signs, other.translation))
-        return IsometryElement(self.linear.compose(b), shifted)
+        shifted = tuple((s * a[p] + t) % 4 for p, s, t in zip(b.perm, b.signs, other.translation))
+        return _trusted(IsometryElement, linear=self.linear.compose(b), translation=shifted)
 
     def inverse(self) -> "IsometryElement":
         moved = self.linear.apply(self.translation)
-        return IsometryElement(self.linear.inverse(), tuple(-q for q in moved))
+        return _trusted(
+            IsometryElement, linear=self.linear.inverse(), translation=tuple(-q % 4 for q in moved)
+        )
+
+    def half_masks(self) -> tuple[int, int] | None:
+        """(negation mask, half-translation mask) when B is diagonal and the
+        translation lies in (1/2)Z^n, bit j of each standing for axis j:
+        set if B negates e_j, and set if the translation is 1/2 on e_j.  None
+        for any other coset.  Stored on the first call, like theta_key."""
+        if "_half_masks" not in self.__dict__:
+            masks = None
+            if self.linear.is_diagonal() and all(q % 2 == 0 for q in self.translation):
+                neg = sum(1 << j for j, s in enumerate(self.linear.signs) if s < 0)
+                masks = (neg, sum(1 << j for j, q in enumerate(self.translation) if q))
+            object.__setattr__(self, "_half_masks", masks)
+        return self._half_masks
 
     def theta_key(self) -> tuple[tuple[int, int], ...]:
         """The coset's data on the fixed lattice of B, which alone decide
@@ -282,28 +313,60 @@ class IsometryElement:
         return f"{self.linear}L[{trans}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BieberbachGroup:
     """A candidate Bieberbach group: one representative per coset of the
-    translation lattice, identity first, plus the generators it came from."""
+    translation lattice, identity first, plus the generators it came from.
+
+    A group that expand_holonomy builds from diagonal generators with
+    translations in (1/2)Z^n holds a basis of its cosets' (negation mask,
+    half-translation mask) pairs (see IsometryElement.half_masks), and
+    ``holonomy`` is built only when read; the order, the torsion test, the
+    classification and the spectral signature read the basis."""
 
     dim: int
     holonomy: tuple[IsometryElement, ...]
     generators: tuple[IsometryElement, ...] = ()
     name: str | None = None
 
+    @classmethod
+    def _from_masks(cls, dim, basis, generators, name) -> "BieberbachGroup":
+        """The mask group of these generators, whose cosets' mask pairs are
+        the XOR combinations of the basis."""
+        return _trusted(cls, dim=dim, generators=generators, name=name, _basis=basis)
+
+    def __getattr__(self, attr):
+        # reached only while a mask group's holonomy is not yet built
+        if attr != "holonomy" or "_basis" not in self.__dict__:
+            raise AttributeError(attr)
+        cosets = _expand_masks([g.half_masks() for g in self.generators], self.dim)
+        holonomy = tuple(_mask_element(self.dim, neg, trans) for neg, trans in cosets)
+        object.__setattr__(self, "holonomy", holonomy)
+        return holonomy
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BieberbachGroup):
+            return NotImplemented
+        if (self.dim, self.generators, self.name) != (other.dim, other.generators, other.name):
+            return False
+        # a mask group's representatives follow from its generators
+        both_masks = "_basis" in self.__dict__ and "_basis" in other.__dict__
+        return both_masks or self.holonomy == other.holonomy
+
     def __hash__(self) -> int:
-        # stored on first use: the row cache hashes the group on every call
+        # stored on first use: the row cache hashes the group on every call.
+        # Equal groups have equal generators, so the cosets need not enter.
         value = self.__dict__.get("_hash")
         if value is None:
-            value = hash((self.dim, self.holonomy, self.generators, self.name))
+            value = hash((self.dim, self.generators, self.name))
             object.__setattr__(self, "_hash", value)
         return value
 
     @property
     def order(self) -> int:
         """|F|, the holonomy group order."""
-        return len(self.holonomy)
+        basis = self.__dict__.get("_basis")
+        return len(self.holonomy) if basis is None else 1 << len(basis)
 
     def linear_parts(self) -> tuple[SignedPermutation, ...]:
         return tuple(e.linear for e in self.holonomy)
@@ -312,6 +375,9 @@ class BieberbachGroup:
         return self.name if self.name else f"group(dim={self.dim},|F|={self.order})"
 
     def renamed(self, name: str) -> "BieberbachGroup":
+        basis = self.__dict__.get("_basis")
+        if basis is not None:
+            return BieberbachGroup._from_masks(self.dim, basis, self.generators, name)
         return replace(self, name=name)
 
     def canonical_key(self) -> str:
@@ -350,26 +416,41 @@ def expand_holonomy(generators, dim: int, name: str | None = None) -> Bieberbach
 
     When every generator is diagonal with translation in (1/2)Z^n, a product
     is the XOR of (negation mask, half-translation mask) pairs, because a
-    diagonal B is its own inverse and -1/2 = 1/2 mod 1.  The same walk, in
-    the same order and with the same errors, then runs on int pairs, and the
-    representatives come from a bounded interning cache, so the members of a
-    family such as K_n share their coset objects.  Other groups take the
-    general product.
+    diagonal B is its own inverse and -1/2 = 1/2 mod 1.  The group is then
+    the GF(2) span of the generators' pairs, and it keeps an echelon basis
+    of them, built in O(g^2) XORs; its representatives are built only when
+    read, by the same walk on int pairs, in the same order.  A span that
+    is inconsistent or too large runs that walk too, which raises the error
+    the general walk would.  Other groups take the general product.
     """
     gens = tuple(generators)
     for g in gens:
         if g.dim != dim:
             raise ValueError(f"generator dimension {g.dim} != {dim}")
-    if all(_half_diagonal(g) for g in gens):
-        holonomy = _expand_masks(gens, dim)
-    else:
-        holonomy = _expand_elements(gens, dim)
-    return BieberbachGroup(dim=dim, holonomy=holonomy, generators=gens, name=name)
+    masks = [g.half_masks() for g in gens]
+    if None not in masks:
+        basis = _mask_basis(masks)
+        if basis is None or 1 << len(basis) > HOLONOMY_CAP:
+            _expand_masks(masks, dim)  # raises the error the walk meets first
+        return BieberbachGroup._from_masks(dim, basis, gens, name)
+    return BieberbachGroup(dim, _expand_elements(gens, dim), gens, name)
 
 
-def _half_diagonal(element: IsometryElement) -> bool:
-    """Diagonal linear part and translation in (1/2)Z^n."""
-    return element.linear.is_diagonal() and all(q % 2 == 0 for q in element.translation)
+def _mask_basis(masks) -> tuple[tuple[int, int], ...] | None:
+    """A basis of the span of the (negation, half-translation) pairs, with
+    distinct leading negation bits, or None if some negation mask is
+    reached with two translations (the identity's being 0)."""
+    basis: list[tuple[int, int]] = []  # descending, so each XOR clears a lead
+    for neg, trans in masks:
+        for b_neg, b_trans in basis:
+            if neg ^ b_neg < neg:
+                neg, trans = neg ^ b_neg, trans ^ b_trans
+        if neg:
+            basis.append((neg, trans))
+            basis.sort(reverse=True)
+        elif trans:
+            return None
+    return tuple(basis)
 
 
 def _expand_elements(gens, dim: int) -> tuple[IsometryElement, ...]:
@@ -390,16 +471,9 @@ def _expand_elements(gens, dim: int) -> tuple[IsometryElement, ...]:
     return tuple(reps.values())
 
 
-def _expand_masks(gens, dim: int) -> tuple[IsometryElement, ...]:
-    """_expand_elements for diagonal generators with translations in
-    (1/2)Z^n, on (negation, half-translation) bit masks, bit j for axis j."""
-    masks = [
-        (
-            sum(1 << j for j, s in enumerate(g.linear.signs) if s < 0),
-            sum(1 << j for j, q in enumerate(g.translation) if q),
-        )
-        for g in gens
-    ]
+def _expand_masks(masks, dim: int) -> tuple[tuple[int, int], ...]:
+    """_expand_elements on the generators' (negation, half-translation)
+    mask pairs: the representatives' pairs, in the same order."""
     reps = {0: 0}  # negation mask -> half-translation mask
     queue = deque([0])
     while queue:
@@ -414,18 +488,32 @@ def _expand_masks(gens, dim: int) -> tuple[IsometryElement, ...]:
                 queue.append(prod_neg)
             elif known != prod_trans:
                 raise _inconsistent(
-                    _diagonal_element(dim, prod_neg, known),
-                    _diagonal_element(dim, prod_neg, prod_trans),
+                    _mask_element(dim, prod_neg, known), _mask_element(dim, prod_neg, prod_trans)
                 )
-    return tuple(_diagonal_element(dim, neg, trans) for neg, trans in reps.items())
+    return tuple(reps.items())
 
 
+def _mask_element(dim: int, neg: int, trans: int) -> IsometryElement:
+    """The diagonal coset with these masks: axis j negated if bit j of neg
+    is set, translated by 1/2 if bit j of trans is."""
+    signs = tuple(-1 if neg >> j & 1 else 1 for j in range(dim))
+    return diagonal_element(signs, tuple(2 * (trans >> j & 1) for j in range(dim)))
+
+
+def diagonal_element(signs, translation) -> IsometryElement:
+    """diag(signs) L_translation (quarter units), with the checks of the
+    public constructors, built once per distinct input: the members of a
+    family such as K_n share their generator and coset objects."""
+    signs, translation = tuple(signs), tuple(translation)
+    if all(type(v) is int for v in signs + translation):
+        return _interned_diagonal(signs, translation)
+    return IsometryElement(SignedPermutation.diagonal(signs), translation)
+
+
+# int entries only: as a cache key True equals 1, so a bool entry would get
+# the cached element where the checks raise TypeError
 @lru_cache(maxsize=1 << 16)
-def _diagonal_element(dim: int, neg: int, trans: int) -> IsometryElement:
-    """The diagonal coset representative with these bit masks: axis j
-    negated if bit j of neg is set, translated by 1/2 if bit j of trans is."""
-    signs = (-1 if neg >> j & 1 else 1 for j in range(dim))
-    translation = tuple(2 * (trans >> j & 1) for j in range(dim))
+def _interned_diagonal(signs: tuple[int, ...], translation: tuple[int, ...]) -> IsometryElement:
     return IsometryElement(SignedPermutation.diagonal(signs), translation)
 
 
@@ -456,12 +544,42 @@ def coset_is_torsion_free(element: IsometryElement) -> bool:
     return any(c for _, c in element.theta_key())
 
 
+def mask_histogram(group: BieberbachGroup) -> tuple[tuple[tuple[int, int], int], ...] | None:
+    """For a mask group, the pairs ((x, b), count): count cosets negate x
+    axes and translate b of the axes they fix by 1/2, x = popcount(neg) and
+    b = popcount(~neg & trans).  None for any other group.  Computed on the
+    first call by a Gray-code walk over the 2^r combinations of the basis,
+    and stored on the group.  A coset with x > 0 is torsion free iff b > 0
+    (coset_is_torsion_free for a diagonal B)."""
+    basis = group.__dict__.get("_basis")
+    if basis is None:
+        return None
+    histogram = group.__dict__.get("_histogram")
+    if histogram is None:
+        counts = {(0, 0): 1}
+        neg = trans = 0
+        for i in range(1, 1 << len(basis)):
+            # step i flips the basis pair of its lowest set bit
+            b_neg, b_trans = basis[(i & -i).bit_length() - 1]
+            neg, trans = neg ^ b_neg, trans ^ b_trans
+            key = (neg.bit_count(), (trans & ~neg).bit_count())
+            counts[key] = counts.get(key, 0) + 1
+        histogram = tuple(counts.items())
+        object.__setattr__(group, "_histogram", histogram)
+    return histogram
+
+
 def is_torsion_free(group: BieberbachGroup) -> bool:
     """Standard criterion applied to every non-identity representative."""
     return torsion_witness(group) is None
 
 
 def torsion_witness(group: BieberbachGroup) -> IsometryElement | None:
+    """The first non-identity representative whose coset contains torsion,
+    or None.  A mask group is scanned only if its histogram shows one."""
+    histogram = mask_histogram(group)
+    if histogram is not None and all(b or not x for (x, b), _count in histogram):
+        return None
     for elem in group.holonomy:
         if not elem.linear.is_identity() and not coset_is_torsion_free(elem):
             return elem
@@ -509,13 +627,18 @@ def classify_holonomy(group: BieberbachGroup) -> HolonomyClass:
     """Classify F: elementary abelian 2-groups by rank, other abelian groups
     by their primary cyclic factors, read off the element orders.  F is
     abelian iff the generators commute (the representatives serve if there
-    are none): g(g-1) products, plus O(|F| log |F|) for the orders."""
-    parts = group.linear_parts()
-    m = len(parts)
-    orders = [b.order() for b in parts]
-    gens = tuple(g.linear for g in group.generators) or parts
-    abelian = all(a.compose(b) == b.compose(a) for a, b in itertools.combinations(gens, 2))
-    factors = _primary_factors(orders) if abelian else None
+    are none): g(g-1) products, plus O(|F| log |F|) for the orders.
+
+    A mask group is Z2^r with no product: every coset is an involution, and
+    its 2^r distinct negation masks span a GF(2) space of rank r."""
+    m = group.order
+    if mask_histogram(group) is not None:
+        abelian, factors = True, (2,) * (m.bit_length() - 1)
+    else:
+        parts = group.linear_parts()
+        gens = tuple(g.linear for g in group.generators) or parts
+        abelian = all(a.compose(b) == b.compose(a) for a, b in itertools.combinations(gens, 2))
+        factors = _primary_factors([b.order() for b in parts]) if abelian else None
     if factors is not None:
         rank = len(factors) if set(factors) <= {2} else None
         text = " x ".join(f"Z{d}" for d in factors) or "trivial"
@@ -526,7 +649,7 @@ def classify_holonomy(group: BieberbachGroup) -> HolonomyClass:
 
 def is_diagonal_type(group: BieberbachGroup) -> bool:
     """All linear parts diagonal sign matrices and all translations in (1/2)Z^n."""
-    return all(_half_diagonal(e) for e in group.holonomy)
+    return all(e.half_masks() is not None for e in group.holonomy)
 
 
 def is_orientable(group: BieberbachGroup) -> bool:

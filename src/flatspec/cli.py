@@ -244,13 +244,23 @@ def cmd_compare(args) -> int:
 
 
 def _print_kn_graphs(dim: int) -> int:
-    """The DOT graph of every K_dim member, each under a '// K<n>[bits]' line."""
-    chunks = [
-        f"// {families.kn_name(array)}\n" + graphs.to_dot(graphs.graph_of(array))
-        for array in families.kn_arrays(dim)
-    ]
-    print("\n".join(chunks), end="")
+    """The DOT graph of every K_dim member, each under a '// K<n>[bits]' line
+    and separated by a blank line, printed as it is made."""
+    separator = ""
+    for array in families.kn_arrays(dim):
+        dot = graphs.to_dot(graphs.graph_of(array))
+        print(f"{separator}// {families.kn_name(array)}\n{dot}", end="")
+        separator = "\n"
     return 0
+
+
+def _print_json_list(items) -> None:
+    """What _print_json(list(items)) prints, each item printed as it is made."""
+    separator = "[\n  "
+    for item in items:
+        print(separator + json.dumps(item, indent=2, sort_keys=True).replace("\n", "\n  "), end="")
+        separator = ",\n  "
+    print("[]" if separator.startswith("[") else "\n]")
 
 
 def cmd_family(args) -> int:
@@ -285,12 +295,13 @@ def cmd_graph(args) -> int:
     elif args.all and not args.json:
         return _print_kn_graphs(args.dim)
     elif args.all:
-        arrays = list(families.kn_arrays(args.dim))
+        arrays = families.kn_arrays(args.dim)
     else:
         arrays = [families.kn_array(args.dim, args.index)]
-    if args.json:
-        payload = [graphs.graph_of(a).to_json() for a in arrays]
-        _print_json(payload if args.all else payload[0])
+    if args.json and args.all:
+        _print_json_list(graphs.graph_of(a).to_json() for a in arrays)
+    elif args.json:
+        _print_json(graphs.graph_of(arrays[0]).to_json())
     else:
         print(graphs.to_dot(graphs.graph_of(arrays[0])), end="")
     return 0

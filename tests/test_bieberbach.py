@@ -42,6 +42,67 @@ def test_signed_permutation_validation():
         SignedPermutation((0, 1), (1,))
 
 
+@st.composite
+def isometries(draw, n):
+    """Any coset B L_q in dimension n, q in quarter units 0..3."""
+    perm = tuple(draw(st.permutations(range(n))))
+    signs = tuple(draw(st.sampled_from((1, -1))) for _ in range(n))
+    translation = tuple(draw(st.integers(0, 3)) for _ in range(n))
+    return IsometryElement(SignedPermutation(perm, signs), translation)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(isometries(n), isometries(n))))
+def test_trusted_products_equal_checked_ones(pair):
+    # products and inverses skip the constructors' checks: they must be the
+    # elements the checked constructors build from the same formulas
+    a, b = pair
+    n = a.dim
+    perm, signs = [0] * n, [0] * n
+    for j, (target, sign) in enumerate(zip(a.linear.perm, a.linear.signs)):
+        perm[target], signs[target] = j, sign
+    checked = [
+        IsometryElement(
+            SignedPermutation(
+                tuple(a.linear.perm[b.linear.perm[j]] for j in range(n)),
+                tuple(b.linear.signs[j] * a.linear.signs[b.linear.perm[j]] for j in range(n)),
+            ),
+            tuple(x + y for x, y in zip(b.linear.inverse().apply(a.translation), b.translation)),
+        ),
+        IsometryElement(
+            SignedPermutation(tuple(perm), tuple(signs)),
+            tuple(-q for q in a.linear.apply(a.translation)),
+        ),
+    ]
+    for trusted, expected in zip((a.compose(b), a.inverse()), checked):
+        assert trusted == expected and hash(trusted) == hash(expected)
+        assert hash(trusted.linear) == hash((expected.linear.perm, expected.linear.signs))
+        assert all(0 <= q < 4 for q in trusted.translation)
+    assert a.compose(a.inverse()).is_identity()
+
+
+def test_public_constructors_still_check():
+    with pytest.raises(ValueError):
+        SignedPermutation((0, 2), (1, 1))
+    with pytest.raises(ValueError):
+        SignedPermutation.diagonal((1, 0))
+    with pytest.raises(TypeError):
+        IsometryElement(SignedPermutation.identity(2), (0, 0.5))
+    with pytest.raises(TypeError):
+        IsometryElement(SignedPermutation.identity(2), (0, True))
+    with pytest.raises(ValueError):
+        IsometryElement(SignedPermutation.identity(2), (0,))
+    # the interning cache holds the int form, and a bool must still raise
+    assert bieberbach.diagonal_element((1, -1), (0, 1)).translation == (0, 1)
+    with pytest.raises(TypeError):
+        bieberbach.diagonal_element((1, -1), (0, True))
+    with pytest.raises(ValueError):
+        bieberbach.diagonal_element((1, 2), (0, 0))
+    # the interning cache hands out checked elements
+    assert bieberbach.diagonal_element((1, -1), (4, 6)) == iso((1, -1), (0, 2))
+    assert bieberbach.diagonal_element([1, -1], [0, 2]) is bieberbach.diagonal_element((1, -1), (0, 2))
+
+
 def test_apply_uses_column_convention():
     # B e_1 = -e_2, B e_2 = e_1
     b = SignedPermutation((1, 0), (-1, 1))

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from flatspec import families, lattice
-from flatspec.bieberbach import IsometryElement
+from flatspec import families, graphs, lattice
+from flatspec.bieberbach import IsometryElement, SignedPermutation
 from flatspec.cli import main
+from flatspec.graphs import graph_of
 from flatspec.spectra import multiplicity_row
 
 HERE = Path(__file__).parent
@@ -207,14 +208,73 @@ def test_family_sweep_holds_few_groups(capsys, monkeypatch):
 
 
 def test_family_sweep_takes_the_mask_walk(capsys, monkeypatch):
+    # no product, cycle, element order or theta key, and no representatives
     def refuse(*args):
-        raise AssertionError("the sweep composed isometries")
+        raise AssertionError("the sweep read element data")
 
-    monkeypatch.setattr(IsometryElement, "compose", refuse)
+    for cls, name in (
+        (IsometryElement, "compose"),
+        (IsometryElement, "theta_key"),
+        (SignedPermutation, "cycles"),
+        (SignedPermutation, "order"),
+    ):
+        monkeypatch.setattr(cls, name, refuse)
+    built = []
+    build = families.kn_group_from_array
+
+    def tracked(array):
+        built.append(build(array))
+        return built[-1]
+
+    monkeypatch.setattr(families, "kn_group_from_array", tracked)
     guarded = run(capsys, "family", "kn", "--dim", "5", "--verify-theorem", "2")
+    assert len(built) == 64 and not any("holonomy" in vars(group) for group in built)
     monkeypatch.undo()
     assert guarded == run(capsys, "family", "kn", "--dim", "5", "--verify-theorem", "2")
     assert guarded[0] == 0 and guarded[1].splitlines()[-1].startswith("64/64 ")
+
+
+def test_negative_nmax_is_an_error(capsys):
+    code, out = run(capsys, "family", "kn", "--dim", "3", "--verify-theorem", "-1")
+    assert (code, json.loads(out)) == (2, {"error": "n_max must be >= 0, got -1"})
+    code, out = run(capsys, "compare", "hw3/M1", "dim3/m10", "--nmax", "-1")
+    assert (code, json.loads(out)) == (2, {"error": "n_max must be >= 0, got -1"})
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_graph_all_json_streams_the_list_bytes(capsys, dim):
+    code, out = run(capsys, "graph", "--dim", str(dim), "--all", "--json")
+    payload = [graph_of(array).to_json() for array in families.kn_arrays(dim)]
+    assert code == 0 and out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("graph", "--dim", "5", "--all", "--json"),
+        ("graph", "--dim", "5", "--all"),
+        ("family", "kn", "--dim", "5", "--graphs"),
+    ],
+)
+def test_graph_output_holds_one_graph_at_a_time(capsys, monkeypatch, argv):
+    # each member is printed before the next graph is made
+    alive = weakref.WeakSet()
+    most = 0
+    printed = []
+    build = graphs.graph_of
+
+    def tracked(array):
+        nonlocal most
+        printed.append(len(capsys.readouterr().out))
+        graph = build(array)
+        alive.add(graph)
+        most = max(most, len(alive))
+        return graph
+
+    monkeypatch.setattr(graphs, "graph_of", tracked)
+    code, _out = run(capsys, *argv)
+    assert code == 0 and len(printed) == 64 and most == 1
+    assert all(printed[1:]), printed
 
 
 def test_family_graphs_build_no_groups(capsys, monkeypatch):

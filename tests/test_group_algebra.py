@@ -231,7 +231,8 @@ def test_group_hash_matches_equality():
     group = catalog("hw3/M1")
     copy = replace(group)
     assert copy is not group and copy == group
-    fields = (group.dim, group.holonomy, group.generators, group.name)
+    # equal groups have equal generators, so the representatives need not enter
+    fields = (group.dim, group.generators, group.name)
     assert hash(copy) == hash(group) == hash(fields)
     assert len({group, copy, group.renamed("other")}) == 2
 

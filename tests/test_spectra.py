@@ -350,6 +350,17 @@ def test_theorem_check_rejects_non_elementary_holonomy():
         theorem_check(catalog("dim6/z4_M"), 1)
 
 
+def test_negative_nmax_is_rejected():
+    # N <= -1 holds no case at all, so any verdict would be vacuous
+    m1 = catalog("hw3/M1")
+    with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+        theorem_check(m1, -1)
+    with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+        compare_spectra(m1, catalog("dim3/m10"), "f", -1)
+    assert len(theorem_check(m1, 0).cases) == 1
+    assert compare_spectra(m1, catalog("hw3/M2"), "f", 0).equal
+
+
 # comparison -------------------------------------------------------------------
 
 
