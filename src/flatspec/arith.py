@@ -1,10 +1,10 @@
-"""Exact scalars shared by every module: binomial coefficients, Gaussian
-integers, and the boundary between rationals and quarter units.
+"""Exact scalars shared by every module: binomial coefficients and the
+boundary between rationals and quarter units.
 
 Nothing in the computation path ever touches floating point.  Translation
 coordinates live in (1/4)Z and are carried as integer quarter units: the
-int q stands for q/4.  All character values are then powers of i, and every
-multiplicity comes out as an exact integer or fails loudly.  Rationals
+int q stands for q/4.  Every character sum is then a real integer, and
+every multiplicity comes out as an exact integer or fails loudly.  Rationals
 appear only where coordinates are read or written: ``parse_quarter`` turns
 the interchange form (a bare int or 'p/q') into quarter units and
 ``format_quarter`` turns them back.
@@ -13,8 +13,8 @@ the interchange form (a bare int or 'p/q') into quarter units and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
 
 def binomial(n: int, k: int) -> int:
     """C(n, k) as an exact integer, with 0 for k outside 0..n."""
@@ -25,18 +25,12 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True)
-class GaussianInt:
-    """A Gaussian integer re + im*i: the exact value of a character sum."""
-
-    re: int = 0
-    im: int = 0
-
-    def to_json(self) -> dict:
-        return {"re": self.re, "im": self.im}
-
-    def __str__(self) -> str:
-        return f"{self.re}{self.im:+d}i"
+def json_int(value, field: str) -> int:
+    """A JSON integer read from the interchange form: a float, a bool or a
+    string raises ValueError instead of being truncated or coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be a JSON integer, got {value!r}")
+    return value
 
 
 def parse_quarter(value: int | str) -> int:

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
-from .arith import format_quarter, parse_quarter, quarters_as_rationals
+from .arith import format_quarter, json_int, parse_quarter, quarters_as_rationals
 
 #: largest holonomy group expand_holonomy will build, read at each call.
 #: Expansion and validation cost O(|F| * g) products for g generators, so it
@@ -148,8 +148,8 @@ class SignedPermutation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SignedPermutation":
-        perm = tuple(int(p) - 1 for p in obj["perm"])
-        signs = tuple(int(s) for s in obj["signs"])
+        perm = tuple(json_int(p, "perm") - 1 for p in obj["perm"])
+        signs = tuple(json_int(s, "signs") for s in obj["signs"])
         return cls(perm, signs)
 
     def __str__(self) -> str:
@@ -275,14 +275,17 @@ class IsometryElement:
     def theta_key(self) -> tuple[tuple[int, int], ...]:
         """The coset's data on the fixed lattice of B, which alone decide
         torsion and e(gamma, N): one pair (l, c) per cycle of sign product +1,
-        sorted, with l the cycle length and c = sum eps[t] * q[indices[t]]
-        mod 4 for the translation q.  The fixed vector m * eps on the cycle
-        has squared norm l*m^2 and pairs with q to m*c quarter units; m -> -m
-        swaps c and 4 - c, so c is folded to min(c, 4 - c).
+        sorted, each standing for the real series sum_m (-1)^(c*m/2) q^(l*m^2),
+        theta(q^l) for c = 0 and theta(-q^l) for c = 2.
 
-        Computed on the first call and stored on the element, like the hash
-        of ``SignedPermutation``: the torsion test and the spectral
-        signature both read it."""
+        The fixed vector m * eps on a cycle of length l has squared norm l*m^2
+        and pairs with the translation q to m*c quarter units, where
+        c = sum eps[t] * q[indices[t]] mod 4, so it weighs i^(-c*m).  The
+        terms of m and -m are conjugate, so for odd c the odd m cancel and
+        m = 2k leaves (-1)^k q^(4l*k^2): that cycle's pair is (4l, 2).
+
+        Stored on the element at the first call, like the hash of
+        ``SignedPermutation``: the torsion test and the signature read it."""
         key = self.__dict__.get("_theta_key")
         if key is None:
             q = self.translation
@@ -290,7 +293,7 @@ class IsometryElement:
             for indices, eps, sigma in self.linear.cycles():
                 if sigma == 1:
                     c = sum(e * q[j] for j, e in zip(indices, eps)) % 4
-                    pairs.append((len(indices), min(c, 4 - c)))
+                    pairs.append((4 * len(indices), 2) if c % 2 else (len(indices), c))
             key = tuple(sorted(pairs))
             object.__setattr__(self, "_theta_key", key)
         return key
@@ -400,9 +403,14 @@ class BieberbachGroup:
 def group_from_json(obj: dict) -> BieberbachGroup:
     """Rebuild a group from the JSON interchange form by re-expanding its
     generators."""
-    dim = int(obj["dim"])
+    return expand_holonomy(*generators_from_json(obj))
+
+
+def generators_from_json(obj: dict) -> tuple[list[IsometryElement], int, str | None]:
+    """(generators, dim, name) of a group in the JSON interchange form."""
+    dim = json_int(obj["dim"], "dim")
     generators = [IsometryElement.from_json(g) for g in obj.get("generators", [])]
-    return expand_holonomy(generators, dim, name=obj.get("name"))
+    return generators, dim, obj.get("name")
 
 
 def expand_holonomy(generators, dim: int, name: str | None = None) -> BieberbachGroup:

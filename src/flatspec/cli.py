@@ -16,11 +16,10 @@ import os
 import sys
 
 from . import families, graphs, lattice, spectra
-from .arith import GaussianInt
 from .bieberbach import (
     BieberbachGroup,
     GroupValidationError,
-    IsometryElement,
+    generators_from_json,
     group_from_json,
     validate_generators,
 )
@@ -57,20 +56,20 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buffer.getvalue()
 
 
-def _format_gaussian(value: GaussianInt) -> str:
-    return str(value.re) if value.im == 0 else str(value)
-
-
-def _read_json(path: str):
+def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        obj = json.load(handle)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object at the top level")
+    return obj
 
 
 def _load_group_file(path: str) -> BieberbachGroup:
+    """A JSON file's group, named after the file if unnamed, torsion-checked."""
     group = group_from_json(_read_json(path))
     if group.name is None:
         group = group.renamed(os.path.basename(path))
-    return group
+    return families.require_torsion_free(group)
 
 
 def _resolve_group(spec: str) -> BieberbachGroup:
@@ -119,10 +118,7 @@ def _parse_norms(text: str) -> list[int]:
 
 
 def cmd_validate(args) -> int:
-    obj = _read_json(args.file)
-    dim = int(obj["dim"])
-    generators = [IsometryElement.from_json(g) for g in obj.get("generators", [])]
-    _group, report = validate_generators(generators, dim, name=obj.get("name"))
+    _group, report = validate_generators(*generators_from_json(_read_json(args.file)))
     _print_json(report.to_json())
     return 0 if report.accepted else 2
 
@@ -145,7 +141,7 @@ def cmd_krawtchouk(args) -> int:
     return 0
 
 
-def _char_sums(group: BieberbachGroup, norm_sq: int) -> list[GaussianInt]:
+def _char_sums(group: BieberbachGroup, norm_sq: int) -> list[int]:
     """e(gamma, N) for every representative but the identity, in order."""
     return [spectra.character_sum(group, elem, norm_sq) for elem in group.holonomy[1:]]
 
@@ -155,7 +151,7 @@ def _char_sum_table(groups, norm_sq: int) -> tuple[list[str], list[list[str]]]:
     headers = ["group"] + [f"e(gamma_{i})" for i in range(1, width + 1)]
     rows = []
     for group in groups:
-        sums = [_format_gaussian(value) for value in _char_sums(group, norm_sq)]
+        sums = [str(value) for value in _char_sums(group, norm_sq)]
         rows.append([group.label()] + sums + [""] * (width - len(sums)))
     return headers, rows
 
@@ -172,7 +168,8 @@ def cmd_spectrum(args) -> int:
                 {
                     "group": group.label(),
                     "N": norm_sq,
-                    "e": [value.to_json() for value in _char_sums(group, norm_sq)],
+                    # the interchange form keeps the complex shape; im is always 0
+                    "e": [{"im": 0, "re": value} for value in _char_sums(group, norm_sq)],
                 }
                 for norm_sq in norms
                 for group in groups
@@ -382,7 +379,8 @@ def main(argv=None) -> int:
     except GroupValidationError as exc:
         print(json.dumps({"error": str(exc), "report": exc.report.to_json()}, sort_keys=True))
         return 2
-    except (ValueError, KeyError, ArithmeticError, lattice.ShellCapExceeded, OSError) as exc:
+    # TypeError: malformed JSON input, such as a float translation
+    except (ValueError, TypeError, KeyError, ArithmeticError, lattice.ShellCapExceeded, OSError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         return _fail(str(message))
 

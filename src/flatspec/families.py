@@ -28,6 +28,7 @@ from .bieberbach import (
     GroupValidationError,
     IsometryElement,
     SignedPermutation,
+    _trusted,
     diagonal_element,
     expand_holonomy,
     is_orientable,
@@ -47,10 +48,10 @@ KN_CAP = 8
 FAMILY_KINDS = ("z2", "kn", "hw-catalog")
 
 
-def _require(group: BieberbachGroup) -> BieberbachGroup:
-    # Constructors guarantee closure/cocycle via expansion; torsion is the
-    # check that can genuinely fail, so test it cheaply and only build the
-    # full report on failure.
+def require_torsion_free(group: BieberbachGroup) -> BieberbachGroup:
+    """The group, or GroupValidationError carrying its full report if it has
+    torsion: the one check a group that expand_holonomy built can fail, so
+    the report is built only on failure."""
     if not is_torsion_free(group):
         raise GroupValidationError(validate(group))
     return group
@@ -94,7 +95,7 @@ def z2_group(n: int, j: int, h: int, name: str | None = None) -> BieberbachGroup
     translation = tuple(2 if i == n - 1 else 0 for i in range(n))
     generator = IsometryElement(z2_linear(n, j, h), translation)
     group = expand_holonomy([generator], n, name=name or f"M[{j},{h}]")
-    return _require(group)
+    return require_torsion_free(group)
 
 
 def z2_family(n: int) -> list[BieberbachGroup]:
@@ -129,7 +130,7 @@ def diagonal_group(sign_columns, translations, name: str | None = None) -> Biebe
         raise ValueError("need at least one generator column")
     n = len(columns[0])
     generators = [diagonal_element(col, trans) for col, trans in zip(columns, shifts)]
-    return _require(expand_holonomy(generators, n, name=name))
+    return require_torsion_free(expand_holonomy(generators, n, name=name))
 
 
 def _hw_sample(translations, name: str) -> BieberbachGroup:
@@ -205,7 +206,10 @@ class GhwArray:
     @classmethod
     def from_bits(cls, n: int, bits) -> "GhwArray":
         """Array with the free entries (r, c), r < c <= n-2 (0-based, in
-        lexicographic order) set from the 0/1 bit vector."""
+        lexicographic order) set from the 0/1 bit vector: valid by
+        construction, so it skips the entry checks of the constructor."""
+        if n < 2:
+            raise ValueError(f"arrays need n >= 2, got {n}")
         bits = tuple(int(b) for b in bits)
         positions = free_positions(n)
         if len(bits) != len(positions):
@@ -217,7 +221,7 @@ class GhwArray:
             rows[r][c] = 2 if bit else 0
         for r in range(n):
             rows[r][n - 1] = sum(rows[r][: n - 1]) % 4
-        return cls(n, tuple(tuple(row) for row in rows))
+        return _trusted(cls, n=n, entries=tuple(tuple(row) for row in rows))
 
     def column(self, c: int) -> tuple[int, ...]:
         return tuple(self.entries[r][c] for r in range(self.n))
@@ -305,7 +309,7 @@ def torus(n: int) -> BieberbachGroup:
 def _generated_group(rows, name: str) -> BieberbachGroup:
     """The group generated by (0-based perm, signs, translation) rows."""
     generators = [IsometryElement(SignedPermutation(perm, signs), t) for perm, signs, t in rows]
-    return _require(expand_holonomy(generators, len(rows[0][0]), name=name))
+    return require_torsion_free(expand_holonomy(generators, len(rows[0][0]), name=name))
 
 
 # The first generator of each dimension-6 group carries rotation blocks

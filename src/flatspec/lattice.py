@@ -5,9 +5,10 @@ actual Laplace eigenvalue being 4*pi^2*N).  The cubic lattice is self-dual,
 so shells serve for both the lattice and its dual.
 
 The vectors fixed by a signed permutation are one integer m per cycle of
-sign product +1, so the spectral path only counts them, as coefficients of
-products of one-dimensional theta series (``theta_counts``), one per pair
-(l, c) of a coset's theta key (``IsometryElement.theta_key``).
+sign product +1, so the spectral path only counts them, with signs, as the
+integer coefficients of products of real one-dimensional theta series
+(``theta_counts``), one per pair (l, c) of a coset's theta key
+(``IsometryElement.theta_key``).
 ``shell_vectors`` and ``fixed_vectors`` list vectors: they are public API
 and the test oracle for the series, no longer part of the spectral path.
 ``check_norm`` is the one place the squared-norm cap is enforced, and
@@ -23,6 +24,9 @@ from functools import lru_cache
 
 from .bieberbach import SignedPermutation
 
+#: largest squared norm admitted unless FLATSPEC_SHELL_CAP overrides it; at
+#: the cap, multiplicity_row(torus(8), DEFAULT_SHELL_CAP) takes about 2 s
+#: from a cold cache (CPython 3.11, Xeon VM).
 DEFAULT_SHELL_CAP = 10_000
 SHELL_CAP_ENV = "FLATSPEC_SHELL_CAP"
 
@@ -116,22 +120,21 @@ def fixed_vectors(shell: Shell, b: SignedPermutation) -> tuple[IntVector, ...]:
 
 
 @lru_cache(maxsize=1 << 16)
-def theta_counts(key: tuple[tuple[int, int], ...], norm_sq: int) -> tuple[int, int, int, int]:
+def theta_counts(key: tuple[tuple[int, int], ...], norm_sq: int) -> int:
     """The q^N coefficient of the product over the pairs (l, c) of a theta
-    key of sum_m i^(-c*m) q^(l*m^2), as exact counts of i^0, i^-1, i^-2,
-    i^-3: entry k counts the integer tuples (m_1, ...) with sum l*m^2 = N
-    and sum c*m = k mod 4.  Exact for any pairs: the fold and sort done by
-    ``IsometryElement.theta_key`` only let equal cosets share entries."""
+    key of theta(q^l) for c = 0 and theta(-q^l) for c = 2, with
+    theta(q) = sum_m q^(m^2): the integer tuples (m_1, ...) with
+    sum l*m^2 = N, each counted with the sign (-1)^(sum of m over c = 2)."""
     if not key:
-        return (1, 0, 0, 0) if norm_sq == 0 else (0, 0, 0, 0)
+        return 1 if norm_sq == 0 else 0
     (length, c), rest = key[-1], key[:-1]
-    counts = list(theta_counts(rest, norm_sq))
+    if c not in (0, 2):
+        raise ValueError(f"theta key pairs need c in (0, 2), got {(length, c)}")
+    total = theta_counts(rest, norm_sq)
     for m in range(1, math.isqrt(norm_sq // length) + 1):
         sub = theta_counts(rest, norm_sq - length * m * m)
-        up, down = c * m % 4, -c * m % 4
-        for k in range(4):
-            counts[k] += sub[k - up] + sub[k - down]
-    return tuple(counts)
+        total += -2 * sub if c and m % 2 else 2 * sub
+    return total
 
 
 def shell_count(n: int, norm_sq: int) -> int:
@@ -140,7 +143,7 @@ def shell_count(n: int, norm_sq: int) -> int:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     check_norm(norm_sq)
-    return theta_counts(((1, 0),) * n, norm_sq)[0]
+    return theta_counts(((1, 0),) * n, norm_sq)
 
 
 def fixed_space_dim(b: SignedPermutation) -> int:

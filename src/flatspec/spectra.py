@@ -6,22 +6,24 @@ the eigenvalue 4*pi^2*N on p-forms is
     d_p(N) = (1/|F|) * sum over gamma of  tr_p(B) * e(gamma, N)
 
 where e(gamma, N) sums exp(-2*pi*i * v.b) over the shell vectors v fixed by
-B.  Translations live in (1/4)Z^n, so every character value is a Gaussian
-integer and the averaged sums must come out as nonnegative integers; any
-failure of exactness raises instead of rounding.
+B.  Both v and -v are fixed, so e(gamma, N) is a real integer, and the
+averaged sums must come out as nonnegative integers; any failure of
+exactness raises instead of rounding.
 
 The fixed lattice of B is the orthogonal sum of one rank-one lattice per
 cycle of sign product +1: the vectors m * eps along a cycle of length l,
 of squared norm l*m^2.  With the translation in quarter units q and
 c = sum eps[t] * q[indices[t]] over that cycle, the sum is therefore
 
-    e(gamma, N) = [q^N]  prod over positive cycles (l, c) of
+    e(gamma, N) = [q^N]  prod over positive cycles of
                          sum over m in Z of  i^(-c*m) q^(l*m^2)
 
-a coefficient of a product of one-dimensional theta series.  The pairs
-(l, c) are gamma's theta key (``IsometryElement.theta_key``, which also
-decides torsion), and ``lattice.theta_counts`` returns the coefficient as
-exact counts of the four units, so no vector is ever listed.
+a coefficient of a product of one-dimensional theta series.  Each factor
+is real: theta(q^l) for c = 0, theta(-q^l) for c = 2, and theta(-q^(4l))
+for odd c, whose odd terms cancel.  The pairs (l, c) of gamma's theta key
+(``IsometryElement.theta_key``, which also decides torsion) name these
+factors with c in {0, 2}, and ``lattice.theta_counts`` returns the
+coefficient as one integer, so no vector is ever listed.
 
 So d_p(N) depends on a coset only through its theta key and its traces.
 The spectral signature of a group sums the trace vectors of the cosets
@@ -47,7 +49,7 @@ from functools import lru_cache
 from operator import mul
 
 from . import lattice
-from .arith import GaussianInt, binomial
+from .arith import binomial
 from .bieberbach import (
     BieberbachGroup,
     IsometryElement,
@@ -101,23 +103,15 @@ def trace_p(b: SignedPermutation, p: int) -> int:
     return exterior_trace_coeffs(b)[p]
 
 
-def character_sum(group: BieberbachGroup, element: IsometryElement, norm_sq: int) -> GaussianInt:
+def character_sum(group: BieberbachGroup, element: IsometryElement, norm_sq: int) -> int:
     """e(gamma, N): the exact character sum over shell vectors fixed by the
     linear part of gamma, as the theta-product coefficient of the module
-    docstring.  With the translation in quarter units q, each term
-    exp(-2*pi*i * v.b) is the unit i^(-v.q)."""
+    docstring.  Each term exp(-2*pi*i * v.b) is the unit i^(-v.q) for the
+    translation q in quarter units, and those of v and -v sum to an integer."""
     if element not in group.holonomy:
         raise ValueError("element is not a holonomy representative of the group")
     lattice.check_norm(norm_sq)
-    return GaussianInt(*_character_value(element.theta_key(), norm_sq))
-
-
-def _character_value(key: ThetaKey, norm_sq: int) -> tuple[int, int]:
-    """(re, im) of e(gamma, N) for a coset with this theta key, without cap
-    checks."""
-    counts = lattice.theta_counts(key, norm_sq)
-    # the units i^0, i^-1, i^-2, i^-3 are 1, -i, -1, i
-    return counts[0] - counts[2], counts[3] - counts[1]
+    return lattice.theta_counts(element.theta_key(), norm_sq)
 
 
 def spectral_signature(group: BieberbachGroup) -> tuple[tuple[ThetaKey, tuple[int, ...]], ...]:
@@ -152,25 +146,24 @@ def spectral_signature(group: BieberbachGroup) -> tuple[tuple[ThetaKey, tuple[in
 
 @lru_cache(maxsize=64)
 def multiplicity_row(group: BieberbachGroup, norm_sq: int) -> tuple[int, ...]:
-    """(d_0, ..., d_n) at squared norm N, each certified integral and >= 0,
-    summed over the keys of the group's spectral signature (one theta lookup
-    per key); the cache keeps the 64 latest rows, so a sweep holds only a
-    few groups."""
+    """(d_0, ..., d_n) at squared norm N, each certified divisible by |F|
+    and >= 0, summed over the keys of the group's spectral signature (one
+    theta lookup per key); the cache keeps the 64 latest rows, so a sweep
+    holds only a few groups."""
     lattice.check_norm(norm_sq)
     signature = spectral_signature(group)
-    res, ims = zip(*[_character_value(key, norm_sq) for key, _traces in signature])
+    sums = [lattice.theta_counts(key, norm_sq) for key, _traces in signature]
     order = group.order
     row = []
     # column p holds each key's trace on p-forms
     for p, column in enumerate(zip(*(traces for _key, traces in signature))):
-        re = sum(map(mul, column, res))
-        im = sum(map(mul, column, ims))
-        if im != 0 or re % order != 0 or re < 0:
+        total = sum(map(mul, column, sums))
+        if total % order != 0 or total < 0:
             raise ArithmeticError(
                 f"multiplicity is not a nonnegative integer for {group.label()} "
-                f"p={p} N={norm_sq}: averaged sum {GaussianInt(re, im)}/{order}"
+                f"p={p} N={norm_sq}: averaged sum {total}/{order}"
             )
-        row.append(re // order)
+        row.append(total // order)
     return tuple(row)
 
 

@@ -12,7 +12,7 @@ from collections import deque
 from itertools import combinations, product
 
 from flatspec import bieberbach
-from flatspec.arith import GaussianInt, quarters_as_rationals
+from flatspec.arith import quarters_as_rationals
 from flatspec.bieberbach import HolonomyExpansionError, IsometryElement, SignedPermutation
 from flatspec.lattice import fixed_vectors, shell_vectors
 
@@ -102,10 +102,10 @@ def trace_p_oracle(b, p: int) -> int:
     return total
 
 
-def enumerated_character_sums(group, norm_sq: int) -> list[GaussianInt]:
+def enumerated_character_sums(group, norm_sq: int) -> list[int]:
     """e(gamma, N) for every holonomy representative, in order, by listing
     the shell, keeping the vectors B fixes and counting v.q mod 4 for the
-    translation q in quarter units."""
+    translation q in quarter units; asserts that each sum is real."""
     shell = shell_vectors(group.dim, norm_sq)
     sums = []
     for element in group.holonomy:
@@ -114,7 +114,8 @@ def enumerated_character_sums(group, norm_sq: int) -> list[GaussianInt]:
             counts[sum(q * v for q, v in zip(element.translation, vector)) % 4] += 1
         re = sum(count * QUARTER_TURNS[q][0] for q, count in enumerate(counts))
         im = sum(count * QUARTER_TURNS[q][1] for q, count in enumerate(counts))
-        sums.append(GaussianInt(re, im))
+        assert im == 0, (element, norm_sq, im)
+        sums.append(re)
     return sums
 
 
@@ -125,10 +126,9 @@ def reference_row(group, sums) -> tuple[int, ...]:
     row = []
     for p in range(group.dim + 1):
         traces = [trace_p_oracle(element.linear, p) for element in group.holonomy]
-        re = sum(t * value.re for t, value in zip(traces, sums))
-        im = sum(t * value.im for t, value in zip(traces, sums))
-        assert im == 0 and re % group.order == 0 and re >= 0, (re, im)
-        row.append(re // group.order)
+        total = sum(t * value for t, value in zip(traces, sums))
+        assert total % group.order == 0 and total >= 0, total
+        row.append(total // group.order)
     return tuple(row)
 
 

@@ -1,11 +1,11 @@
-"""Exact scalar arithmetic: binomials, the Gaussian-integer output value,
-and the rational interchange form of quarter units."""
+"""Exact scalar arithmetic: binomials, JSON integers and the rational
+interchange form of quarter units."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flatspec.arith import GaussianInt, binomial, format_quarter, parse_quarter
+from flatspec.arith import binomial, format_quarter, json_int, parse_quarter
 
 
 def test_binomial_small_cases():
@@ -30,8 +30,11 @@ def test_binomial_pascal_rule(n, data):
     assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
-def test_gaussian_json_form():
-    assert GaussianInt(-2, 1).to_json() == {"re": -2, "im": 1}
+def test_json_int_accepts_integers_only():
+    assert json_int(-3, "perm") == -3
+    for value in (1.0, 1.9, True, "1", None):
+        with pytest.raises(ValueError, match="perm must be a JSON integer"):
+            json_int(value, "perm")
 
 
 def test_parse_quarter_accepts_quarters_only():

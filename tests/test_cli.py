@@ -379,6 +379,68 @@ def test_validate_rejects_unsupported_denominator(capsys, tmp_path):
     assert "denominator" in json.loads(out)["error"]
 
 
+# a reflection orbifold: diag(-1, 1) with no translation fixes a line
+REFLECTION = {"dim": 2, "generators": [{"perm": [1, 2], "signs": [-1, 1], "translation": [0, 0]}]}
+
+
+def test_group_files_with_torsion_are_rejected(capsys, tmp_path):
+    path = tmp_path / "reflection.json"
+    path.write_text(json.dumps(REFLECTION), encoding="utf-8")
+    for argv in (
+        ("spectrum", str(path), "--norms", "1"),
+        ("betti", str(path)),
+        ("compare", str(path), "torus:2", "--nmax", "3"),
+        ("compare", "torus:2", f"file:{path}", "--nmax", "3"),
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 2, argv
+        payload = json.loads(out)
+        assert set(payload) == {"error", "report"}
+        assert payload["report"]["torsion_free"] is False
+        assert payload["report"]["name"] == "reflection.json"
+
+
+def _generator(**fields):
+    return {"perm": [1, 2], "signs": [-1, 1], "translation": [0, "1/2"], **fields}
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        ({"dim": 2, "generators": [_generator(translation=[0, 0.5])]}, "cannot parse 0.5"),
+        ({"dim": 2, "generators": [_generator(translation=[0, True])]}, "cannot parse True"),
+        ({"dim": 2, "generators": [_generator(perm=[1.9, 2])]}, "perm must be a JSON integer"),
+        ({"dim": 2, "generators": [_generator(signs=[-1.5, True])]}, "signs must be a JSON integer"),
+        ({"dim": 2, "generators": [_generator(signs=[-1, True])]}, "signs must be a JSON integer"),
+        ({"dim": 2.0, "generators": [_generator()]}, "dim must be a JSON integer"),
+        ({"dim": True, "generators": []}, "dim must be a JSON integer"),
+        ([{"dim": 2}], "expected a JSON object at the top level"),
+    ],
+)
+def test_malformed_group_json_is_an_error(capsys, tmp_path, payload, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    for argv in (("validate", str(path)), ("spectrum", str(path), "--norms", "1")):
+        code, out = run(capsys, *argv)
+        assert code == 2, argv
+        assert message in json.loads(out)["error"], argv
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        ({"rows": [[0, 0], [0.5, 0.5]]}, "cannot parse 0.5"),
+        ([[0, 0], ["1/2", "1/2"]], "expected a JSON object at the top level"),
+    ],
+)
+def test_malformed_array_json_is_an_error(capsys, tmp_path, payload, message):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out = run(capsys, "graph", "--array", str(path))
+    assert code == 2
+    assert message in json.loads(out)["error"]
+
+
 def test_unknown_group_spec(capsys):
     code, out = run(capsys, "spectrum", "dim3/m99", "--norms", "1")
     assert code == 2

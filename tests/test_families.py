@@ -16,6 +16,7 @@ from flatspec.families import (
     kn_array,
     kn_arrays,
     kn_family,
+    kn_family_size,
     kn_group_from_array,
     torus,
     z2_family,
@@ -163,6 +164,21 @@ def test_kn_array_is_the_indexed_member(n):
     for index in (-1, len(arrays)):
         with pytest.raises(ValueError, match=rf"^index {index} outside 0..{len(arrays) - 1}$"):
             kn_array(n, index)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_kn_array_equals_the_checked_array(n):
+    # from_bits skips the entry checks; the checked constructor must agree
+    for index in range(kn_family_size(n)):
+        array = kn_array(n, index)
+        assert array == GhwArray(n, array.entries)
+        assert hash(array) == hash(GhwArray(n, array.entries))
+
+
+def test_from_bits_keeps_its_own_checks():
+    for n in (1, 0, -1):
+        with pytest.raises(ValueError, match="arrays need n >= 2"):
+            GhwArray.from_bits(n, ())
 
 
 def test_kn_family_cap():

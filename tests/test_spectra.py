@@ -9,8 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import trace_p_oracle
 
-from flatspec.arith import GaussianInt, binomial
-from flatspec.bieberbach import SignedPermutation, classify_holonomy, is_orientable
+from flatspec.arith import binomial
+from flatspec.bieberbach import (
+    BieberbachGroup,
+    IsometryElement,
+    SignedPermutation,
+    classify_holonomy,
+    is_orientable,
+)
 from flatspec.families import catalog, hw_groups, kn_family, torus, z2_family, z2_group, z2_parameters
 from flatspec.lattice import ShellCapExceeded, fixed_space_dim, shell_count, shell_vectors
 from flatspec.spectra import (
@@ -156,12 +162,8 @@ def test_character_sums_of_the_dimension_three_trio():
     }
     for name, (at_one, at_five) in expected.items():
         group = catalog(name)
-        assert [character_sum(group, e, 1) for e in group.holonomy[1:]] == [
-            GaussianInt(v, 0) for v in at_one
-        ]
-        assert [character_sum(group, e, 5) for e in group.holonomy[1:]] == [
-            GaussianInt(v, 0) for v in at_five
-        ]
+        assert [character_sum(group, e, 1) for e in group.holonomy[1:]] == at_one
+        assert [character_sum(group, e, 5) for e in group.holonomy[1:]] == at_five
 
 
 @pytest.mark.parametrize("n,j,h", [(3, 1, 0), (3, 0, 2), (4, 1, 1), (5, 0, 2), (6, 2, 1)])
@@ -169,7 +171,7 @@ def test_character_sum_closed_form_for_z2_generators(n, j, h):
     group = z2_group(n, j, h)
     length = n - 2 * j - h
     gamma = group.holonomy[1]
-    assert character_sum(group, gamma, 1) == GaussianInt(2 * (length - 2), 0)
+    assert character_sum(group, gamma, 1) == 2 * (length - 2)
 
 
 def test_character_sum_requires_membership():
@@ -179,12 +181,21 @@ def test_character_sum_requires_membership():
         character_sum(group, stranger, 1)
 
 
-def test_character_sum_quarter_translation_is_gaussian():
+def test_character_sum_quarter_translation_is_real():
+    # +v and -v contributions are conjugate, so the sum is one real integer
     group = catalog("dim6/z4_M")
     gamma = group.holonomy[1]
-    value = character_sum(group, gamma, 1)
-    assert value.im == 0  # +v and -v contributions conjugate
-    assert isinstance(value, GaussianInt)
+    assert type(character_sum(group, gamma, 1)) is int
+
+
+def test_odd_c_folds_to_four_times_the_length():
+    # [e1]L[1/4] in dimension 1: the m-th fixed vector weighs i^(-m), so the
+    # odd m cancel and m = 2k leaves (-1)^k q^(4k^2), theta(-q^4); mapping
+    # odd c to (1, 2) without the 4l fold would give -2 at N = 1
+    group = BieberbachGroup(1, (IsometryElement(SignedPermutation.identity(1), (1,)),))
+    element = group.holonomy[0]
+    assert element.theta_key() == ((4, 2),)
+    assert [character_sum(group, element, n) for n in (0, 1, 4, 16)] == [1, 0, -2, 2]
 
 
 # multiplicities --------------------------------------------------------------

@@ -1,6 +1,8 @@
 """The theta-series engine against shell enumeration, and identities that
 hold whatever engine computes the spectrum."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +30,13 @@ from flatspec.families import (
     z2_group,
     z2_parameters,
 )
-from flatspec.lattice import fixed_vectors, shell_count, shell_vectors, theta_counts
+from flatspec.lattice import (
+    DEFAULT_SHELL_CAP,
+    fixed_vectors,
+    shell_count,
+    shell_vectors,
+    theta_counts,
+)
 from flatspec.spectra import character_sum, multiplicity_row, spectral_signature
 
 
@@ -81,7 +89,9 @@ def test_theta_key_counts_the_fixed_shell(element, norm_sq):
     counts = [0, 0, 0, 0]
     for v in fixed_vectors(shell_vectors(element.dim, norm_sq), element.linear):
         counts[sum(q * x for q, x in zip(element.translation, v)) % 4] += 1
-    assert theta_counts(element.theta_key(), norm_sq) == tuple(counts)
+    # v and -v pair i^-1 with i^1, so the sum is real: count_0 - count_2
+    assert counts[1] == counts[3]
+    assert theta_counts(element.theta_key(), norm_sq) == counts[0] - counts[2]
     assert coset_is_torsion_free(element) == reference_torsion_free(element)
 
 
@@ -113,12 +123,15 @@ def test_only_the_identity_key_weighs_on_d_f(label):
 
 
 def test_theta_counts_of_small_products():
-    assert theta_counts((), 0) == (1, 0, 0, 0)
-    assert theta_counts((), 3) == (0, 0, 0, 0)
-    # m = +-1 on one factor of length 2 with c = 1: i^-1 and i^1
-    assert theta_counts(((2, 1),), 2) == (0, 1, 0, 1)
-    # c = 3 is c = 1 with m negated
-    assert theta_counts(((1, 3), (2, 2)), 3) == theta_counts(((2, 2), (1, 1)), 3)
+    assert theta_counts((), 0) == 1
+    assert theta_counts((), 3) == 0
+    # theta(q^2) and theta(-q^2) at N = 2: m = +-1, with sign -1 for c = 2
+    assert theta_counts(((2, 0),), 2) == 2
+    assert theta_counts(((2, 2),), 2) == -2
+    # theta(q) theta(-q^2) at N = 3: (m_1, m_2) = (+-1, +-1), each of sign -1
+    assert theta_counts(((1, 0), (2, 2)), 3) == -4
+    with pytest.raises(ValueError, match="c in"):
+        theta_counts(((1, 1),), 1)
 
 
 # engine-independent identities -------------------------------------------------
@@ -166,3 +179,14 @@ def test_torus_rows_follow_jacobi(n, jacobi):
 def test_torus_row_far_out_in_dimension_eight():
     size = jacobi_r8(2000)
     assert multiplicity_row(torus(8), 2000) == tuple(binomial(8, p) * size for p in range(9))
+
+
+def test_torus_row_at_the_shell_cap_in_dimension_eight():
+    # the largest row the default cap admits, within its stated cost
+    theta_counts.cache_clear()
+    start = time.perf_counter()
+    row = multiplicity_row(torus(8), DEFAULT_SHELL_CAP)
+    elapsed = time.perf_counter() - start
+    size = jacobi_r8(DEFAULT_SHELL_CAP)
+    assert row == tuple(binomial(8, p) * size for p in range(9))
+    assert elapsed < 10.0, f"multiplicity_row(torus(8), {DEFAULT_SHELL_CAP}) took {elapsed:.2f} s"
