@@ -25,14 +25,23 @@ from functools import lru_cache
 from .arith import format_quarter, json_int, parse_quarter, quarters_as_rationals
 
 #: largest holonomy group expand_holonomy will build, read at each call.
-#: Expansion and validation cost O(|F| * g) products for g generators, so it
-#: is reachable: B_6 (|F| = 46080, 3 generators) expands in about 2.5 s and
-#: validates in about 3 s, its 138240 products overrunning the bounded
-#: product table (CPython 3.11, Xeon VM).  A group with diagonal generators
-#: and translations in (1/2)Z^n keeps a basis of int mask pairs instead: a
-#: K_6 member (32 cosets, 5 generators) expands in about 6 us and passes the
-#: torsion test in about 25 us more, against 0.9 ms to compose its cosets.
+#: Expansion and validation cost O(|F| * g) products for g generators, each
+#: computed where it is formed, so a group's cosets are freed with it.  At
+#: the cap, a mask group (below) with 16 generators, such as a K_17 member,
+#: validates in about 17 s and peaks near 130 MiB, and each further
+#: generator given adds to the time.  B_6 (|F| = 46080, 3 generators)
+#: expands in about 1.6 s and validates in about 2 s (CPython 3.11, Xeon
+#: VM).  A group with diagonal generators and translations in (1/2)Z^n keeps
+#: a basis of int mask pairs instead: a K_6 member (32 cosets, 5 generators)
+#: expands in about 6 us and passes the torsion test in about 25 us more,
+#: against 0.9 ms to compose its cosets.
 HOLONOMY_CAP = 2**16
+
+#: largest dimension expand_holonomy will build a group in, and the largest
+#: n of the krawtchouk command.  A group's Krawtchouk table costs O(n^3) and
+#: lattice.theta_counts recurses once per pair of a theta key, so at the cap
+#: ``spectrum torus:64 --norms 0,1,2`` takes about 0.25 s.
+DIM_CAP = 64
 
 
 class HolonomyExpansionError(ValueError):
@@ -110,13 +119,21 @@ class SignedPermutation:
         return tuple(out)
 
     def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """Matrix product self o other."""
+        """Matrix product self o other, computed at each call."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return _compose(self, other)
+        perm = tuple(self.perm[k] for k in other.perm)
+        signs = tuple(s * self.signs[k] for s, k in zip(other.signs, other.perm))
+        return _signed_permutation(perm, signs)
 
     def inverse(self) -> "SignedPermutation":
-        return _inverse(self)
+        """The inverse matrix, computed at each call."""
+        perm = [0] * self.dim
+        signs = [1] * self.dim
+        for j, (target, sign) in enumerate(zip(self.perm, self.signs)):
+            perm[target] = j
+            signs[target] = sign
+        return _signed_permutation(tuple(perm), tuple(signs))
 
     def cycles(self):
         """Cycle data: tuples (indices, eps, sign_product).
@@ -155,26 +172,6 @@ class SignedPermutation:
     def __str__(self) -> str:
         cols = ",".join(f"{'-' if s < 0 else ''}e{t + 1}" for t, s in zip(self.perm, self.signs))
         return f"[{cols}]"
-
-
-# few distinct linear parts occur per session, so product and inverse tables
-# stay small while holonomy expansion hits them constantly; the bound only
-# stops a huge group (B_6 needs 138240 products) from pinning its tables
-@lru_cache(maxsize=1 << 16)
-def _compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:
-    perm = tuple(a.perm[k] for k in b.perm)
-    signs = tuple(s * a.signs[k] for s, k in zip(b.signs, b.perm))
-    return _signed_permutation(perm, signs)
-
-
-@lru_cache(maxsize=1 << 16)
-def _inverse(b: SignedPermutation) -> SignedPermutation:
-    perm = [0] * b.dim
-    signs = [1] * b.dim
-    for j, (target, sign) in enumerate(zip(b.perm, b.signs)):
-        perm[target] = j
-        signs[target] = sign
-    return _signed_permutation(tuple(perm), tuple(signs))
 
 
 def _signed_permutation(perm: tuple[int, ...], signs: tuple[int, ...]) -> SignedPermutation:
@@ -419,8 +416,9 @@ def expand_holonomy(generators, dim: int, name: str | None = None) -> Bieberbach
     Keeps one representative per linear part (the identity's translation is
     0 by construction).  Raises HolonomyExpansionError if two products demand
     different translations mod 1 for the same linear part, or if the closure
-    exceeds HOLONOMY_CAP elements.  Costs |F| * g products for g generators;
-    see HOLONOMY_CAP for the time at the largest admitted group.
+    exceeds HOLONOMY_CAP elements, and ValueError if dim exceeds DIM_CAP.
+    Costs |F| * g products for g generators; see HOLONOMY_CAP for the time
+    at the largest admitted group.
 
     When every generator is diagonal with translation in (1/2)Z^n, a product
     is the XOR of (negation mask, half-translation mask) pairs, because a
@@ -431,6 +429,8 @@ def expand_holonomy(generators, dim: int, name: str | None = None) -> Bieberbach
     is inconsistent or too large runs that walk too, which raises the error
     the general walk would.  Other groups take the general product.
     """
+    if dim > DIM_CAP:
+        raise ValueError(f"dimension {dim} exceeds the cap of {DIM_CAP}")
     gens = tuple(generators)
     for g in gens:
         if g.dim != dim:
@@ -505,13 +505,15 @@ def _mask_element(dim: int, neg: int, trans: int) -> IsometryElement:
     """The diagonal coset with these masks: axis j negated if bit j of neg
     is set, translated by 1/2 if bit j of trans is."""
     signs = tuple(-1 if neg >> j & 1 else 1 for j in range(dim))
-    return diagonal_element(signs, tuple(2 * (trans >> j & 1) for j in range(dim)))
+    translation = tuple(2 * (trans >> j & 1) for j in range(dim))
+    return IsometryElement(SignedPermutation.diagonal(signs), translation)
 
 
 def diagonal_element(signs, translation) -> IsometryElement:
     """diag(signs) L_translation (quarter units), with the checks of the
     public constructors, built once per distinct input: the members of a
-    family such as K_n share their generator and coset objects."""
+    family such as K_n share their generator objects.  Cosets are built
+    without it, so they are freed with their group."""
     signs, translation = tuple(signs), tuple(translation)
     if all(type(v) is int for v in signs + translation):
         return _interned_diagonal(signs, translation)

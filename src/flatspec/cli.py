@@ -17,6 +17,7 @@ import sys
 
 from . import families, graphs, lattice, spectra
 from .bieberbach import (
+    DIM_CAP,
     BieberbachGroup,
     GroupValidationError,
     generators_from_json,
@@ -125,8 +126,8 @@ def cmd_validate(args) -> int:
 
 def cmd_krawtchouk(args) -> int:
     n = args.n
-    if not 1 <= n <= 64:
-        return _fail(f"n must satisfy 1 <= n <= 64, got {n}")
+    if not 1 <= n <= DIM_CAP:
+        return _fail(f"n must satisfy 1 <= n <= {DIM_CAP}, got {n}")
     table = spectra.krawtchouk_table(n)
     if args.json:
         _print_json({"n": n, "values": [list(row) for row in table]})

@@ -18,6 +18,7 @@ Translations are written in quarter units throughout (2 is 1/2, 1 is 1/4).
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -181,22 +182,12 @@ class GhwArray:
             for value in row:
                 if value not in (0, 2):
                     raise ValueError(f"entries must be 0 or 1/2, got {format_quarter(value)}")
-        for c in range(n - 1):
-            if self.entries[c + 1][c] != 2:
-                raise ValueError(f"subdiagonal entry ({c + 2},{c + 1}) must be 1/2")
-            if self.entries[c][c] != 0:
-                raise ValueError(f"diagonal entry ({c + 1},{c + 1}) must be 0")
-            for r in range(c + 2, n):
-                if self.entries[r][c] != 0:
-                    raise ValueError(f"entry ({r + 1},{c + 1}) below the subdiagonal must be 0")
-        if self.entries[n - 1][n - 1] != 2:
-            raise ValueError(f"entry ({n},{n}) must be 1/2")
-        for r in range(n):
-            if self.entries[r][n - 1] != sum(self.entries[r][: n - 1]) % 4:
-                raise ValueError(
-                    f"row {r + 1} has an odd number of 1/2 entries: "
-                    "the last column must be the sum of the others mod 1"
-                )
+        # the free entries decide the rest, as from_bits builds them
+        expected = GhwArray.from_bits(n, self.bits()).entries
+        for r, c in itertools.product(range(n), repeat=2):
+            if self.entries[r][c] != expected[r][c]:
+                want = format_quarter(expected[r][c])
+                raise ValueError(f"entry ({r + 1},{c + 1}) must be {want}")
 
     @classmethod
     def from_rows(cls, rows) -> "GhwArray":

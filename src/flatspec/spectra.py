@@ -283,8 +283,10 @@ def _check_n_max(n_max: int) -> None:
 
 def theorem_check(group: BieberbachGroup, n_max: int) -> TheoremCheck:
     """Requires holonomy Z_2^k; verifies the closed form for 0 <= N <= n_max
-    against multiplicities computed by direct summation."""
+    against multiplicities computed by direct summation.  n_max is checked
+    against the shell cap before any row is computed."""
     _check_n_max(n_max)
+    lattice.check_norm(n_max)
     cls = classify_holonomy(group)
     if cls.elementary_rank is None:
         raise ValueError(

@@ -49,6 +49,22 @@ def test_krawtchouk_range_is_enforced(capsys):
     assert "error" in json.loads(out)
 
 
+def test_dimension_cap_is_enforced_where_groups_are_built(capsys, tmp_path):
+    swap = list(range(1, 66))
+    swap[:2] = [2, 1]
+    path = tmp_path / "dim65.json"
+    path.write_text(json.dumps({"dim": 65, "generators": [{"perm": swap, "signs": [1] * 65}]}))
+    message = "dimension 65 exceeds the cap of 64"
+    for spec in ("torus:65", str(path)):
+        code, out = run(capsys, "spectrum", spec, "--norms", "0,1,2")
+        assert code == 2
+        assert json.loads(out) == {"error": message}
+    code, out = run(capsys, "validate", str(path))
+    report = json.loads(out)
+    assert code == 2 and not report["accepted"]
+    assert report["error"] == message
+
+
 def test_spectrum_goldens(capsys):
     assert_golden(
         capsys, "spectrum_dim3.txt",
@@ -452,15 +468,16 @@ def test_shell_cap_env_respected(capsys, monkeypatch):
     code, out = run(capsys, "spectrum", "torus:2", "--norms", "9")
     assert code == 2
     assert "cap" in json.loads(out)["error"]
-    # the scans stop at the first norm above the cap, N = 4
-    at_four = "squared norm 4 exceeds the shell cap 3 (raise via FLATSPEC_SHELL_CAP)"
-    for argv in (
-        ("compare", "hw3/M1", "hw3/M2", "--mode", "f", "--nmax", "9"),
-        ("family", "kn", "--dim", "4", "--verify-theorem", "9"),
+    # the compare scan stops at the first norm above the cap, N = 4, while the
+    # theorem check names its n_max before computing any row
+    for norm_sq, argv in (
+        (4, ("compare", "hw3/M1", "hw3/M2", "--mode", "f", "--nmax", "9")),
+        (9, ("family", "kn", "--dim", "4", "--verify-theorem", "9")),
     ):
         code, out = run(capsys, *argv)
         assert code == 2
-        assert json.loads(out) == {"error": at_four}
+        message = f"squared norm {norm_sq} exceeds the shell cap 3 (raise via FLATSPEC_SHELL_CAP)"
+        assert json.loads(out) == {"error": message}
     monkeypatch.delenv("FLATSPEC_SHELL_CAP")
     code, _ = run(capsys, "spectrum", "torus:2", "--norms", "9")
     assert code == 0

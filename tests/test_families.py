@@ -1,5 +1,7 @@
 """Family constructors and the named catalog."""
 
+import itertools
+
 import pytest
 
 from flatspec.bieberbach import GroupValidationError, is_torsion_free, validate
@@ -118,6 +120,29 @@ def test_array_invariants_rejected():
     # entries outside {0, 1/2}
     with pytest.raises(ValueError):
         GhwArray.from_rows([[0, 0], ["1/4", "1/4"]])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exactly_the_family_arrays_are_accepted(n):
+    members = {array.entries for array in kn_arrays(n)}
+    accepted = set()
+    for values in itertools.product((0, 2), repeat=n * n):
+        entries = tuple(values[r * n : (r + 1) * n] for r in range(n))
+        try:
+            GhwArray(n, entries)
+        except ValueError:
+            continue
+        accepted.add(entries)
+    assert accepted == members
+
+
+def test_every_single_flip_of_a_member_is_rejected():
+    for array in kn_arrays(4):
+        for r, c in itertools.product(range(4), repeat=2):
+            rows = [list(row) for row in array.entries]
+            rows[r][c] = 2 - rows[r][c]
+            with pytest.raises(ValueError, match=r"^entry \(\d,\d\) must be (0|1/2)$"):
+                GhwArray(4, tuple(map(tuple, rows)))
 
 
 def test_array_round_trip_bits():

@@ -2,6 +2,7 @@
 classify_holonomy must agree with it, reject corrupted groups, and stay
 within |F| * g and g(g-1) products."""
 
+import random
 import time
 from dataclasses import replace
 from unittest import mock
@@ -25,7 +26,16 @@ from flatspec.bieberbach import (
     expand_holonomy,
     validate,
 )
-from flatspec.families import catalog, catalog_names, kn_family, torus, z2_family
+from flatspec.families import (
+    GhwArray,
+    catalog,
+    catalog_names,
+    free_parameter_count,
+    kn_family,
+    kn_group_from_array,
+    torus,
+    z2_family,
+)
 
 
 def hyperoctahedral(n: int) -> BieberbachGroup:
@@ -88,7 +98,8 @@ def test_hyperoctahedral_orders_and_classes():
 def abelian_group(factors) -> BieberbachGroup:
     """Z_{d_1} x ... x Z_{d_r} for prime powers d, zero translations: Z_{2^k}
     as a cycle of length 2^(k-1) with one sign flip, an odd Z_d as a d-cycle,
-    each on its own coordinates."""
+    each on its own coordinates.  Above DIM_CAP, which a prime d > 64 needs,
+    expand_holonomy refuses the dimension, so the compose oracle expands."""
     blocks = [(d // 2, -1) if d % 2 == 0 else (d, 1) for d in factors]
     n = sum(length for length, _sign in blocks)
     generators, start = [], 0
@@ -99,7 +110,10 @@ def abelian_group(factors) -> BieberbachGroup:
         signs[start] = sign
         generators.append(IsometryElement(SignedPermutation(tuple(perm), tuple(signs)), (0,) * n))
         start += length
-    return expand_holonomy(generators, max(n, 1))
+    n = max(n, 1)
+    if n <= bieberbach.DIM_CAP:
+        return expand_holonomy(generators, n)
+    return BieberbachGroup(n, expand_by_compose(generators, n), tuple(generators))
 
 
 def test_classify_matches_the_search_on_every_abelian_type_to_order_128():
@@ -216,6 +230,18 @@ def test_validate_b5_within_budget():
     elapsed = time.perf_counter() - start
     assert report.closure and report.cocycle and not report.torsion_free
     assert elapsed < 2.0, f"validate(B_5) took {elapsed:.2f} s"
+
+
+def test_validate_k13_within_budget():
+    # a mask group with 12 generators, a sample of what HOLONOMY_CAP admits
+    bits = random.Random(13).choices((0, 1), k=free_parameter_count(13))
+    group = kn_group_from_array(GhwArray.from_bits(13, bits))
+    assert group.order == 4096
+    start = time.perf_counter()
+    report = validate(group)
+    elapsed = time.perf_counter() - start
+    assert report.accepted and report.elementary_rank == 12
+    assert elapsed < 2.0, f"validate(K_13) took {elapsed:.2f} s"
 
 
 def test_signed_permutation_hash_matches_equality():

@@ -8,6 +8,8 @@ must equal what the same representatives give through the element path
 ``holonomy``.
 """
 
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -24,6 +26,7 @@ from flatspec.bieberbach import (
     is_torsion_free,
     mask_histogram,
     torsion_witness,
+    validate,
 )
 from flatspec.families import catalog
 
@@ -109,3 +112,13 @@ def test_mask_groups_compare_without_building_holonomy():
     # equal generators with other representatives: unequal, same hash
     corrupted = replace(left, holonomy=left.holonomy[:-1])
     assert corrupted != left and hash(corrupted) == hash(left)
+
+
+def test_validated_cosets_are_freed_with_the_group():
+    group = families.kn_group_from_array(families.kn_array(8, 12345))
+    assert validate(group).accepted
+    refs = [weakref.ref(elem) for elem in group.holonomy]
+    assert len(refs) == 128
+    del group
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []

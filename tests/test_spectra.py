@@ -454,7 +454,16 @@ def test_every_cache_is_bounded():
         for f in _functions(importlib.import_module(f"flatspec.{info.name}")):
             if hasattr(f, "cache_info"):
                 maxsizes[f"{info.name}.{f.__qualname__}"] = f.cache_info().maxsize
-    assert len(maxsizes) >= 8
+    # a new cache must be named here; products and mask cosets have none
+    assert set(maxsizes) == {
+        "bieberbach._cycles",
+        "bieberbach._interned_diagonal",
+        "families.catalog",
+        "lattice.theta_counts",
+        "spectra.exterior_trace_coeffs",
+        "spectra.krawtchouk_table",
+        "spectra.multiplicity_row",
+    }
     # catalog's keys are catalog_names(), so the registry bounds it
     assert [name for name, size in maxsizes.items() if size is None] == ["families.catalog"]
 
