@@ -25,11 +25,12 @@ from functools import lru_cache
 from .arith import format_quarter, json_int, parse_quarter, quarters_as_rationals
 
 #: largest holonomy group expand_holonomy will build, read at each call.
-#: Expansion and validation cost O(|F| * g) products for g generators, each
-#: computed where it is formed, so a group's cosets are freed with it.  At
-#: the cap, a mask group (below) with 16 generators, such as a K_17 member,
-#: validates in about 17 s and peaks near 130 MiB, and each further
-#: generator given adds to the time.  B_6 (|F| = 46080, 3 generators)
+#: Expansion and validation cost O(|F| * g) products for g distinct
+#: generators, each computed where it is formed, so a group's cosets are
+#: freed with it.  Repeats are dropped, but a distinct generator that the
+#: others already generate still costs its |F| products.  At the cap, a
+#: mask group (below) with 16 generators, such as a K_17 member, validates
+#: in about 17 s and peaks near 130 MiB.  B_6 (|F| = 46080, 3 generators)
 #: expands in about 1.6 s and validates in about 2 s (CPython 3.11, Xeon
 #: VM).  A group with diagonal generators and translations in (1/2)Z^n keeps
 #: a basis of int mask pairs instead: a K_6 member (32 cosets, 5 generators)
@@ -40,7 +41,8 @@ HOLONOMY_CAP = 2**16
 #: largest dimension expand_holonomy will build a group in, and the largest
 #: n of the krawtchouk command.  A group's Krawtchouk table costs O(n^3) and
 #: lattice.theta_counts recurses once per pair of a theta key, so at the cap
-#: ``spectrum torus:64 --norms 0,1,2`` takes about 0.25 s.
+#: ``spectrum torus:64 --norms 0,1,2`` takes about 0.25 s, and a row at
+#: lattice.SHELL_CAP about 70 s.
 DIM_CAP = 64
 
 
@@ -417,8 +419,11 @@ def expand_holonomy(generators, dim: int, name: str | None = None) -> Bieberbach
     0 by construction).  Raises HolonomyExpansionError if two products demand
     different translations mod 1 for the same linear part, or if the closure
     exceeds HOLONOMY_CAP elements, and ValueError if dim exceeds DIM_CAP.
-    Costs |F| * g products for g generators; see HOLONOMY_CAP for the time
-    at the largest admitted group.
+    Each distinct generator is kept once, in first-seen order: a repeat forms
+    no new product, so the representatives are the same, and the walks here
+    and in validate and classify_holonomy never repeat it.  Costs |F| * g
+    products for g distinct generators; see HOLONOMY_CAP for the time at the
+    largest admitted group.
 
     When every generator is diagonal with translation in (1/2)Z^n, a product
     is the XOR of (negation mask, half-translation mask) pairs, because a
@@ -431,7 +436,7 @@ def expand_holonomy(generators, dim: int, name: str | None = None) -> Bieberbach
     """
     if dim > DIM_CAP:
         raise ValueError(f"dimension {dim} exceeds the cap of {DIM_CAP}")
-    gens = tuple(generators)
+    gens = tuple(dict.fromkeys(generators))
     for g in gens:
         if g.dim != dim:
             raise ValueError(f"generator dimension {g.dim} != {dim}")

@@ -2,8 +2,7 @@
 
 Subcommands: validate, krawtchouk, spectrum, betti, compare, family, graph.
 Output is a human-readable aligned table by default; --json and --csv switch
-formats.  All output is deterministic (fixed orderings, sorted keys).  The
-squared-norm cap honours the FLATSPEC_SHELL_CAP environment variable.
+formats.  All output is deterministic (fixed orderings, sorted keys).
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import json
 import os
 import sys
 
-from . import families, graphs, lattice, spectra
+from . import families, graphs, spectra
 from .bieberbach import (
     DIM_CAP,
     BieberbachGroup,
@@ -316,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Exact Hodge-Laplace spectra of compact flat manifolds given as "
             "Bieberbach groups over the cubic lattice.  Groups are named by "
             "catalog entries (e.g. dim3/m10, hw3/M1, dim6/z4_M), 'torus:N', "
-            "or JSON files.  FLATSPEC_SHELL_CAP bounds the squared norm."
+            "or JSON files."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -381,7 +380,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc), "report": exc.report.to_json()}, sort_keys=True))
         return 2
     # TypeError: malformed JSON input, such as a float translation
-    except (ValueError, TypeError, KeyError, ArithmeticError, lattice.ShellCapExceeded, OSError) as exc:
+    except (ValueError, TypeError, KeyError, ArithmeticError, OSError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         return _fail(str(message))
 

@@ -11,44 +11,29 @@ integer coefficients of products of real one-dimensional theta series
 (``IsometryElement.theta_key``).
 ``shell_vectors`` and ``fixed_vectors`` list vectors: they are public API
 and the test oracle for the series, no longer part of the spectral path.
-``check_norm`` is the one place the squared-norm cap is enforced, and
-``shell_cap()``, read from FLATSPEC_SHELL_CAP at each call, the one cap.
+``check_norm`` is the one place the squared-norm cap ``SHELL_CAP`` is
+enforced; like the other limits it is a constant, read at each call.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .bieberbach import SignedPermutation
 
-#: largest squared norm admitted unless FLATSPEC_SHELL_CAP overrides it; at
-#: the cap, multiplicity_row(torus(8), DEFAULT_SHELL_CAP) takes about 2 s
-#: from a cold cache (CPython 3.11, Xeon VM).
-DEFAULT_SHELL_CAP = 10_000
-SHELL_CAP_ENV = "FLATSPEC_SHELL_CAP"
+#: largest squared norm admitted, read at each call by check_norm.  From a
+#: cold cache, multiplicity_row(torus(n), SHELL_CAP) takes about 2 s for
+#: n = 8, filling 61193 of theta_counts' 2^16 entries, 7 s for n = 16 and
+#: 70 s for n = 64, bieberbach.DIM_CAP (CPython 3.11, Xeon VM).
+SHELL_CAP = 10_000
 
 IntVector = tuple[int, ...]
 
 
-class ShellCapExceeded(RuntimeError):
-    """Requested squared norm is above the configured cap."""
-
-
-def shell_cap() -> int:
-    """Active cap on the squared norm; FLATSPEC_SHELL_CAP overrides."""
-    raw = os.environ.get(SHELL_CAP_ENV)
-    if raw is None:
-        return DEFAULT_SHELL_CAP
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{SHELL_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ValueError(f"{SHELL_CAP_ENV} must be nonnegative, got {value}")
-    return value
+class ShellCapExceeded(ValueError):
+    """Requested squared norm is above SHELL_CAP."""
 
 
 @dataclass(frozen=True)
@@ -74,14 +59,11 @@ class Shell:
 
 
 def check_norm(norm_sq: int) -> None:
-    """Reject a negative squared norm, or one above ``shell_cap()``."""
+    """Reject a negative squared norm, or one above ``SHELL_CAP``."""
     if norm_sq < 0:
         raise ValueError(f"squared norm must be >= 0, got {norm_sq}")
-    limit = shell_cap()
-    if norm_sq > limit:
-        raise ShellCapExceeded(
-            f"squared norm {norm_sq} exceeds the shell cap {limit} (raise via {SHELL_CAP_ENV})"
-        )
+    if norm_sq > SHELL_CAP:
+        raise ShellCapExceeded(f"squared norm {norm_sq} exceeds the shell cap {SHELL_CAP}")
 
 
 def shell_vectors(n: int, norm_sq: int) -> Shell:

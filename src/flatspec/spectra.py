@@ -77,7 +77,6 @@ def krawtchouk_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(krawtchouk(n, p, x) for x in range(n + 1)) for p in range(n + 1))
 
 
-@lru_cache(maxsize=1 << 16)
 def exterior_trace_coeffs(b: SignedPermutation) -> tuple[int, ...]:
     """Coefficients of det(Id + t*B): entry p is the trace on p-forms.
 
@@ -107,8 +106,14 @@ def character_sum(group: BieberbachGroup, element: IsometryElement, norm_sq: int
     """e(gamma, N): the exact character sum over shell vectors fixed by the
     linear part of gamma, as the theta-product coefficient of the module
     docstring.  Each term exp(-2*pi*i * v.b) is the unit i^(-v.q) for the
-    translation q in quarter units, and those of v and -v sum to an integer."""
-    if element not in group.holonomy:
+    translation q in quarter units, and those of v and -v sum to an integer.
+    Membership is an O(1) lookup in a frozenset of the cosets, stored on the
+    group at the first call like the spectral signature."""
+    cosets = group.__dict__.get("_coset_set")
+    if cosets is None:
+        cosets = frozenset(group.holonomy)
+        object.__setattr__(group, "_coset_set", cosets)
+    if element not in cosets:
         raise ValueError("element is not a holonomy representative of the group")
     lattice.check_norm(norm_sq)
     return lattice.theta_counts(element.theta_key(), norm_sq)

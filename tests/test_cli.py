@@ -103,6 +103,19 @@ def test_spectrum_char_sums_json(capsys):
     ]
 
 
+def test_char_sums_of_a_k13_member_within_budget(capsys, tmp_path):
+    # one membership check per coset: 4095 of them
+    bits = [index % 2 for index in range(families.free_parameter_count(13))]
+    group = families.kn_group_from_array(families.GhwArray.from_bits(13, bits))
+    path = tmp_path / "k13.json"
+    path.write_text(json.dumps(group.to_json()), encoding="utf-8")
+    start = time.perf_counter()
+    code, out = run(capsys, "spectrum", str(path), "--norms", "1", "--json", "--char-sums")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and len(json.loads(out)["char_sums"][0]["e"]) == 4095
+    assert elapsed < 2.0, f"--char-sums of a K_13 member took {elapsed:.2f} s"
+
+
 def test_spectrum_from_group_file(capsys, tmp_path):
     path = tmp_path / "didicosm.json"
     from flatspec.families import catalog
@@ -464,7 +477,7 @@ def test_unknown_group_spec(capsys):
 
 
 def test_shell_cap_env_respected(capsys, monkeypatch):
-    monkeypatch.setenv("FLATSPEC_SHELL_CAP", "3")
+    monkeypatch.setattr(lattice, "SHELL_CAP", 3)
     code, out = run(capsys, "spectrum", "torus:2", "--norms", "9")
     assert code == 2
     assert "cap" in json.loads(out)["error"]
@@ -476,9 +489,9 @@ def test_shell_cap_env_respected(capsys, monkeypatch):
     ):
         code, out = run(capsys, *argv)
         assert code == 2
-        message = f"squared norm {norm_sq} exceeds the shell cap 3 (raise via FLATSPEC_SHELL_CAP)"
+        message = f"squared norm {norm_sq} exceeds the shell cap 3"
         assert json.loads(out) == {"error": message}
-    monkeypatch.delenv("FLATSPEC_SHELL_CAP")
+    monkeypatch.undo()
     code, _ = run(capsys, "spectrum", "torus:2", "--norms", "9")
     assert code == 0
 

@@ -1,11 +1,13 @@
 """Family constructors and the named catalog."""
 
 import itertools
+import time
 
 import pytest
 
 from flatspec.bieberbach import GroupValidationError, is_torsion_free, validate
 from flatspec.families import (
+    KN_CAP,
     GhwArray,
     catalog,
     catalog_names,
@@ -211,6 +213,17 @@ def test_kn_family_cap():
         kn_family(9)
     with pytest.raises(ValueError):
         list(kn_arrays(1))
+
+
+def test_sampled_kn_members_at_the_cap_within_budget():
+    # every 8192nd K_8 member: 256 samples of the cost KN_CAP states
+    from flatspec.spectra import theorem_check
+
+    start = time.perf_counter()
+    for index in range(0, kn_family_size(KN_CAP), 8192):
+        assert theorem_check(kn_group_from_array(kn_array(KN_CAP, index)), 2).ok
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"256 K_8 members took {elapsed:.2f} s"
 
 
 def test_kn_members_have_first_betti_number_one():

@@ -25,6 +25,7 @@ from flatspec.bieberbach import (
     classify_holonomy,
     expand_holonomy,
     validate,
+    validate_generators,
 )
 from flatspec.families import (
     GhwArray,
@@ -242,6 +243,20 @@ def test_validate_k13_within_budget():
     elapsed = time.perf_counter() - start
     assert report.accepted and report.elementary_rank == 12
     assert elapsed < 2.0, f"validate(K_13) took {elapsed:.2f} s"
+
+
+def test_repeated_generators_are_walked_once():
+    bits = random.Random(12).choices((0, 1), k=free_parameter_count(12))
+    plain = kn_group_from_array(GhwArray.from_bits(12, bits)).generators
+    start = time.perf_counter()
+    _, expected = validate_generators(plain, 12)
+    once = time.perf_counter() - start
+    start = time.perf_counter()
+    group, report = validate_generators(plain * 10, 12)
+    repeated = time.perf_counter() - start
+    assert report == expected and report.accepted
+    assert group.generators == plain
+    assert repeated < 2 * once, f"10 copies took {repeated:.2f} s, one {once:.2f} s"
 
 
 def test_signed_permutation_hash_matches_equality():

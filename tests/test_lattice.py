@@ -1,12 +1,17 @@
 """Shell enumeration against the theta-series oracle and brute-force filters."""
 
+import ast
+import importlib
+import inspect
 import math
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatspec import lattice
 from flatspec.arith import binomial
 from flatspec.bieberbach import IsometryElement, SignedPermutation
 from flatspec.lattice import (
@@ -84,21 +89,36 @@ def test_shell_order_and_negation_closure():
 
 
 def test_shell_cap_error_names_the_cap(monkeypatch):
-    monkeypatch.setenv("FLATSPEC_SHELL_CAP", "49")
+    monkeypatch.setattr(lattice, "SHELL_CAP", 49)
     with pytest.raises(ShellCapExceeded) as err:
         shell_vectors(3, 50)
-    assert "49" in str(err.value)
-    assert "50" in str(err.value)
+    assert str(err.value) == "squared norm 50 exceeds the shell cap 49"
+    # one kind for every limit error, like HolonomyExpansionError
+    assert isinstance(err.value, ValueError)
 
 
 def test_shell_cap_env_override(monkeypatch):
-    monkeypatch.setenv("FLATSPEC_SHELL_CAP", "3")
+    # the cap is a constant read at each call, so patching it takes effect
+    monkeypatch.setattr(lattice, "SHELL_CAP", 3)
     with pytest.raises(ShellCapExceeded):
         shell_vectors(2, 4)
     assert shell_vectors(2, 2).count == 4
-    monkeypatch.setenv("FLATSPEC_SHELL_CAP", "not-a-number")
-    with pytest.raises(ValueError):
-        shell_vectors(2, 1)
+
+
+def test_no_module_reads_the_environment():
+    # every limit is a module constant: no setting may come from os.environ
+    import flatspec
+
+    environment = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for info in pkgutil.iter_modules(flatspec.__path__):
+        source = inspect.getsource(importlib.import_module(f"flatspec.{info.name}"))
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and node.attr in environment:
+                reads.append(f"{info.name}: .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{info.name}: {a.name}" for a in node.names if a.name in environment]
+    assert reads == []
 
 
 def test_shell_rejects_bad_arguments():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import trace_p_oracle
 
+from flatspec import lattice
 from flatspec.arith import binomial
 from flatspec.bieberbach import (
     BieberbachGroup,
@@ -409,12 +410,12 @@ def test_every_cap_check_gives_the_shell_message(monkeypatch):
         lambda: compare_spectra(m1, m2, "f", 5),
         lambda: theorem_check(m1, 5),
     )
-    monkeypatch.setenv("FLATSPEC_SHELL_CAP", "4")
+    monkeypatch.setattr(lattice, "SHELL_CAP", 4)
     for call in calls:
         with pytest.raises(ShellCapExceeded) as err:
             call()
-        assert str(err.value) == "squared norm 5 exceeds the shell cap 4 (raise via FLATSPEC_SHELL_CAP)"
-    monkeypatch.setenv("FLATSPEC_SHELL_CAP", "5")
+        assert str(err.value) == "squared norm 5 exceeds the shell cap 4"
+    monkeypatch.setattr(lattice, "SHELL_CAP", 5)
     for call in calls:
         call()
     with pytest.raises(ValueError):
@@ -454,13 +455,13 @@ def test_every_cache_is_bounded():
         for f in _functions(importlib.import_module(f"flatspec.{info.name}")):
             if hasattr(f, "cache_info"):
                 maxsizes[f"{info.name}.{f.__qualname__}"] = f.cache_info().maxsize
-    # a new cache must be named here; products and mask cosets have none
+    # a new cache must be named here; products, mask cosets and exterior
+    # traces have none
     assert set(maxsizes) == {
         "bieberbach._cycles",
         "bieberbach._interned_diagonal",
         "families.catalog",
         "lattice.theta_counts",
-        "spectra.exterior_trace_coeffs",
         "spectra.krawtchouk_table",
         "spectra.multiplicity_row",
     }

@@ -31,7 +31,7 @@ from flatspec.families import (
     z2_parameters,
 )
 from flatspec.lattice import (
-    DEFAULT_SHELL_CAP,
+    SHELL_CAP,
     fixed_vectors,
     shell_count,
     shell_vectors,
@@ -182,11 +182,11 @@ def test_torus_row_far_out_in_dimension_eight():
 
 
 def test_torus_row_at_the_shell_cap_in_dimension_eight():
-    # the largest row the default cap admits, within its stated cost
+    # the largest row the cap admits, within its stated cost
     theta_counts.cache_clear()
     start = time.perf_counter()
-    row = multiplicity_row(torus(8), DEFAULT_SHELL_CAP)
+    row = multiplicity_row(torus(8), SHELL_CAP)
     elapsed = time.perf_counter() - start
-    size = jacobi_r8(DEFAULT_SHELL_CAP)
+    size = jacobi_r8(SHELL_CAP)
     assert row == tuple(binomial(8, p) * size for p in range(9))
-    assert elapsed < 10.0, f"multiplicity_row(torus(8), {DEFAULT_SHELL_CAP}) took {elapsed:.2f} s"
+    assert elapsed < 10.0, f"multiplicity_row(torus(8), {SHELL_CAP}) took {elapsed:.2f} s"
