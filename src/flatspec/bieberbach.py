@@ -3,8 +3,11 @@
 Linear parts are signed permutations (exactly the orthogonal matrices that
 stabilize Z^n), translation parts are vectors in (1/4)Z^n reduced mod 1,
 held in integer quarter units as documented on ``IsometryElement``.  A
-group is held as one representative per coset of the translation lattice,
-identity first.
+group is given by its generators, as the paper gives every manifold, and
+only ``expand_holonomy`` builds one: its representatives, one per coset of
+the translation lattice and identity first, are derived from the
+generators and never taken as input, so closure and cocycle consistency
+hold by construction.
 
 Conventions, fixed once and used everywhere:
 
@@ -19,23 +22,23 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .arith import format_quarter, json_int, parse_quarter, quarters_as_rationals
 
 #: largest holonomy group expand_holonomy will build, read at each call.
-#: Expansion and validation cost O(|F| * g) products for g distinct
-#: generators, each computed where it is formed, so a group's cosets are
-#: freed with it.  Repeats are dropped, but a distinct generator that the
-#: others already generate still costs its |F| products.  At the cap, a
-#: mask group (below) with 16 generators, such as a K_17 member, validates
-#: in about 17 s and peaks near 130 MiB.  B_6 (|F| = 46080, 3 generators)
-#: expands in about 1.6 s and validates in about 2 s (CPython 3.11, Xeon
-#: VM).  A group with diagonal generators and translations in (1/2)Z^n keeps
-#: a basis of int mask pairs instead: a K_6 member (32 cosets, 5 generators)
-#: expands in about 6 us and passes the torsion test in about 25 us more,
-#: against 0.9 ms to compose its cosets.
+#: Expansion costs O(|F| * g) products for g distinct generators, each
+#: computed where it is formed, so a group's cosets are freed with it.
+#: Repeats are dropped, but a distinct generator that the others already
+#: generate still costs its |F| products.  validate forms no product: B_6
+#: (|F| = 46080, 3 generators) expands in about 1.7 s and validates in under
+#: 1 ms.  A group with diagonal generators and translations in (1/2)Z^n
+#: keeps a basis of int mask pairs instead and builds no coset: a K_17
+#: member (2^16 cosets, 16 generators) expands in about 0.1 ms and
+#: validates in about 42 ms, the torsion test's walk over the basis, and a
+#: K_6 member (32 cosets) in about 15 us and 40 us, against 0.9 ms to
+#: compose its cosets (CPython 3.11, Xeon VM).
 HOLONOMY_CAP = 2**16
 
 #: largest dimension expand_holonomy will build a group in, and the largest
@@ -143,8 +146,24 @@ class SignedPermutation:
         ``indices`` follows the orbit j -> perm[j]; ``eps[t]`` is the product
         of the signs met strictly before step t, so a cycle with sign product
         +1 has fixed vectors proportional to sum(eps[t] * e_{indices[t]}).
+        Stored on the permutation at the first call, like its hash.
         """
-        return _cycles(self)
+        cycles = self.__dict__.get("_cycles")
+        if cycles is None:
+            seen, out = set(), []
+            for start in range(self.dim):
+                indices, eps, j, e = [], [], start, 1
+                while j not in seen:  # an orbit ends back at its start
+                    seen.add(j)
+                    indices.append(j)
+                    eps.append(e)
+                    e *= self.signs[j]
+                    j = self.perm[j]
+                if indices:
+                    out.append((tuple(indices), tuple(eps), e))
+            cycles = tuple(out)
+            object.__setattr__(self, "_cycles", cycles)
+        return cycles
 
     def order(self) -> int:
         result = 1
@@ -180,30 +199,6 @@ def _signed_permutation(perm: tuple[int, ...], signs: tuple[int, ...]) -> Signed
     """SignedPermutation(perm, signs) for a product or inverse of checked
     ones, which is a signed permutation by construction."""
     return _trusted(SignedPermutation, perm=perm, signs=signs, _hash=hash((perm, signs)))
-
-
-@lru_cache(maxsize=1 << 16)
-def _cycles(b: SignedPermutation):
-    n = b.dim
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        indices = []
-        eps = []
-        j = start
-        e = 1
-        while True:
-            seen[j] = True
-            indices.append(j)
-            eps.append(e)
-            e *= b.signs[j]
-            j = b.perm[j]
-            if j == start:
-                break
-        out.append((tuple(indices), tuple(eps), e))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -315,27 +310,23 @@ class IsometryElement:
         return f"{self.linear}L[{trans}]"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class BieberbachGroup:
-    """A candidate Bieberbach group: one representative per coset of the
-    translation lattice, identity first, plus the generators it came from.
+    """A candidate Bieberbach group: the generators it came from, plus one
+    representative per coset of the translation lattice, identity first.
 
-    A group that expand_holonomy builds from diagonal generators with
-    translations in (1/2)Z^n holds a basis of its cosets' (negation mask,
-    half-translation mask) pairs (see IsometryElement.half_masks), and
-    ``holonomy`` is built only when read; the order, the torsion test, the
-    classification and the spectral signature read the basis."""
+    There is no public constructor: expand_holonomy derives the
+    representatives from the generators and is the only way to make a group.
+    A group it builds from diagonal generators with translations in
+    (1/2)Z^n holds a basis of its cosets' (negation mask, half-translation
+    mask) pairs (see IsometryElement.half_masks), and ``holonomy`` is built
+    only when read; the order, the torsion test, the classification and the
+    spectral signature read the basis."""
 
     dim: int
     holonomy: tuple[IsometryElement, ...]
-    generators: tuple[IsometryElement, ...] = ()
-    name: str | None = None
-
-    @classmethod
-    def _from_masks(cls, dim, basis, generators, name) -> "BieberbachGroup":
-        """The mask group of these generators, whose cosets' mask pairs are
-        the XOR combinations of the basis."""
-        return _trusted(cls, dim=dim, generators=generators, name=name, _basis=basis)
+    generators: tuple[IsometryElement, ...]
+    name: str | None
 
     def __getattr__(self, attr):
         # reached only while a mask group's holonomy is not yet built
@@ -347,13 +338,10 @@ class BieberbachGroup:
         return holonomy
 
     def __eq__(self, other) -> bool:
+        # the representatives follow from the generators
         if not isinstance(other, BieberbachGroup):
             return NotImplemented
-        if (self.dim, self.generators, self.name) != (other.dim, other.generators, other.name):
-            return False
-        # a mask group's representatives follow from its generators
-        both_masks = "_basis" in self.__dict__ and "_basis" in other.__dict__
-        return both_masks or self.holonomy == other.holonomy
+        return (self.dim, self.generators, self.name) == (other.dim, other.generators, other.name)
 
     def __hash__(self) -> int:
         # stored on first use: the row cache hashes the group on every call.
@@ -377,10 +365,11 @@ class BieberbachGroup:
         return self.name if self.name else f"group(dim={self.dim},|F|={self.order})"
 
     def renamed(self, name: str) -> "BieberbachGroup":
-        basis = self.__dict__.get("_basis")
-        if basis is not None:
-            return BieberbachGroup._from_masks(self.dim, basis, self.generators, name)
-        return replace(self, name=name)
+        """The same group under another name, sharing everything derived
+        but the hash, which covers the name."""
+        fields = {**vars(self), "name": name}
+        fields.pop("_hash", None)
+        return _trusted(BieberbachGroup, **fields)
 
     def canonical_key(self) -> str:
         """Deterministic serialization; equal keys iff identical coset
@@ -420,10 +409,10 @@ def expand_holonomy(generators, dim: int, name: str | None = None) -> Bieberbach
     different translations mod 1 for the same linear part, or if the closure
     exceeds HOLONOMY_CAP elements, and ValueError if dim exceeds DIM_CAP.
     Each distinct generator is kept once, in first-seen order: a repeat forms
-    no new product, so the representatives are the same, and the walks here
-    and in validate and classify_holonomy never repeat it.  Costs |F| * g
+    no new product, so the representatives are the same, and neither this
+    walk nor classify_holonomy's commutation check repeats it.  Costs |F| * g
     products for g distinct generators; see HOLONOMY_CAP for the time at the
-    largest admitted group.
+    largest admitted group.  The only way to make a group.
 
     When every generator is diagonal with translation in (1/2)Z^n, a product
     is the XOR of (negation mask, half-translation mask) pairs, because a
@@ -445,8 +434,9 @@ def expand_holonomy(generators, dim: int, name: str | None = None) -> Bieberbach
         basis = _mask_basis(masks)
         if basis is None or 1 << len(basis) > HOLONOMY_CAP:
             _expand_masks(masks, dim)  # raises the error the walk meets first
-        return BieberbachGroup._from_masks(dim, basis, gens, name)
-    return BieberbachGroup(dim, _expand_elements(gens, dim), gens, name)
+        return _trusted(BieberbachGroup, dim=dim, generators=gens, name=name, _basis=basis)
+    holonomy = _expand_elements(gens, dim)
+    return _trusted(BieberbachGroup, dim=dim, holonomy=holonomy, generators=gens, name=name)
 
 
 def _mask_basis(masks) -> tuple[tuple[int, int], ...] | None:
@@ -611,9 +601,9 @@ class HolonomyClass:
     description: str
 
 
-def _primary_factors(orders) -> tuple[int, ...] | None:
+def _primary_factors(orders) -> tuple[int, ...]:
     """The primary cyclic factors, descending, of the abelian group with
-    these element orders; None if the counts fit no group of that order.
+    these element orders.
 
     For a prime p, |A[p^k]| / |A[p^(k-1)]| = p^r, where r is the number of
     cyclic factors of order at least p^k."""
@@ -627,48 +617,45 @@ def _primary_factors(orders) -> tuple[int, ...] | None:
             exponent += 1
         if exponent:
             counts = [sum(1 for o in orders if p**k % o == 0) for k in range(exponent + 1)]
-            logs = [next((r for r in range(exponent + 1) if p**r == c), None) for c in counts]
-            if None in logs:
-                return None
+            logs = [next(r for r in range(exponent + 1) if p**r == c) for c in counts]
             ranks = [b - a for a, b in zip(logs, logs[1:])] + [0]
             for k in range(1, exponent + 1):
                 factors += [p**k] * (ranks[k - 1] - ranks[k])
         p += 1
-    # a product other than |F| means the representatives are not a group
-    return tuple(sorted(factors, reverse=True)) if math.prod(factors) == m else None
+    return tuple(sorted(factors, reverse=True))
 
 
 def classify_holonomy(group: BieberbachGroup) -> HolonomyClass:
     """Classify F: elementary abelian 2-groups by rank, other abelian groups
     by their primary cyclic factors, read off the element orders.  F is
-    abelian iff the generators commute (the representatives serve if there
-    are none): g(g-1) products, plus O(|F| log |F|) for the orders.
+    abelian iff the generators commute: g(g-1) products, plus O(|F| log |F|)
+    for the orders.
 
     A mask group is Z2^r with no product: every coset is an involution, and
     its 2^r distinct negation masks span a GF(2) space of rank r."""
     m = group.order
     if mask_histogram(group) is not None:
-        abelian, factors = True, (2,) * (m.bit_length() - 1)
+        factors = (2,) * (m.bit_length() - 1)
     else:
-        parts = group.linear_parts()
-        gens = tuple(g.linear for g in group.generators) or parts
-        abelian = all(a.compose(b) == b.compose(a) for a, b in itertools.combinations(gens, 2))
-        factors = _primary_factors([b.order() for b in parts]) if abelian else None
-    if factors is not None:
-        rank = len(factors) if set(factors) <= {2} else None
-        text = " x ".join(f"Z{d}" for d in factors) or "trivial"
-        return HolonomyClass(m, True, rank, f"Z2^{rank}" if rank and rank > 1 else text)
-    kind = "abelian" if abelian else "nonabelian"
-    return HolonomyClass(m, abelian, None, f"{kind} of order {m}")
+        gens = [g.linear for g in group.generators]
+        if not all(a.compose(b) == b.compose(a) for a, b in itertools.combinations(gens, 2)):
+            return HolonomyClass(m, False, None, f"nonabelian of order {m}")
+        factors = _primary_factors([b.order() for b in group.linear_parts()])
+    rank = len(factors) if set(factors) <= {2} else None
+    text = " x ".join(f"Z{d}" for d in factors) or "trivial"
+    return HolonomyClass(m, True, rank, f"Z2^{rank}" if rank and rank > 1 else text)
 
 
 def is_diagonal_type(group: BieberbachGroup) -> bool:
-    """All linear parts diagonal sign matrices and all translations in (1/2)Z^n."""
-    return all(e.half_masks() is not None for e in group.holonomy)
+    """All linear parts diagonal sign matrices and all translations in
+    (1/2)Z^n.  Read off the generators: each is its own coset's
+    representative, and products of such cosets are such cosets."""
+    return all(g.half_masks() is not None for g in group.generators)
 
 
 def is_orientable(group: BieberbachGroup) -> bool:
-    return all(e.linear.det() == 1 for e in group.holonomy)
+    """All linear parts of determinant 1, read off the generators."""
+    return all(g.linear.det() == 1 for g in group.generators)
 
 
 @dataclass(frozen=True)
@@ -712,65 +699,24 @@ class ValidationReport:
 
 
 def validate(group: BieberbachGroup) -> ValidationReport:
-    """Re-verify closure and cocycle consistency, then check torsion-freeness
-    and report the structural classification, in O(|F| * g) for g generators
-    (see HOLONOMY_CAP for the time at the cap).
+    """Check torsion-freeness and report the structural classification.
 
-    Walking breadth-first from the identity, rep(a) * g must have a stored
-    representative with the same translation mod Z^n, and every one must be
-    reached.  Each is then a word in the generators, so the pairwise
-    rep(a) * rep(b) = rep(ab) follows by induction on the length of b.  With
-    no generators the representatives generate: the pairwise check itself.
+    Closure and cocycle consistency hold by construction: expand_holonomy,
+    the only way to make a group, checks every product rep(a) * g of its
+    walk and raises on the first mismatch, which validate_generators
+    reports.  So this costs the torsion test and classify_holonomy, which
+    form no product and, for a mask group, build no coset: about 42 ms for
+    a K_17 member (2^16 cosets), and under 1 ms for B_6 (see HOLONOMY_CAP).
     """
-    by_linear = {e.linear: e for e in group.holonomy}
-    closure = True
-    cocycle = True
-    detail = None
-    identity = IsometryElement.identity(group.dim)
-    if by_linear.get(identity.linear) != identity:
-        cocycle = False
-        detail = "identity coset missing or carries a nonzero translation"
-    reached = {identity.linear}
-    queue = deque([identity])
-    while queue:
-        a = queue.popleft()
-        for g in group.generators or group.holonomy:
-            prod = a.compose(g)
-            known = by_linear.get(prod.linear)
-            if known is None:
-                closure = False
-                detail = detail or f"product {a}*{g} leaves the representative set"
-                continue
-            if known.translation != prod.translation:
-                cocycle = False
-                detail = detail or (
-                    f"product {a}*{g} demands translation "
-                    f"{quarters_as_rationals(prod.translation)} for {prod.linear}, "
-                    f"stored {quarters_as_rationals(known.translation)}"
-                )
-            if prod.linear not in reached:
-                reached.add(prod.linear)
-                queue.append(known)
-    seen = set()
-    for rep in group.holonomy:
-        if rep.linear not in reached:
-            closure = False
-            detail = detail or f"representative {rep} is not reached from the generators"
-        elif rep.linear in seen:
-            cocycle = False
-            detail = detail or f"linear part {rep.linear} has two representatives"
-        seen.add(rep.linear)
-    witness = torsion_witness(group) if closure and cocycle else None
-    torsion_free = closure and cocycle and witness is None
-    if witness is not None:
-        detail = detail or f"coset of {witness} contains an element of finite order"
+    witness = torsion_witness(group)
     cls = classify_holonomy(group)
+    detail = None if witness is None else f"coset of {witness} contains an element of finite order"
     return ValidationReport(
         dim=group.dim,
         name=group.name,
-        closure=closure,
-        cocycle=cocycle,
-        torsion_free=torsion_free,
+        closure=True,
+        cocycle=True,
+        torsion_free=witness is None,
         holonomy_order=group.order,
         holonomy=cls.description,
         elementary_rank=cls.elementary_rank,

@@ -349,14 +349,14 @@ def _normalize_mode(mode, dim: int) -> str:
 def compare_spectra(
     left: BieberbachGroup, right: BieberbachGroup, mode, n_max: int
 ) -> SpectralComparison:
-    """Scan N = 0..n_max and report the first distinguishing eigenvalue."""
+    """Scan N = 0..n_max and report the first distinguishing eigenvalue.
+    n_max is checked against the shell cap before any row is computed."""
     if left.dim != right.dim:
         raise ValueError(f"dimension mismatch: {left.dim} vs {right.dim}")
     label = _normalize_mode(mode, left.dim)
     _check_n_max(n_max)
+    lattice.check_norm(n_max)
     for norm_sq in range(n_max + 1):
-        # multiplicity_row skips its own check on a cache hit
-        lattice.check_norm(norm_sq)
         a = _row_value(multiplicity_row(left, norm_sq), label)
         b = _row_value(multiplicity_row(right, norm_sq), label)
         if a != b:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from flatspec import bieberbach
 from flatspec.bieberbach import (
-    BieberbachGroup,
     GroupValidationError,
     HolonomyExpansionError,
     IsometryElement,
@@ -288,18 +287,6 @@ def test_classify_elementary_abelian():
     assert classify_holonomy(torus(5)).elementary_rank == 0
     assert classify_holonomy(torus(5)).description == "trivial"
     assert classify_holonomy(catalog("dim3/m10")).description == "Z2"
-
-
-def test_classify_ranks_only_groups():
-    # eight copies of the identity: every order is 1 and 8 is a power of 2,
-    # but the set is no group of order 8, so it has no elementary rank
-    identity = IsometryElement.identity(6)
-    fake = BieberbachGroup(6, (identity,) * 8)
-    cls = classify_holonomy(fake)
-    assert cls.description == "abelian of order 8"
-    assert cls.elementary_rank is None
-    report = validate(fake)
-    assert (report.holonomy, report.elementary_rank) == ("abelian of order 8", None)
 
 
 def test_classify_cyclic_four_and_product():

@@ -481,10 +481,10 @@ def test_shell_cap_env_respected(capsys, monkeypatch):
     code, out = run(capsys, "spectrum", "torus:2", "--norms", "9")
     assert code == 2
     assert "cap" in json.loads(out)["error"]
-    # the compare scan stops at the first norm above the cap, N = 4, while the
-    # theorem check names its n_max before computing any row
+    # compare and the theorem check both name their n_max before computing
+    # any row
     for norm_sq, argv in (
-        (4, ("compare", "hw3/M1", "hw3/M2", "--mode", "f", "--nmax", "9")),
+        (9, ("compare", "hw3/M1", "hw3/M2", "--mode", "f", "--nmax", "9")),
         (9, ("family", "kn", "--dim", "4", "--verify-theorem", "9")),
     ):
         code, out = run(capsys, *argv)

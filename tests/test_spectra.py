@@ -12,7 +12,6 @@ from oracles import trace_p_oracle
 from flatspec import lattice
 from flatspec.arith import binomial
 from flatspec.bieberbach import (
-    BieberbachGroup,
     IsometryElement,
     SignedPermutation,
     classify_holonomy,
@@ -193,10 +192,9 @@ def test_odd_c_folds_to_four_times_the_length():
     # [e1]L[1/4] in dimension 1: the m-th fixed vector weighs i^(-m), so the
     # odd m cancel and m = 2k leaves (-1)^k q^(4k^2), theta(-q^4); mapping
     # odd c to (1, 2) without the 4l fold would give -2 at N = 1
-    group = BieberbachGroup(1, (IsometryElement(SignedPermutation.identity(1), (1,)),))
-    element = group.holonomy[0]
+    element = IsometryElement(SignedPermutation.identity(1), (1,))
     assert element.theta_key() == ((4, 2),)
-    assert [character_sum(group, element, n) for n in (0, 1, 4, 16)] == [1, 0, -2, 2]
+    assert [lattice.theta_counts(element.theta_key(), n) for n in (0, 1, 4, 16)] == [1, 0, -2, 2]
 
 
 # multiplicities --------------------------------------------------------------
@@ -455,10 +453,9 @@ def test_every_cache_is_bounded():
         for f in _functions(importlib.import_module(f"flatspec.{info.name}")):
             if hasattr(f, "cache_info"):
                 maxsizes[f"{info.name}.{f.__qualname__}"] = f.cache_info().maxsize
-    # a new cache must be named here; products, mask cosets and exterior
-    # traces have none
+    # a new cache must be named here; products, mask cosets, exterior
+    # traces and cycles have none
     assert set(maxsizes) == {
-        "bieberbach._cycles",
         "bieberbach._interned_diagonal",
         "families.catalog",
         "lattice.theta_counts",
