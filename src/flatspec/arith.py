@@ -33,6 +33,14 @@ def json_int(value, field: str) -> int:
     return value
 
 
+def json_field(obj: dict, field: str, where: str):
+    """obj[field] of a JSON object read from the interchange form: a missing
+    field raises ValueError naming it as the file writes it."""
+    if field not in obj:
+        raise ValueError(f"{where} needs the field '{field}'")
+    return obj[field]
+
+
 def parse_quarter(value: int | str) -> int:
     """Quarter units of a coordinate in interchange form: a bare integer or
     'p/q' with q dividing 4."""

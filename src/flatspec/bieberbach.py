@@ -23,9 +23,9 @@ import itertools
 import math
 from collections import deque
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .arith import format_quarter, json_int, parse_quarter, quarters_as_rationals
+from .arith import format_quarter, json_field, json_int, parse_quarter, quarters_as_rationals
 
 #: largest holonomy group expand_holonomy will build, read at each call.
 #: Expansion costs O(|F| * g) products for g distinct generators, each
@@ -131,15 +131,6 @@ class SignedPermutation:
         signs = tuple(s * self.signs[k] for s, k in zip(other.signs, other.perm))
         return _signed_permutation(perm, signs)
 
-    def inverse(self) -> "SignedPermutation":
-        """The inverse matrix, computed at each call."""
-        perm = [0] * self.dim
-        signs = [1] * self.dim
-        for j, (target, sign) in enumerate(zip(self.perm, self.signs)):
-            perm[target] = j
-            signs[target] = sign
-        return _signed_permutation(tuple(perm), tuple(signs))
-
     def cycles(self):
         """Cycle data: tuples (indices, eps, sign_product).
 
@@ -178,17 +169,17 @@ class SignedPermutation:
             sign *= sigma * (-1) ** (len(indices) - 1)
         return sign
 
-    def trace(self) -> int:
-        return sum(self.signs[j] for j in range(self.dim) if self.perm[j] == j)
-
     def to_json(self) -> dict:
         return {"perm": [p + 1 for p in self.perm], "signs": list(self.signs)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SignedPermutation":
-        perm = tuple(json_int(p, "perm") - 1 for p in obj["perm"])
-        signs = tuple(json_int(s, "signs") for s in obj["signs"])
-        return cls(perm, signs)
+        """Read the 1-based interchange form, whose errors quote it."""
+        perm = [json_int(p, "perm") for p in json_field(obj, "perm", "a generator")]
+        signs = tuple(json_int(s, "signs") for s in json_field(obj, "signs", "a generator"))
+        if sorted(perm) != list(range(1, len(perm) + 1)):
+            raise ValueError(f"perm {perm} is not a permutation of 1..{len(perm)}")
+        return cls(tuple(p - 1 for p in perm), signs)
 
     def __str__(self) -> str:
         cols = ",".join(f"{'-' if s < 0 else ''}e{t + 1}" for t, s in zip(self.perm, self.signs))
@@ -196,8 +187,8 @@ class SignedPermutation:
 
 
 def _signed_permutation(perm: tuple[int, ...], signs: tuple[int, ...]) -> SignedPermutation:
-    """SignedPermutation(perm, signs) for a product or inverse of checked
-    ones, which is a signed permutation by construction."""
+    """SignedPermutation(perm, signs) for a product of checked ones, which is
+    a signed permutation by construction."""
     return _trusted(SignedPermutation, perm=perm, signs=signs, _hash=hash((perm, signs)))
 
 
@@ -234,9 +225,6 @@ class IsometryElement:
     def identity(cls, n: int) -> "IsometryElement":
         return cls(SignedPermutation.identity(n), (0,) * n)
 
-    def is_identity(self) -> bool:
-        return self.linear.is_identity() and all(t == 0 for t in self.translation)
-
     def compose(self, other: "IsometryElement") -> "IsometryElement":
         """(Ba L_a)(Bb L_b) = (Ba Bb) L_{Bb^-1 a + b}, where
         (Bb^-1 a)_j = signs[j] * a[perm[j]] is read straight off Bb."""
@@ -246,12 +234,6 @@ class IsometryElement:
         a = self.translation
         shifted = tuple((s * a[p] + t) % 4 for p, s, t in zip(b.perm, b.signs, other.translation))
         return _trusted(IsometryElement, linear=self.linear.compose(b), translation=shifted)
-
-    def inverse(self) -> "IsometryElement":
-        moved = self.linear.apply(self.translation)
-        return _trusted(
-            IsometryElement, linear=self.linear.inverse(), translation=tuple(-q % 4 for q in moved)
-        )
 
     def half_masks(self) -> tuple[int, int] | None:
         """(negation mask, half-translation mask) when B is diagonal and the
@@ -324,18 +306,16 @@ class BieberbachGroup:
     spectral signature read the basis."""
 
     dim: int
-    holonomy: tuple[IsometryElement, ...]
     generators: tuple[IsometryElement, ...]
     name: str | None
 
-    def __getattr__(self, attr):
-        # reached only while a mask group's holonomy is not yet built
-        if attr != "holonomy" or "_basis" not in self.__dict__:
-            raise AttributeError(attr)
+    @cached_property
+    def holonomy(self) -> tuple[IsometryElement, ...]:
+        """The representatives, identity first.  Runs only for a mask group,
+        at the first read, which stores the result: expand_holonomy stores
+        an element group's representatives itself."""
         cosets = _expand_masks([g.half_masks() for g in self.generators], self.dim)
-        holonomy = tuple(_mask_element(self.dim, neg, trans) for neg, trans in cosets)
-        object.__setattr__(self, "holonomy", holonomy)
-        return holonomy
+        return tuple(_mask_element(self.dim, neg, trans) for neg, trans in cosets)
 
     def __eq__(self, other) -> bool:
         # the representatives follow from the generators
@@ -371,21 +351,12 @@ class BieberbachGroup:
         fields.pop("_hash", None)
         return _trusted(BieberbachGroup, **fields)
 
-    def canonical_key(self) -> str:
-        """Deterministic serialization; equal keys iff identical coset
-        representative sets (``str`` of an element names its signed columns
-        and its translation mod 1, so it determines the coset)."""
-        return ";".join(sorted(str(e) for e in self.holonomy))
-
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
             "name": self.name,
             "generators": [g.to_json() for g in self.generators],
         }
-
-    def __str__(self) -> str:
-        return f"{self.label()}: " + ", ".join(str(e) for e in self.holonomy)
 
 
 def group_from_json(obj: dict) -> BieberbachGroup:
@@ -396,8 +367,12 @@ def group_from_json(obj: dict) -> BieberbachGroup:
 
 def generators_from_json(obj: dict) -> tuple[list[IsometryElement], int, str | None]:
     """(generators, dim, name) of a group in the JSON interchange form."""
-    dim = json_int(obj["dim"], "dim")
-    generators = [IsometryElement.from_json(g) for g in obj.get("generators", [])]
+    dim = json_int(json_field(obj, "dim", "a group"), "dim")
+    generators = []
+    for i, g in enumerate(obj.get("generators", []), 1):
+        if not isinstance(g, dict):
+            raise ValueError(f"generator {i} must be a JSON object, got {g!r}")
+        generators.append(IsometryElement.from_json(g))
     return generators, dim, obj.get("name")
 
 
@@ -732,7 +707,7 @@ def validate_generators(
     """Expand and validate; expansion failures become a rejecting report."""
     try:
         group = expand_holonomy(generators, dim, name=name)
-    except (HolonomyExpansionError, ValueError) as exc:
+    except ValueError as exc:  # HolonomyExpansionError included
         report = ValidationReport(
             dim=dim,
             name=name,

@@ -15,6 +15,7 @@ import os
 import sys
 
 from . import families, graphs, spectra
+from .arith import json_field
 from .bieberbach import (
     DIM_CAP,
     BieberbachGroup,
@@ -286,7 +287,7 @@ def cmd_family(args) -> int:
 
 def cmd_graph(args) -> int:
     if args.array:
-        arrays = [families.GhwArray.from_rows(_read_json(args.array)["rows"])]
+        arrays = [families.GhwArray.from_rows(json_field(_read_json(args.array), "rows", "an array"))]
     elif args.dim is None:
         return _fail("graph needs --dim (with --index or --all) or --array FILE")
     elif args.all and not args.json:

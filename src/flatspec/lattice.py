@@ -9,8 +9,9 @@ sign product +1, so the spectral path only counts them, with signs, as the
 integer coefficients of products of real one-dimensional theta series
 (``theta_counts``), one per pair (l, c) of a coset's theta key
 (``IsometryElement.theta_key``).
-``shell_vectors`` and ``fixed_vectors`` list vectors: they are public API
-and the test oracle for the series, no longer part of the spectral path.
+``shell_vectors`` and ``fixed_vectors`` list vectors and are off the
+spectral path: they stay only for the benchmark's tracer, which wraps them,
+and for the test oracles that check the series against listed shells.
 ``check_norm`` is the one place the squared-norm cap ``SHELL_CAP`` is
 enforced; like the other limits it is a constant, read at each call.
 """
@@ -48,14 +49,6 @@ class Shell:
     @property
     def count(self) -> int:
         return len(self.vectors)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.dim,
-            "N": self.norm_sq,
-            "count": self.count,
-            "vectors": [list(v) for v in self.vectors],
-        }
 
 
 def check_norm(norm_sq: int) -> None:
@@ -126,8 +119,3 @@ def shell_count(n: int, norm_sq: int) -> int:
         raise ValueError(f"dimension must be >= 1, got {n}")
     check_norm(norm_sq)
     return theta_counts(((1, 0),) * n, norm_sq)
-
-
-def fixed_space_dim(b: SignedPermutation) -> int:
-    """dim ker(B - Id), exactly: the number of cycles with sign product +1."""
-    return sum(1 for _indices, _eps, sigma in b.cycles() if sigma == 1)

@@ -95,13 +95,6 @@ def exterior_trace_coeffs(b: SignedPermutation) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def trace_p(b: SignedPermutation, p: int) -> int:
-    """Trace of the p-th exterior representation at B."""
-    if not 0 <= p <= b.dim:
-        raise ValueError(f"p must satisfy 0 <= p <= {b.dim}, got {p}")
-    return exterior_trace_coeffs(b)[p]
-
-
 def character_sum(group: BieberbachGroup, element: IsometryElement, norm_sq: int) -> int:
     """e(gamma, N): the exact character sum over shell vectors fixed by the
     linear part of gamma, as the theta-product coefficient of the module
@@ -172,13 +165,6 @@ def multiplicity_row(group: BieberbachGroup, norm_sq: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def d_p(group: BieberbachGroup, p: int, norm_sq: int) -> int:
-    """Multiplicity of the eigenvalue 4*pi^2*N on p-forms."""
-    if not 0 <= p <= group.dim:
-        raise ValueError(f"p must satisfy 0 <= p <= {group.dim}, got {p}")
-    return multiplicity_row(group, norm_sq)[p]
-
-
 def _row_value(row: tuple[int, ...], mode: str) -> int:
     """One figure of a multiplicity row: 'f' sums every degree (d_f), 'e'
     the even degrees (d_e), 'o' the odd ones (d_o), and 'p<k>' is d_k."""
@@ -191,24 +177,8 @@ def _row_value(row: tuple[int, ...], mode: str) -> int:
     return row[int(mode[1:])]
 
 
-def d_f(group: BieberbachGroup, norm_sq: int) -> int:
-    return _row_value(multiplicity_row(group, norm_sq), "f")
-
-
-def d_e(group: BieberbachGroup, norm_sq: int) -> int:
-    return _row_value(multiplicity_row(group, norm_sq), "e")
-
-
-def d_o(group: BieberbachGroup, norm_sq: int) -> int:
-    return _row_value(multiplicity_row(group, norm_sq), "o")
-
-
-def betti(group: BieberbachGroup, p: int) -> int:
-    """p-th Betti number, as the multiplicity of the eigenvalue 0."""
-    return d_p(group, p, 0)
-
-
 def betti_numbers(group: BieberbachGroup) -> tuple[int, ...]:
+    """(b_0, ..., b_n), the multiplicities of the eigenvalue 0."""
     return multiplicity_row(group, 0)
 
 
@@ -362,40 +332,3 @@ def compare_spectra(
         if a != b:
             return SpectralComparison(label, n_max, False, (norm_sq, a, b))
     return SpectralComparison(label, n_max, True, None)
-
-
-@dataclass(frozen=True)
-class Z2ClosedForms:
-    """Closed-form multiplicities for the one-generator family member with
-    parameters (j, h): values at the two smallest positive eigenvalues."""
-
-    d_p_at_1: int
-    d_p_at_2: int
-    d_0_at_1: int
-    d_0_at_2: int
-
-
-def z2_closed_forms(j: int, h: int, n: int, p: int) -> Z2ClosedForms:
-    """d_p at squared norms 1 and 2 for the group generated by
-    diag(J,..,J,-1,..,-1,1,..,1) L_{e_n/2}, with n = 2j + h + l."""
-    length = n - 2 * j - h
-    if j < 0 or h < 0 or length < 1 or j + h == 0:
-        raise ValueError(
-            f"parameters must satisfy n = 2j + h + l with l >= 1 and j + h != 0, "
-            f"got j={j}, h={h}, n={n}"
-        )
-    k = krawtchouk(n, p, j + h)
-    return Z2ClosedForms(
-        d_p_at_1=binomial(n, p) * n + k * (length - 2),
-        d_p_at_2=2 * binomial(n, p) * binomial(n, 2) + k * (j + (length - 1) * (length - 4)),
-        d_0_at_1=n + length - 2,
-        d_0_at_2=n * (n - 1) + j + (length - 1) * (length - 4),
-    )
-
-
-def z2_betti_closed_form(j: int, h: int, n: int, p: int) -> int:
-    """Betti numbers of the (j, h) family member via the binomial double sum."""
-    length = n - 2 * j - h
-    if j < 0 or h < 0 or length < 1 or j + h == 0:
-        raise ValueError(f"invalid parameters j={j}, h={h}, n={n}")
-    return sum(binomial(j + h, 2 * i) * binomial(j + length, p - 2 * i) for i in range(p // 2 + 1))

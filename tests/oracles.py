@@ -5,19 +5,48 @@ representatives, expand every group by the general product, search every
 abelian type of a given order, and list the shell, the sub-shell fixed by a
 signed permutation, and the wedge basis of the exterior powers.  They are
 slow on purpose and live here, not in the package.
+
+Also here, because only tests compare against them:
+
+* ``inverse``, the inverse of a signed permutation by the checked
+  constructor, through which ``pairwise_group_check`` forms products
+  independently of ``SignedPermutation.compose``;
+* ``canonical_key``, a group's sorted coset representatives as one string;
+* the paper's closed forms for the (j, h) family of ``families.z2_group``:
+  ``z2_closed_forms`` (d_p at N = 1 and 2) and ``z2_betti_closed_form``.
 """
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations, product
 
 from flatspec import bieberbach
-from flatspec.arith import quarters_as_rationals
+from flatspec.arith import binomial, quarters_as_rationals
 from flatspec.bieberbach import HolonomyExpansionError, IsometryElement, SignedPermutation
 from flatspec.lattice import fixed_vectors, shell_vectors
+from flatspec.spectra import krawtchouk
 
 # (re, im) of the unit e^(-2*pi*i*q/4) for q = 0, 1, 2, 3
 QUARTER_TURNS = ((1, 0), (0, -1), (-1, 0), (0, 1))
+
+
+def inverse(b: SignedPermutation) -> SignedPermutation:
+    """The inverse matrix: B e_j = signs[j] * e_{perm[j]}, so B^-1 maps
+    e_{perm[j]} to signs[j] * e_j."""
+    perm = [0] * b.dim
+    signs = [1] * b.dim
+    for j, (target, sign) in enumerate(zip(b.perm, b.signs)):
+        perm[target] = j
+        signs[target] = sign
+    return SignedPermutation(tuple(perm), tuple(signs))
+
+
+def canonical_key(group) -> str:
+    """Equal keys iff identical coset representative sets (``str`` of an
+    element names its signed columns and its translation mod 1, so it
+    determines the coset)."""
+    return ";".join(sorted(str(e) for e in group.holonomy))
 
 
 def pairwise_group_check(group) -> tuple[bool, bool, bool]:
@@ -33,7 +62,7 @@ def pairwise_group_check(group) -> tuple[bool, bool, bool]:
     for a in group.holonomy:
         for b in group.holonomy:
             linear = a.linear.compose(b.linear)
-            shifted = b.linear.inverse().apply(a.translation)
+            shifted = inverse(b.linear).apply(a.translation)
             translation = tuple((x + y) % 4 for x, y in zip(shifted, b.translation))
             known = by_linear.get(linear)
             if known is None:
@@ -187,3 +216,44 @@ def holonomy_description_by_search(group) -> str:
             if order_statistics(factors) == orders:
                 return " x ".join(f"Z{d}" for d in factors)
     return f"{'abelian' if abelian else 'nonabelian'} of order {m}"
+
+
+@dataclass(frozen=True)
+class Z2ClosedForms:
+    """Closed-form multiplicities for the one-generator family member with
+    parameters (j, h): values at the two smallest positive eigenvalues."""
+
+    d_p_at_1: int
+    d_p_at_2: int
+    d_0_at_1: int
+    d_0_at_2: int
+
+
+def _check_z2_parameters(j: int, h: int, n: int) -> int:
+    """l = n - 2j - h, after checking l >= 1 and j + h != 0."""
+    length = n - 2 * j - h
+    if j < 0 or h < 0 or length < 1 or j + h == 0:
+        raise ValueError(
+            f"parameters must satisfy n = 2j + h + l with l >= 1 and j + h != 0, "
+            f"got j={j}, h={h}, n={n}"
+        )
+    return length
+
+
+def z2_closed_forms(j: int, h: int, n: int, p: int) -> Z2ClosedForms:
+    """d_p at squared norms 1 and 2 for the group generated by
+    diag(J,..,J,-1,..,-1,1,..,1) L_{e_n/2}, with n = 2j + h + l."""
+    length = _check_z2_parameters(j, h, n)
+    k = krawtchouk(n, p, j + h)
+    return Z2ClosedForms(
+        d_p_at_1=binomial(n, p) * n + k * (length - 2),
+        d_p_at_2=2 * binomial(n, p) * binomial(n, 2) + k * (j + (length - 1) * (length - 4)),
+        d_0_at_1=n + length - 2,
+        d_0_at_2=n * (n - 1) + j + (length - 1) * (length - 4),
+    )
+
+
+def z2_betti_closed_form(j: int, h: int, n: int, p: int) -> int:
+    """Betti numbers of the (j, h) family member via the binomial double sum."""
+    length = _check_z2_parameters(j, h, n)
+    return sum(binomial(j + h, 2 * i) * binomial(j + length, p - 2 * i) for i in range(p // 2 + 1))

@@ -5,10 +5,10 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import canonical_key, inverse
 
 from flatspec import bieberbach
 from flatspec.bieberbach import (
-    GroupValidationError,
     HolonomyExpansionError,
     IsometryElement,
     SignedPermutation,
@@ -23,7 +23,7 @@ from flatspec.bieberbach import (
     validate_generators,
 )
 from flatspec.families import catalog, kn_family, torus
-from flatspec.lattice import fixed_space_dim
+
 
 def iso(signs, translation):
     return IsometryElement(SignedPermutation.diagonal(signs), tuple(translation))
@@ -53,31 +53,22 @@ def isometries(draw, n):
 @settings(deadline=None)
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(isometries(n), isometries(n))))
 def test_trusted_products_equal_checked_ones(pair):
-    # products and inverses skip the constructors' checks: they must be the
-    # elements the checked constructors build from the same formulas
+    # products skip the constructors' checks: they must be the elements the
+    # checked constructors build from the same formula, with Bb^-1 a formed
+    # through the inverse matrix
     a, b = pair
     n = a.dim
-    perm, signs = [0] * n, [0] * n
-    for j, (target, sign) in enumerate(zip(a.linear.perm, a.linear.signs)):
-        perm[target], signs[target] = j, sign
-    checked = [
-        IsometryElement(
-            SignedPermutation(
-                tuple(a.linear.perm[b.linear.perm[j]] for j in range(n)),
-                tuple(b.linear.signs[j] * a.linear.signs[b.linear.perm[j]] for j in range(n)),
-            ),
-            tuple(x + y for x, y in zip(b.linear.inverse().apply(a.translation), b.translation)),
+    expected = IsometryElement(
+        SignedPermutation(
+            tuple(a.linear.perm[b.linear.perm[j]] for j in range(n)),
+            tuple(b.linear.signs[j] * a.linear.signs[b.linear.perm[j]] for j in range(n)),
         ),
-        IsometryElement(
-            SignedPermutation(tuple(perm), tuple(signs)),
-            tuple(-q for q in a.linear.apply(a.translation)),
-        ),
-    ]
-    for trusted, expected in zip((a.compose(b), a.inverse()), checked):
-        assert trusted == expected and hash(trusted) == hash(expected)
-        assert hash(trusted.linear) == hash((expected.linear.perm, expected.linear.signs))
-        assert all(0 <= q < 4 for q in trusted.translation)
-    assert a.compose(a.inverse()).is_identity()
+        tuple(x + y for x, y in zip(inverse(b.linear).apply(a.translation), b.translation)),
+    )
+    trusted = a.compose(b)
+    assert trusted == expected and hash(trusted) == hash(expected)
+    assert hash(trusted.linear) == hash((expected.linear.perm, expected.linear.signs))
+    assert all(0 <= q < 4 for q in trusted.translation)
 
 
 def test_public_constructors_still_check():
@@ -116,15 +107,14 @@ def test_compose_and_inverse_are_matrix_operations():
     basis = [tuple(1 if k == j else 0 for k in range(3)) for j in range(3)]
     for v in basis:
         assert b.compose(c).apply(v) == b.apply(c.apply(v))
-        assert b.inverse().apply(b.apply(v)) == v
-    assert b.compose(b.inverse()) == SignedPermutation.identity(3)
+        assert inverse(b).apply(b.apply(v)) == v
+    assert b.compose(inverse(b)) == SignedPermutation.identity(3)
 
 
 def test_order_det_trace():
     jt = SignedPermutation((1, 0), (-1, 1))  # rotation by a quarter turn
     assert jt.order() == 4
     assert jt.det() == 1
-    assert jt.trace() == 0
     swap = SignedPermutation((1, 0), (1, 1))
     assert swap.order() == 2
     assert swap.det() == -1
@@ -156,7 +146,7 @@ def test_from_json_reduces_translations_mod_one():
 def test_identity_composition():
     e = IsometryElement.identity(3)
     assert e.compose(e) == e
-    assert e.is_identity()
+    assert e.linear.is_identity() and not any(e.translation)
 
 
 def test_compose_matches_hand_composition():
@@ -185,12 +175,6 @@ def test_compose_dimension_mismatch():
         IsometryElement.identity(2).compose(IsometryElement.identity(3))
 
 
-def test_isometry_inverse():
-    gamma = iso((-1, 1, 1), (2, 1, 0))
-    assert gamma.compose(gamma.inverse()).is_identity()
-    assert gamma.inverse().compose(gamma).is_identity()
-
-
 # expansion -----------------------------------------------------------------
 
 
@@ -199,7 +183,7 @@ def test_expand_holonomy_hw_trio():
     assert g.order == 4
     b1, b2 = g.generators[0].linear, g.generators[1].linear
     assert b1.compose(b2) in [e.linear for e in g.holonomy]
-    assert g.holonomy[0].is_identity()
+    assert g.holonomy[0] == IsometryElement.identity(3)
 
 
 def test_expand_holonomy_z4xz2():
@@ -211,7 +195,7 @@ def test_expand_holonomy_z4xz2():
 def test_expand_empty_generators_gives_torus():
     g = torus(3)
     assert g.order == 1
-    assert g.holonomy[0].is_identity()
+    assert g.holonomy[0] == IsometryElement.identity(3)
 
 
 def test_expand_detects_inconsistent_cocycle():
@@ -237,7 +221,7 @@ def test_expand_cap(monkeypatch):
 def test_generator_order_independence():
     g = catalog("hw3/M3")
     swapped = expand_holonomy(tuple(reversed(g.generators)), g.dim)
-    assert swapped.canonical_key() == g.canonical_key()
+    assert canonical_key(swapped) == canonical_key(g)
 
 
 # torsion -------------------------------------------------------------------
@@ -275,7 +259,8 @@ def test_no_validated_group_contains_minus_identity():
     groups = [catalog(n) for n in ("hw3/M1", "dim3/m10", "dim6/z4z2_M")] + list(kn_family(4))
     for group in groups:
         for elem in group.holonomy:
-            assert fixed_space_dim(elem.linear) >= 1
+            # one theta key pair per cycle of sign product +1
+            assert len(elem.theta_key()) >= 1
 
 
 # classification ------------------------------------------------------------
@@ -319,9 +304,9 @@ def test_diagonal_type_and_orientable():
 
 def test_canonical_key_equality_and_difference():
     g = catalog("hw3/M2")
-    assert g.canonical_key() == catalog("hw3/M2").canonical_key()
-    assert catalog("hw3/M2").canonical_key() != catalog("hw3/M3").canonical_key()
-    keys = {group.canonical_key() for group in kn_family(4)}
+    assert canonical_key(g) == canonical_key(catalog("hw3/M2"))
+    assert canonical_key(catalog("hw3/M2")) != canonical_key(catalog("hw3/M3"))
+    keys = {canonical_key(group) for group in kn_family(4)}
     assert len(keys) == 8
 
 
@@ -372,7 +357,7 @@ def test_group_json_round_trip():
     g = catalog("dim6/z4z2_Mp")
     obj = json.loads(json.dumps(g.to_json()))
     back = group_from_json(obj)
-    assert back.canonical_key() == g.canonical_key()
+    assert canonical_key(back) == canonical_key(g)
     assert back.name == g.name
 
 

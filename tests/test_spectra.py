@@ -7,35 +7,23 @@ import pkgutil
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import trace_p_oracle
+from oracles import trace_p_oracle, z2_betti_closed_form, z2_closed_forms
 
 from flatspec import lattice
 from flatspec.arith import binomial
-from flatspec.bieberbach import (
-    IsometryElement,
-    SignedPermutation,
-    classify_holonomy,
-    is_orientable,
-)
-from flatspec.families import catalog, hw_groups, kn_family, torus, z2_family, z2_group, z2_parameters
-from flatspec.lattice import ShellCapExceeded, fixed_space_dim, shell_count, shell_vectors
+from flatspec.bieberbach import IsometryElement, SignedPermutation, is_orientable
+from flatspec.families import catalog, hw_groups, kn_family, torus, z2_group, z2_parameters
+from flatspec.lattice import ShellCapExceeded, shell_count, shell_vectors
 from flatspec.spectra import (
     MultiplicityRow,
-    betti,
     betti_numbers,
     character_sum,
     compare_spectra,
-    d_e,
-    d_f,
-    d_o,
-    d_p,
+    exterior_trace_coeffs,
     krawtchouk,
     krawtchouk_table,
     multiplicity_row,
     theorem_check,
-    trace_p,
-    z2_betti_closed_form,
-    z2_closed_forms,
 )
 
 # frozen from the published integer tables
@@ -95,10 +83,11 @@ def test_krawtchouk_parity_split_sums(n):
 
 def test_trace_examples():
     swap_block = SignedPermutation((1, 0, 2), (1, 1, 1))  # diag(J, 1)
-    assert trace_p(swap_block, 1) == 1 == krawtchouk(3, 1, 1)
+    assert exterior_trace_coeffs(swap_block)[1] == 1 == krawtchouk(3, 1, 1)
     for n in (2, 5):
-        for p in range(n + 1):
-            assert trace_p(SignedPermutation.identity(n), p) == binomial(n, p)
+        assert exterior_trace_coeffs(SignedPermutation.identity(n)) == tuple(
+            binomial(n, p) for p in range(n + 1)
+        )
 
 
 def test_trace_of_order_four_block_matrix():
@@ -107,8 +96,8 @@ def test_trace_of_order_four_block_matrix():
     # 2-forms is 3: the two quantities differ for order-4 elements.
     b = catalog("dim6/z4_Mp").holonomy[1].linear
     assert trace_p_oracle(b, 2) == -1
-    assert trace_p(b, 2) == -1
-    assert betti(catalog("dim6/z4_Mp"), 2) == 3
+    assert exterior_trace_coeffs(b)[2] == -1
+    assert betti_numbers(catalog("dim6/z4_Mp"))[2] == 3
 
 
 def test_trace_oracle_examples():
@@ -119,8 +108,8 @@ def test_trace_oracle_examples():
 
 
 def test_trace_errors():
-    with pytest.raises(ValueError):
-        trace_p(SignedPermutation.identity(3), 4)
+    # det(Id + t*B) has degree n: one trace per degree 0..n
+    assert len(exterior_trace_coeffs(SignedPermutation.identity(3))) == 4
     with pytest.raises(ValueError):
         trace_p_oracle(SignedPermutation.identity(3), -1)
     with pytest.raises(ValueError):
@@ -138,17 +127,16 @@ def signed_permutations(draw, max_dim=8):
 @settings(deadline=None)
 @given(signed_permutations())
 def test_trace_agrees_with_wedge_oracle(b):
-    for p in range(b.dim + 1):
-        assert trace_p(b, p) == trace_p_oracle(b, p)
+    assert exterior_trace_coeffs(b) == tuple(trace_p_oracle(b, p) for p in range(b.dim + 1))
 
 
 @settings(deadline=None)
 @given(signed_permutations())
 def test_involution_traces_are_krawtchouk_values(b):
     if b.compose(b).is_identity():
-        x = b.dim - fixed_space_dim(b)
-        for p in range(b.dim + 1):
-            assert trace_p(b, p) == krawtchouk(b.dim, p, x)
+        # the theta key has one pair per cycle of sign product +1
+        x = b.dim - len(IsometryElement(b, (0,) * b.dim).theta_key())
+        assert exterior_trace_coeffs(b) == tuple(krawtchouk(b.dim, p, x) for p in range(b.dim + 1))
 
 
 # character sums ---------------------------------------------------------------
@@ -201,26 +189,29 @@ def test_odd_c_folds_to_four_times_the_length():
 
 
 def test_d_p_examples():
-    assert d_p(catalog("dim3/m10"), 2, 1) == 10
-    assert d_p(torus(3), 1, 1) == 18
-    assert d_p(catalog("hw3/M1"), 1, 5) == 18
+    assert multiplicity_row(catalog("dim3/m10"), 1)[2] == 10
+    assert multiplicity_row(torus(3), 1)[1] == 18
+    assert multiplicity_row(catalog("hw3/M1"), 5)[1] == 18
 
 
 def test_multiplicity_range_error():
-    with pytest.raises(ValueError):
-        d_p(torus(2), 3, 1)
+    # a row holds d_0..d_n and nothing beyond
+    assert len(multiplicity_row(torus(2), 1)) == 3
 
 
 def test_aggregate_multiplicities():
+    def row(name, norm_sq):
+        return MultiplicityRow.from_group(catalog(name), norm_sq)
+
     for name in ("dim3/m10", "dim3/m02", "dim3/m01"):
-        assert d_f(catalog(name), 1) == 24
-        assert d_f(catalog(name), 2) == 48
+        assert row(name, 1).d_f == 24
+        assert row(name, 2).d_f == 48
     for name in ("dim4/m11", "dim4/m10", "dim4/m03", "dim4/m02", "dim4/m01"):
-        assert d_f(catalog(name), 1) == 64
-        assert d_f(catalog(name), 2) == 192
-    hw = catalog("hw3/M1")
-    assert d_e(hw, 1) == d_o(hw, 1) == 6
-    assert d_f(hw, 1) == 12
+        assert row(name, 1).d_f == 64
+        assert row(name, 2).d_f == 192
+    hw = row("hw3/M1", 1)
+    assert hw.d_e == hw.d_o == 6
+    assert hw.d_f == 12
 
 
 def test_full_dimension_three_tables():
@@ -326,8 +317,9 @@ def test_z2_betti_closed_form_cross_check():
     for n in (3, 4, 5):
         for j, h in z2_parameters(n):
             group = z2_group(n, j, h)
+            betti = betti_numbers(group)
             for p in range(n + 1):
-                assert betti(group, p) == z2_betti_closed_form(j, h, n, p)
+                assert betti[p] == z2_betti_closed_form(j, h, n, p)
 
 
 def test_z2_first_betti_number_is_free_rank():
@@ -335,7 +327,7 @@ def test_z2_first_betti_number_is_free_rank():
     for n in (3, 4, 6):
         for j, h in z2_parameters(n):
             length = n - 2 * j - h
-            assert betti(z2_group(n, j, h), 1) == j + length
+            assert betti_numbers(z2_group(n, j, h))[1] == j + length
 
 
 # theorem check ----------------------------------------------------------------
