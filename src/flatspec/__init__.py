@@ -1,7 +1,7 @@
 """Exact Hodge-Laplace spectra on p-forms of compact flat manifolds given
 as Bieberbach groups over the cubic lattice."""
 
-from .arith import binomial
+from .arith import binomial, krawtchouk, krawtchouk_table
 from .bieberbach import (
     BieberbachGroup,
     GroupValidationError,
@@ -38,8 +38,6 @@ from .spectra import (
     betti_numbers,
     character_sum,
     compare_spectra,
-    krawtchouk,
-    krawtchouk_table,
     theorem_check,
 )
 

@@ -1,4 +1,5 @@
-"""Exact scalars shared by every module: binomial coefficients and the
+"""Exact scalars shared by every module: binomial coefficients, Krawtchouk
+values, the checks on JSON values read from the interchange form, and the
 boundary between rationals and quarter units.
 
 Nothing in the computation path ever touches floating point.  Translation
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 
 def binomial(n: int, k: int) -> int:
@@ -25,11 +27,34 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def krawtchouk(n: int, p: int, x: int) -> int:
+    """K_p^n(x) by the defining alternating sum of binomial products."""
+    if not 0 <= p <= n:
+        raise ValueError(f"degree p must satisfy 0 <= p <= n, got p={p}, n={n}")
+    if not 0 <= x <= n:
+        raise ValueError(f"argument x must satisfy 0 <= x <= n, got x={x}, n={n}")
+    return sum((-1) ** t * binomial(x, t) * binomial(n - x, p - t) for t in range(p + 1))
+
+
+@lru_cache(maxsize=16)
+def krawtchouk_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row p, column x: K_p^n(x) for 0 <= p, x <= n."""
+    return tuple(tuple(krawtchouk(n, p, x) for x in range(n + 1)) for p in range(n + 1))
+
+
 def json_int(value, field: str) -> int:
     """A JSON integer read from the interchange form: a float, a bool or a
     string raises ValueError instead of being truncated or coerced."""
     if type(value) is not int:
         raise ValueError(f"{field} must be a JSON integer, got {value!r}")
+    return value
+
+
+def json_array(value, field: str) -> list:
+    """A JSON array read from the interchange form: a string, a number or an
+    object raises ValueError instead of being iterated."""
+    if type(value) is not list:
+        raise ValueError(f"{field} must be a JSON array, got {value!r}")
     return value
 
 

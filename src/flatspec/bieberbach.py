@@ -9,6 +9,12 @@ the translation lattice and identity first, are derived from the
 generators and never taken as input, so closure and cocycle consistency
 hold by construction.
 
+Each datum derived from one object is a ``functools.cached_property`` of
+its class, computed at the first read and freed with the object, and no
+other module stores data on it: ``SignedPermutation.cycles``, the
+``half_masks`` and ``theta_key`` of an ``IsometryElement``, and a group's
+``holonomy`` (if a mask group), ``mask_histogram``, ``signature`` and hash.
+
 Conventions, fixed once and used everywhere:
 
 * column action: ``B e_j = signs[j] * e_{perm[j]}``;
@@ -25,7 +31,15 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
-from .arith import format_quarter, json_field, json_int, parse_quarter, quarters_as_rationals
+from .arith import (
+    format_quarter,
+    json_array,
+    json_field,
+    json_int,
+    krawtchouk_table,
+    parse_quarter,
+    quarters_as_rationals,
+)
 
 #: largest holonomy group expand_holonomy will build, read at each call.
 #: Expansion costs O(|F| * g) products for g distinct generators, each
@@ -47,6 +61,9 @@ HOLONOMY_CAP = 2**16
 #: ``spectrum torus:64 --norms 0,1,2`` takes about 0.25 s, and a row at
 #: lattice.SHELL_CAP about 70 s.
 DIM_CAP = 64
+
+#: the (l, c) pairs of IsometryElement.theta_key
+ThetaKey = tuple[tuple[int, int], ...]
 
 
 class HolonomyExpansionError(ValueError):
@@ -88,11 +105,6 @@ class SignedPermutation:
             raise ValueError(f"perm {self.perm} is not a permutation of 0..{n - 1}")
         if any(s not in (1, -1) for s in self.signs):
             raise ValueError("signs must be +1 or -1")
-        # computed once: every cache keyed on linear parts hashes them per lookup
-        object.__setattr__(self, "_hash", hash((self.perm, self.signs)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def dim(self) -> int:
@@ -129,45 +141,59 @@ class SignedPermutation:
             raise ValueError("dimension mismatch")
         perm = tuple(self.perm[k] for k in other.perm)
         signs = tuple(s * self.signs[k] for s, k in zip(other.signs, other.perm))
-        return _signed_permutation(perm, signs)
+        # a product of signed permutations is one by construction
+        return _trusted(SignedPermutation, perm=perm, signs=signs)
 
-    def cycles(self):
+    @cached_property
+    def cycles(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
         """Cycle data: tuples (indices, eps, sign_product).
 
         ``indices`` follows the orbit j -> perm[j]; ``eps[t]`` is the product
         of the signs met strictly before step t, so a cycle with sign product
         +1 has fixed vectors proportional to sum(eps[t] * e_{indices[t]}).
-        Stored on the permutation at the first call, like its hash.
         """
-        cycles = self.__dict__.get("_cycles")
-        if cycles is None:
-            seen, out = set(), []
-            for start in range(self.dim):
-                indices, eps, j, e = [], [], start, 1
-                while j not in seen:  # an orbit ends back at its start
-                    seen.add(j)
-                    indices.append(j)
-                    eps.append(e)
-                    e *= self.signs[j]
-                    j = self.perm[j]
-                if indices:
-                    out.append((tuple(indices), tuple(eps), e))
-            cycles = tuple(out)
-            object.__setattr__(self, "_cycles", cycles)
-        return cycles
+        seen, out = set(), []
+        for start in range(self.dim):
+            indices, eps, j, e = [], [], start, 1
+            while j not in seen:  # an orbit ends back at its start
+                seen.add(j)
+                indices.append(j)
+                eps.append(e)
+                e *= self.signs[j]
+                j = self.perm[j]
+            if indices:
+                out.append((tuple(indices), tuple(eps), e))
+        return tuple(out)
 
     def order(self) -> int:
         result = 1
-        for indices, _eps, sigma in self.cycles():
+        for indices, _eps, sigma in self.cycles:
             length = len(indices)
             result = math.lcm(result, length if sigma == 1 else 2 * length)
         return result
 
     def det(self) -> int:
         sign = 1
-        for indices, _eps, sigma in self.cycles():
+        for indices, _eps, sigma in self.cycles:
             sign *= sigma * (-1) ** (len(indices) - 1)
         return sign
+
+    def exterior_traces(self) -> tuple[int, ...]:
+        """Coefficients of det(Id + t*B): entry p is the trace on p-forms.
+
+        Each cycle of length l and sign product sigma contributes the factor
+        1 + sigma*(-1)^(l+1) * t^l.
+        """
+        coeffs = [1]
+        for indices, _eps, sigma in self.cycles:
+            length = len(indices)
+            lead = sigma if length % 2 == 1 else -sigma
+            merged = [0] * (len(coeffs) + length)
+            for i, a in enumerate(coeffs):
+                merged[i] += a
+                merged[i + length] += lead * a
+            coeffs = merged
+        return tuple(coeffs)
 
     def to_json(self) -> dict:
         return {"perm": [p + 1 for p in self.perm], "signs": list(self.signs)}
@@ -175,8 +201,10 @@ class SignedPermutation:
     @classmethod
     def from_json(cls, obj: dict) -> "SignedPermutation":
         """Read the 1-based interchange form, whose errors quote it."""
-        perm = [json_int(p, "perm") for p in json_field(obj, "perm", "a generator")]
-        signs = tuple(json_int(s, "signs") for s in json_field(obj, "signs", "a generator"))
+        perm = json_array(json_field(obj, "perm", "a generator"), "perm")
+        perm = [json_int(p, "perm") for p in perm]
+        signs = json_array(json_field(obj, "signs", "a generator"), "signs")
+        signs = tuple(json_int(s, "signs") for s in signs)
         if sorted(perm) != list(range(1, len(perm) + 1)):
             raise ValueError(f"perm {perm} is not a permutation of 1..{len(perm)}")
         return cls(tuple(p - 1 for p in perm), signs)
@@ -184,12 +212,6 @@ class SignedPermutation:
     def __str__(self) -> str:
         cols = ",".join(f"{'-' if s < 0 else ''}e{t + 1}" for t, s in zip(self.perm, self.signs))
         return f"[{cols}]"
-
-
-def _signed_permutation(perm: tuple[int, ...], signs: tuple[int, ...]) -> SignedPermutation:
-    """SignedPermutation(perm, signs) for a product of checked ones, which is
-    a signed permutation by construction."""
-    return _trusted(SignedPermutation, perm=perm, signs=signs, _hash=hash((perm, signs)))
 
 
 @dataclass(frozen=True)
@@ -235,20 +257,19 @@ class IsometryElement:
         shifted = tuple((s * a[p] + t) % 4 for p, s, t in zip(b.perm, b.signs, other.translation))
         return _trusted(IsometryElement, linear=self.linear.compose(b), translation=shifted)
 
+    @cached_property
     def half_masks(self) -> tuple[int, int] | None:
         """(negation mask, half-translation mask) when B is diagonal and the
         translation lies in (1/2)Z^n, bit j of each standing for axis j:
         set if B negates e_j, and set if the translation is 1/2 on e_j.  None
-        for any other coset.  Stored on the first call, like theta_key."""
-        if "_half_masks" not in self.__dict__:
-            masks = None
-            if self.linear.is_diagonal() and all(q % 2 == 0 for q in self.translation):
-                neg = sum(1 << j for j, s in enumerate(self.linear.signs) if s < 0)
-                masks = (neg, sum(1 << j for j, q in enumerate(self.translation) if q))
-            object.__setattr__(self, "_half_masks", masks)
-        return self._half_masks
+        for any other coset."""
+        if not self.linear.is_diagonal() or any(q % 2 for q in self.translation):
+            return None
+        neg = sum(1 << j for j, s in enumerate(self.linear.signs) if s < 0)
+        return neg, sum(1 << j for j, q in enumerate(self.translation) if q)
 
-    def theta_key(self) -> tuple[tuple[int, int], ...]:
+    @cached_property
+    def theta_key(self) -> ThetaKey:
         """The coset's data on the fixed lattice of B, which alone decide
         torsion and e(gamma, N): one pair (l, c) per cycle of sign product +1,
         sorted, each standing for the real series sum_m (-1)^(c*m/2) q^(l*m^2),
@@ -258,21 +279,14 @@ class IsometryElement:
         and pairs with the translation q to m*c quarter units, where
         c = sum eps[t] * q[indices[t]] mod 4, so it weighs i^(-c*m).  The
         terms of m and -m are conjugate, so for odd c the odd m cancel and
-        m = 2k leaves (-1)^k q^(4l*k^2): that cycle's pair is (4l, 2).
-
-        Stored on the element at the first call, like the hash of
-        ``SignedPermutation``: the torsion test and the signature read it."""
-        key = self.__dict__.get("_theta_key")
-        if key is None:
-            q = self.translation
-            pairs = []
-            for indices, eps, sigma in self.linear.cycles():
-                if sigma == 1:
-                    c = sum(e * q[j] for j, e in zip(indices, eps)) % 4
-                    pairs.append((4 * len(indices), 2) if c % 2 else (len(indices), c))
-            key = tuple(sorted(pairs))
-            object.__setattr__(self, "_theta_key", key)
-        return key
+        m = 2k leaves (-1)^k q^(4l*k^2): that cycle's pair is (4l, 2)."""
+        q = self.translation
+        pairs = []
+        for indices, eps, sigma in self.linear.cycles:
+            if sigma == 1:
+                c = sum(e * q[j] for j, e in zip(indices, eps)) % 4
+                pairs.append((4 * len(indices), 2) if c % 2 else (len(indices), c))
+        return tuple(sorted(pairs))
 
     def to_json(self) -> dict:
         obj = self.linear.to_json()
@@ -282,7 +296,8 @@ class IsometryElement:
     @classmethod
     def from_json(cls, obj: dict) -> "IsometryElement":
         linear = SignedPermutation.from_json(obj)
-        translation = tuple(parse_quarter(t) for t in obj.get("translation", []))
+        translation = json_array(obj.get("translation", []), "translation")
+        translation = tuple(parse_quarter(t) for t in translation)
         if not translation:
             translation = (0,) * linear.dim
         return cls(linear, translation)
@@ -303,18 +318,20 @@ class BieberbachGroup:
     (1/2)Z^n holds a basis of its cosets' (negation mask, half-translation
     mask) pairs (see IsometryElement.half_masks), and ``holonomy`` is built
     only when read; the order, the torsion test, the classification and the
-    spectral signature read the basis."""
+    signature read the basis."""
 
     dim: int
     generators: tuple[IsometryElement, ...]
     name: str | None
+    #: the echelon basis of a mask group's pairs, None for any other group
+    _basis = None
 
     @cached_property
     def holonomy(self) -> tuple[IsometryElement, ...]:
         """The representatives, identity first.  Runs only for a mask group,
         at the first read, which stores the result: expand_holonomy stores
         an element group's representatives itself."""
-        cosets = _expand_masks([g.half_masks() for g in self.generators], self.dim)
+        cosets = _expand_masks([g.half_masks for g in self.generators], self.dim)
         return tuple(_mask_element(self.dim, neg, trans) for neg, trans in cosets)
 
     def __eq__(self, other) -> bool:
@@ -323,33 +340,65 @@ class BieberbachGroup:
             return NotImplemented
         return (self.dim, self.generators, self.name) == (other.dim, other.generators, other.name)
 
+    @cached_property
+    def _hash(self) -> int:
+        # the row cache hashes the group per call; equal groups have equal generators
+        return hash((self.dim, self.generators, self.name))
+
     def __hash__(self) -> int:
-        # stored on first use: the row cache hashes the group on every call.
-        # Equal groups have equal generators, so the cosets need not enter.
-        value = self.__dict__.get("_hash")
-        if value is None:
-            value = hash((self.dim, self.generators, self.name))
-            object.__setattr__(self, "_hash", value)
-        return value
+        return self._hash
 
     @property
     def order(self) -> int:
         """|F|, the holonomy group order."""
-        basis = self.__dict__.get("_basis")
-        return len(self.holonomy) if basis is None else 1 << len(basis)
+        return len(self.holonomy) if self._basis is None else 1 << len(self._basis)
 
-    def linear_parts(self) -> tuple[SignedPermutation, ...]:
-        return tuple(e.linear for e in self.holonomy)
+    @cached_property
+    def mask_histogram(self) -> tuple[tuple[tuple[int, int], int], ...] | None:
+        """For a mask group, the pairs ((x, b), count): count cosets negate x
+        axes and translate b of the axes they fix by 1/2, x = popcount(neg)
+        and b = popcount(~neg & trans).  None for any other group.  A Gray-code
+        walk over the 2^r combinations of the basis.  A coset with x > 0 is
+        torsion free iff b > 0 (coset_is_torsion_free for a diagonal B)."""
+        basis = self._basis
+        if basis is None:
+            return None
+        counts = {(0, 0): 1}
+        neg = trans = 0
+        for i in range(1, 1 << len(basis)):
+            # step i flips the basis pair of its lowest set bit
+            b_neg, b_trans = basis[(i & -i).bit_length() - 1]
+            neg, trans = neg ^ b_neg, trans ^ b_trans
+            key = (neg.bit_count(), (trans & ~neg).bit_count())
+            counts[key] = counts.get(key, 0) + 1
+        return tuple(counts.items())
+
+    @cached_property
+    def signature(self) -> tuple[tuple[ThetaKey, tuple[int, ...]], ...]:
+        """Pairs (theta key, T) in order of first appearance, where T[p] sums
+        the traces on p-forms of the representatives with that key: all that
+        the multiplicities d_p(N) read of the group (see ``spectra``).
+        O(|F| * n).  A mask group reads it off its (x, b) histogram instead:
+        a coset negating x axes, b of the others translated by 1/2, has the
+        key (1, 0)^(n-x-b) (1, 2)^b and the traces K_p^n(x)."""
+        histogram = self.mask_histogram
+        if histogram is not None:
+            n = self.dim
+            columns = tuple(zip(*krawtchouk_table(n)))  # column x: K_p^n(x) for every p
+            return tuple(
+                (((1, 0),) * (n - x - b) + ((1, 2),) * b, tuple(count * k for k in columns[x]))
+                for (x, b), count in histogram
+            )
+        totals: dict[ThetaKey, tuple[int, ...]] = {}
+        for elem in self.holonomy:
+            key = elem.theta_key
+            traces = elem.linear.exterior_traces()
+            known = totals.get(key)
+            totals[key] = traces if known is None else tuple(map(sum, zip(known, traces)))
+        return tuple(totals.items())
 
     def label(self) -> str:
         return self.name if self.name else f"group(dim={self.dim},|F|={self.order})"
-
-    def renamed(self, name: str) -> "BieberbachGroup":
-        """The same group under another name, sharing everything derived
-        but the hash, which covers the name."""
-        fields = {**vars(self), "name": name}
-        fields.pop("_hash", None)
-        return _trusted(BieberbachGroup, **fields)
 
     def to_json(self) -> dict:
         return {
@@ -369,7 +418,7 @@ def generators_from_json(obj: dict) -> tuple[list[IsometryElement], int, str | N
     """(generators, dim, name) of a group in the JSON interchange form."""
     dim = json_int(json_field(obj, "dim", "a group"), "dim")
     generators = []
-    for i, g in enumerate(obj.get("generators", []), 1):
+    for i, g in enumerate(json_array(obj.get("generators", []), "generators"), 1):
         if not isinstance(g, dict):
             raise ValueError(f"generator {i} must be a JSON object, got {g!r}")
         generators.append(IsometryElement.from_json(g))
@@ -404,7 +453,7 @@ def expand_holonomy(generators, dim: int, name: str | None = None) -> Bieberbach
     for g in gens:
         if g.dim != dim:
             raise ValueError(f"generator dimension {g.dim} != {dim}")
-    masks = [g.half_masks() for g in gens]
+    masks = [g.half_masks for g in gens]
     if None not in masks:
         basis = _mask_basis(masks)
         if basis is None or 1 << len(basis) > HOLONOMY_CAP:
@@ -521,32 +570,7 @@ def coset_is_torsion_free(element: IsometryElement) -> bool:
     cycle of B that is the condition sum(eps * b) in Z.  So the coset is
     torsion free iff some pair (l, c) of its theta key has c != 0.
     """
-    return any(c for _, c in element.theta_key())
-
-
-def mask_histogram(group: BieberbachGroup) -> tuple[tuple[tuple[int, int], int], ...] | None:
-    """For a mask group, the pairs ((x, b), count): count cosets negate x
-    axes and translate b of the axes they fix by 1/2, x = popcount(neg) and
-    b = popcount(~neg & trans).  None for any other group.  Computed on the
-    first call by a Gray-code walk over the 2^r combinations of the basis,
-    and stored on the group.  A coset with x > 0 is torsion free iff b > 0
-    (coset_is_torsion_free for a diagonal B)."""
-    basis = group.__dict__.get("_basis")
-    if basis is None:
-        return None
-    histogram = group.__dict__.get("_histogram")
-    if histogram is None:
-        counts = {(0, 0): 1}
-        neg = trans = 0
-        for i in range(1, 1 << len(basis)):
-            # step i flips the basis pair of its lowest set bit
-            b_neg, b_trans = basis[(i & -i).bit_length() - 1]
-            neg, trans = neg ^ b_neg, trans ^ b_trans
-            key = (neg.bit_count(), (trans & ~neg).bit_count())
-            counts[key] = counts.get(key, 0) + 1
-        histogram = tuple(counts.items())
-        object.__setattr__(group, "_histogram", histogram)
-    return histogram
+    return any(c for _, c in element.theta_key)
 
 
 def is_torsion_free(group: BieberbachGroup) -> bool:
@@ -557,7 +581,7 @@ def is_torsion_free(group: BieberbachGroup) -> bool:
 def torsion_witness(group: BieberbachGroup) -> IsometryElement | None:
     """The first non-identity representative whose coset contains torsion,
     or None.  A mask group is scanned only if its histogram shows one."""
-    histogram = mask_histogram(group)
+    histogram = group.mask_histogram
     if histogram is not None and all(b or not x for (x, b), _count in histogram):
         return None
     for elem in group.holonomy:
@@ -609,13 +633,13 @@ def classify_holonomy(group: BieberbachGroup) -> HolonomyClass:
     A mask group is Z2^r with no product: every coset is an involution, and
     its 2^r distinct negation masks span a GF(2) space of rank r."""
     m = group.order
-    if mask_histogram(group) is not None:
+    if group.mask_histogram is not None:
         factors = (2,) * (m.bit_length() - 1)
     else:
         gens = [g.linear for g in group.generators]
         if not all(a.compose(b) == b.compose(a) for a, b in itertools.combinations(gens, 2)):
             return HolonomyClass(m, False, None, f"nonabelian of order {m}")
-        factors = _primary_factors([b.order() for b in group.linear_parts()])
+        factors = _primary_factors([e.linear.order() for e in group.holonomy])
     rank = len(factors) if set(factors) <= {2} else None
     text = " x ".join(f"Z{d}" for d in factors) or "trivial"
     return HolonomyClass(m, True, rank, f"Z2^{rank}" if rank and rank > 1 else text)
@@ -625,7 +649,7 @@ def is_diagonal_type(group: BieberbachGroup) -> bool:
     """All linear parts diagonal sign matrices and all translations in
     (1/2)Z^n.  Read off the generators: each is its own coset's
     representative, and products of such cosets are such cosets."""
-    return all(g.half_masks() is not None for g in group.generators)
+    return all(g.half_masks is not None for g in group.generators)
 
 
 def is_orientable(group: BieberbachGroup) -> bool:

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import families, graphs, spectra
-from .arith import json_field
+from .arith import json_field, krawtchouk_table
 from .bieberbach import (
     DIM_CAP,
     BieberbachGroup,
@@ -67,10 +67,10 @@ def _read_json(path: str) -> dict:
 
 def _load_group_file(path: str) -> BieberbachGroup:
     """A JSON file's group, named after the file if unnamed, torsion-checked."""
-    group = group_from_json(_read_json(path))
-    if group.name is None:
-        group = group.renamed(os.path.basename(path))
-    return families.require_torsion_free(group)
+    obj = _read_json(path)
+    if obj.get("name") is None:
+        obj = {**obj, "name": os.path.basename(path)}
+    return families.require_torsion_free(group_from_json(obj))
 
 
 def _resolve_group(spec: str) -> BieberbachGroup:
@@ -128,7 +128,7 @@ def cmd_krawtchouk(args) -> int:
     n = args.n
     if not 1 <= n <= DIM_CAP:
         return _fail(f"n must satisfy 1 <= n <= {DIM_CAP}, got {n}")
-    table = spectra.krawtchouk_table(n)
+    table = krawtchouk_table(n)
     if args.json:
         _print_json({"n": n, "values": [list(row) for row in table]})
     elif args.csv:
@@ -144,7 +144,7 @@ def cmd_krawtchouk(args) -> int:
 
 def _char_sums(group: BieberbachGroup, norm_sq: int) -> list[int]:
     """e(gamma, N) for every representative but the identity, in order."""
-    return [spectra.character_sum(group, elem, norm_sq) for elem in group.holonomy[1:]]
+    return [spectra.character_sum(elem, norm_sq) for elem in group.holonomy[1:]]
 
 
 def _char_sum_table(groups, norm_sq: int) -> tuple[list[str], list[list[str]]]:
@@ -265,7 +265,7 @@ def cmd_family(args) -> int:
     if args.count_only:
         print(families.family_size(args.kind, args.dim))
         return 0
-    if args.graphs and args.kind == "kn" and args.verify_theorem is None:
+    if args.graphs and args.kind == "kn":
         return _print_kn_graphs(args.dim)
     members = families.family_members(args.kind, args.dim)
     if args.verify_theorem is not None:
@@ -356,9 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help=f"emit a built-in family ({kinds})")
     p.add_argument("kind", choices=families.FAMILY_KINDS)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--verify-theorem", type=int, metavar="NMAX", default=None)
-    p.add_argument("--graphs", action="store_true", help="DOT graphs (kn only)")
+    only = p.add_mutually_exclusive_group()
+    only.add_argument("--count-only", action="store_true")
+    only.add_argument("--verify-theorem", type=int, metavar="NMAX", default=None)
+    only.add_argument("--graphs", action="store_true", help="DOT graphs (kn only)")
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("graph", help="directed graph of an array-family member")

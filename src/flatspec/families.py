@@ -23,7 +23,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .arith import format_quarter, parse_quarter
+from .arith import format_quarter, json_array, parse_quarter
 from .bieberbach import (
     BieberbachGroup,
     GroupValidationError,
@@ -191,7 +191,11 @@ class GhwArray:
 
     @classmethod
     def from_rows(cls, rows) -> "GhwArray":
-        entries = tuple(tuple(parse_quarter(v) for v in row) for row in rows)
+        rows = json_array(rows, "rows")
+        entries = tuple(
+            tuple(parse_quarter(v) for v in json_array(row, f"row {i}"))
+            for i, row in enumerate(rows, 1)
+        )
         return cls(len(entries), entries)
 
     @classmethod

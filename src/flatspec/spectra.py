@@ -26,20 +26,18 @@ factors with c in {0, 2}, and ``lattice.theta_counts`` returns the
 coefficient as one integer, so no vector is ever listed.
 
 So d_p(N) depends on a coset only through its theta key and its traces.
-The spectral signature of a group sums the trace vectors of the cosets
-that share a key, and a row is (1/|F|) * sum over keys of
-T_p[key] * e(key, N): one theta lookup per key, not one per coset.
-
-A group with diagonal generators and translations in (1/2)Z^n builds no
-coset at all: a coset negating x axes, b of the others translated by 1/2,
-has the key (1, 0)^(n-x-b) (1, 2)^b and the traces K_p^n(x), so the
-signature is read off the group's (x, b) histogram.  The theorem check of a
-K_6 member to N = 2 (its signature and three certified rows) takes about
-0.2 ms (CPython 3.11, Xeon VM).
+A group's signature (``BieberbachGroup.signature``, which also documents
+how a group with diagonal generators and translations in (1/2)Z^n reads it
+off without building a coset) sums the trace vectors of the cosets that
+share a key, and a row is (1/|F|) * sum over keys of T_p[key] * e(key, N):
+one theta lookup per key, not one per coset.  This module only certifies
+rows and scans N.  The theorem check of a K_6 member to N = 2 (its
+signature and three certified rows) takes about 0.2 ms (CPython 3.11,
+Xeon VM).
 
 Traces of the p-th exterior representation are the coefficients of
-det(Id + t*B), computed as a product of sparse cycle factors; for an
-involution they coincide with the Krawtchouk value K_p^n(n - n_B).
+det(Id + t*B) (``SignedPermutation.exterior_traces``); for an involution
+they coincide with the Krawtchouk value K_p^n(n - n_B).
 """
 
 from __future__ import annotations
@@ -49,107 +47,27 @@ from functools import lru_cache
 from operator import mul
 
 from . import lattice
-from .arith import binomial
-from .bieberbach import (
-    BieberbachGroup,
-    IsometryElement,
-    SignedPermutation,
-    classify_holonomy,
-    mask_histogram,
-)
-
-#: the (l, c) pairs of IsometryElement.theta_key
-ThetaKey = tuple[tuple[int, int], ...]
+from .bieberbach import BieberbachGroup, IsometryElement, classify_holonomy
 
 
-def krawtchouk(n: int, p: int, x: int) -> int:
-    """K_p^n(x) by the defining alternating sum of binomial products."""
-    if not 0 <= p <= n:
-        raise ValueError(f"degree p must satisfy 0 <= p <= n, got p={p}, n={n}")
-    if not 0 <= x <= n:
-        raise ValueError(f"argument x must satisfy 0 <= x <= n, got x={x}, n={n}")
-    return sum((-1) ** t * binomial(x, t) * binomial(n - x, p - t) for t in range(p + 1))
-
-
-@lru_cache(maxsize=16)
-def krawtchouk_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row p, column x: K_p^n(x) for 0 <= p, x <= n."""
-    return tuple(tuple(krawtchouk(n, p, x) for x in range(n + 1)) for p in range(n + 1))
-
-
-def exterior_trace_coeffs(b: SignedPermutation) -> tuple[int, ...]:
-    """Coefficients of det(Id + t*B): entry p is the trace on p-forms.
-
-    Each cycle of length l and sign product sigma contributes the factor
-    1 + sigma*(-1)^(l+1) * t^l.
-    """
-    coeffs = [1]
-    for indices, _eps, sigma in b.cycles():
-        length = len(indices)
-        lead = sigma if length % 2 == 1 else -sigma
-        merged = [0] * (len(coeffs) + length)
-        for i, a in enumerate(coeffs):
-            merged[i] += a
-            merged[i + length] += lead * a
-        coeffs = merged
-    return tuple(coeffs)
-
-
-def character_sum(group: BieberbachGroup, element: IsometryElement, norm_sq: int) -> int:
+def character_sum(element: IsometryElement, norm_sq: int) -> int:
     """e(gamma, N): the exact character sum over shell vectors fixed by the
     linear part of gamma, as the theta-product coefficient of the module
     docstring.  Each term exp(-2*pi*i * v.b) is the unit i^(-v.q) for the
     translation q in quarter units, and those of v and -v sum to an integer.
-    Membership is an O(1) lookup in a frozenset of the cosets, stored on the
-    group at the first call like the spectral signature."""
-    cosets = group.__dict__.get("_coset_set")
-    if cosets is None:
-        cosets = frozenset(group.holonomy)
-        object.__setattr__(group, "_coset_set", cosets)
-    if element not in cosets:
-        raise ValueError("element is not a holonomy representative of the group")
+    It depends on gamma alone, whatever group gamma is taken from."""
     lattice.check_norm(norm_sq)
-    return lattice.theta_counts(element.theta_key(), norm_sq)
-
-
-def spectral_signature(group: BieberbachGroup) -> tuple[tuple[ThetaKey, tuple[int, ...]], ...]:
-    """Pairs (theta key, T) in order of first appearance, where T[p] sums
-    the traces on p-forms of the representatives with that key.
-
-    Computed on the first call and stored on the group rather than in a
-    cache, so it lives exactly as long as the group: O(|F| * n), or for a
-    mask group O(|F|) bit counts, read off its (x, b) histogram as the
-    module docstring describes."""
-    signature = group.__dict__.get("_spectral_signature")
-    if signature is None:
-        histogram = mask_histogram(group)
-        if histogram is not None:
-            n = group.dim
-            columns = tuple(zip(*krawtchouk_table(n)))  # column x: K_p^n(x) for every p
-            signature = tuple(
-                (((1, 0),) * (n - x - b) + ((1, 2),) * b, tuple(count * k for k in columns[x]))
-                for (x, b), count in histogram
-            )
-        else:
-            totals: dict[ThetaKey, tuple[int, ...]] = {}
-            for elem in group.holonomy:
-                key = elem.theta_key()
-                traces = exterior_trace_coeffs(elem.linear)
-                known = totals.get(key)
-                totals[key] = traces if known is None else tuple(map(sum, zip(known, traces)))
-            signature = tuple(totals.items())
-        object.__setattr__(group, "_spectral_signature", signature)
-    return signature
+    return lattice.theta_counts(element.theta_key, norm_sq)
 
 
 @lru_cache(maxsize=64)
 def multiplicity_row(group: BieberbachGroup, norm_sq: int) -> tuple[int, ...]:
     """(d_0, ..., d_n) at squared norm N, each certified divisible by |F|
-    and >= 0, summed over the keys of the group's spectral signature (one
-    theta lookup per key); the cache keeps the 64 latest rows, so a sweep
-    holds only a few groups."""
+    and >= 0, summed over the keys of the group's signature (one theta
+    lookup per key); the cache keeps the 64 latest rows, so a sweep holds
+    only a few groups."""
     lattice.check_norm(norm_sq)
-    signature = spectral_signature(group)
+    signature = group.signature
     sums = [lattice.theta_counts(key, norm_sq) for key, _traces in signature]
     order = group.order
     row = []

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from flatspec import bieberbach
-from flatspec.arith import binomial, quarters_as_rationals
+from flatspec.arith import binomial, krawtchouk, quarters_as_rationals
 from flatspec.bieberbach import HolonomyExpansionError, IsometryElement, SignedPermutation
 from flatspec.lattice import fixed_vectors, shell_vectors
-from flatspec.spectra import krawtchouk
 
 # (re, im) of the unit e^(-2*pi*i*q/4) for q = 0, 1, 2, 3
 QUARTER_TURNS = ((1, 0), (0, -1), (-1, 0), (0, 1))
@@ -131,21 +130,28 @@ def trace_p_oracle(b, p: int) -> int:
     return total
 
 
+def _shell_character_sum(shell, element) -> int:
+    counts = [0, 0, 0, 0]
+    for vector in fixed_vectors(shell, element.linear):
+        counts[sum(q * v for q, v in zip(element.translation, vector)) % 4] += 1
+    re = sum(count * QUARTER_TURNS[q][0] for q, count in enumerate(counts))
+    im = sum(count * QUARTER_TURNS[q][1] for q, count in enumerate(counts))
+    assert im == 0, (element, shell.norm_sq, im)
+    return re
+
+
+def enumerated_character_sum(element, norm_sq: int) -> int:
+    """e(gamma, N) by listing the shell, keeping the vectors B fixes and
+    counting v.q mod 4 for the translation q in quarter units; asserts that
+    the sum is real."""
+    return _shell_character_sum(shell_vectors(element.dim, norm_sq), element)
+
+
 def enumerated_character_sums(group, norm_sq: int) -> list[int]:
-    """e(gamma, N) for every holonomy representative, in order, by listing
-    the shell, keeping the vectors B fixes and counting v.q mod 4 for the
-    translation q in quarter units; asserts that each sum is real."""
+    """enumerated_character_sum for every holonomy representative, in order,
+    listing the shell once."""
     shell = shell_vectors(group.dim, norm_sq)
-    sums = []
-    for element in group.holonomy:
-        counts = [0, 0, 0, 0]
-        for vector in fixed_vectors(shell, element.linear):
-            counts[sum(q * v for q, v in zip(element.translation, vector)) % 4] += 1
-        re = sum(count * QUARTER_TURNS[q][0] for q, count in enumerate(counts))
-        im = sum(count * QUARTER_TURNS[q][1] for q, count in enumerate(counts))
-        assert im == 0, (element, norm_sq, im)
-        sums.append(re)
-    return sums
+    return [_shell_character_sum(shell, element) for element in group.holonomy]
 
 
 def reference_row(group, sums) -> tuple[int, ...]:
@@ -203,7 +209,7 @@ def holonomy_description_by_search(group) -> str:
     rank, other abelian groups by the one candidate type whose order
     statistics match the representatives' (order statistics determine
     finite abelian groups), without a bound on the order."""
-    parts = group.linear_parts()
+    parts = tuple(e.linear for e in group.holonomy)
     m = len(parts)
     orders = tuple(sorted(b.order() for b in parts))
     gens = [g.linear for g in group.generators] or parts

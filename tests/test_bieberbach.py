@@ -260,7 +260,7 @@ def test_no_validated_group_contains_minus_identity():
     for group in groups:
         for elem in group.holonomy:
             # one theta key pair per cycle of sign product +1
-            assert len(elem.theta_key()) >= 1
+            assert len(elem.theta_key) >= 1
 
 
 # classification ------------------------------------------------------------

@@ -241,13 +241,13 @@ def test_family_sweep_takes_the_mask_walk(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the sweep read element data")
 
-    for cls, name in (
-        (IsometryElement, "compose"),
-        (IsometryElement, "theta_key"),
-        (SignedPermutation, "cycles"),
-        (SignedPermutation, "order"),
+    for cls, name, patch in (
+        (IsometryElement, "compose", refuse),
+        (IsometryElement, "theta_key", property(refuse)),
+        (SignedPermutation, "cycles", property(refuse)),
+        (SignedPermutation, "order", refuse),
     ):
-        monkeypatch.setattr(cls, name, refuse)
+        monkeypatch.setattr(cls, name, patch)
     built = []
     build = families.kn_group_from_array
 
@@ -323,6 +323,23 @@ def test_family_kn_count_beyond_the_cap(capsys):
 def test_family_graphs_requires_kn(capsys):
     code, out = run(capsys, "family", "z2", "--dim", "3", "--graphs")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--count-only", "--verify-theorem", "2"),
+        ("--count-only", "--graphs"),
+        ("--verify-theorem", "2", "--graphs"),
+    ],
+)
+def test_family_output_flags_exclude_each_other(capsys, flags):
+    # each picks what family prints, so none may silently drop another
+    for kind in ("kn", "z2"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["family", kind, "--dim", "4", *flags])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_graph_golden_and_json(capsys):
@@ -466,8 +483,47 @@ def test_malformed_group_json_is_an_error(capsys, tmp_path, payload, message):
             {"dim": 3, "generators": [{"perm": [1, 1, 2], "signs": [1, 1, 1]}]},
             "perm [1, 1, 2] is not a permutation of 1..3",
         ),
+        # a string or number where the file needs an array
+        (
+            "validate",
+            {
+                "dim": 3,
+                "generators": [{"perm": [1, 2, 3], "signs": [1, -1, -1], "translation": "012"}],
+            },
+            "translation must be a JSON array, got '012'",
+        ),
+        ("validate", {"dim": 2, "generators": 5}, "generators must be a JSON array, got 5"),
+        (
+            "validate",
+            {"dim": 2, "generators": [_generator(perm=5)]},
+            "perm must be a JSON array, got 5",
+        ),
+        (
+            "spectrum",
+            {"dim": 2, "generators": [_generator(signs="-1")]},
+            "signs must be a JSON array, got '-1'",
+        ),
+        (
+            "spectrum",
+            {"dim": 1, "generators": [{"perm": [1], "signs": [1], "translation": "1/2"}]},
+            "translation must be a JSON array, got '1/2'",
+        ),
+        ("graph", {"rows": "0110"}, "rows must be a JSON array, got '0110'"),
+        ("graph", {"rows": [[0, "1/2"], "10"]}, "row 2 must be a JSON array, got '10'"),
     ],
-    ids=["no-dim", "int-generator", "no-rows", "repeated-perm"],
+    ids=[
+        "no-dim",
+        "int-generator",
+        "no-rows",
+        "repeated-perm",
+        "string-translation",
+        "int-generators",
+        "int-perm",
+        "string-signs",
+        "rational-translation",
+        "string-rows",
+        "string-row",
+    ],
 )
 def test_malformed_json_names_the_field_as_written(capsys, tmp_path, command, payload, message):
     path = tmp_path / "malformed.json"

@@ -84,7 +84,7 @@ def test_validate_and_classify_agree_with_the_pairwise_oracle(label):
     assert report.closure and report.cocycle
     assert report.accepted == (not label.startswith("B"))
     # read off the generators, these must match their per-coset definitions
-    assert report.diagonal_type == all(e.half_masks() is not None for e in group.holonomy)
+    assert report.diagonal_type == all(e.half_masks is not None for e in group.holonomy)
     assert report.orientable == all(e.linear.det() == 1 for e in group.holonomy)
 
 
@@ -119,6 +119,43 @@ def test_only_bieberbach_makes_groups():
 
 def _called_name(node):
     return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _scoped_nodes(node, scope):
+    """(qualified name of the enclosing def or class, node) for every node
+    below node."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        yield inner, child
+        yield from _scoped_nodes(child, inner)
+
+
+def test_derived_data_have_one_owner():
+    # a datum derived from an object is a cached_property of its class: no
+    # module stores data on an object by hand, and spectra reads a group's
+    # signature without knowing how a mask group encodes its cosets
+    import flatspec
+
+    allowed = {"bieberbach._trusted", "bieberbach.IsometryElement.__post_init__"}
+    stores, mask_names = [], []
+    for info in pkgutil.iter_modules(flatspec.__path__):
+        source = inspect.getsource(importlib.import_module(f"flatspec.{info.name}"))
+        for scope, node in _scoped_nodes(ast.parse(source), info.name):
+            by_hand = isinstance(node, ast.Attribute) and node.attr == "__dict__"
+            by_hand |= (
+                isinstance(node, ast.Call)
+                and _called_name(node.func) == "__setattr__"
+                and _called_name(node.func.value) == "object"
+            )
+            if by_hand and scope not in allowed:
+                stores.append(f"{scope}:{node.lineno}")
+            name = _called_name(node)
+            if info.name == "spectra" and name in ("mask_histogram", "histogram", "half_masks"):
+                mask_names.append(f"{name}:{node.lineno}")
+    assert stores == []
+    assert mask_names == []
 
 
 def test_hyperoctahedral_orders_and_classes():
@@ -264,12 +301,12 @@ def test_signed_permutation_hash_matches_equality():
 
 def test_group_hash_matches_equality():
     group = catalog("hw3/M1")
-    copy = group.renamed(group.name)
+    copy = expand_holonomy(group.generators, group.dim, name=group.name)
     assert copy is not group and copy == group
     # equal groups have equal generators, so the representatives need not enter
     fields = (group.dim, group.generators, group.name)
     assert hash(copy) == hash(group) == hash(fields)
-    assert len({group, copy, group.renamed("other")}) == 2
+    assert len({group, copy, expand_holonomy(group.generators, 3, name="other")}) == 2
 
 
 def test_row_checks_the_norm_once_and_scans_no_membership(monkeypatch):
@@ -280,7 +317,8 @@ def test_row_checks_the_norm_once_and_scans_no_membership(monkeypatch):
         "character_sum",
         lambda *args: pytest.fail("multiplicity_row went through character_sum"),
     )
-    assert spectra.multiplicity_row(catalog("hw3/M1").renamed("row-probe"), 5) == expected
+    probe = expand_holonomy(catalog("hw3/M1").generators, 3, name="row-probe")
+    assert spectra.multiplicity_row(probe, 5) == expected
     assert calls[0] == 1
 
 

@@ -157,13 +157,13 @@ def test_fixed_vectors_agree_with_brute_filter(b, norm_sq):
     brute = tuple(v for v in shell.vectors if b.apply(v) == v)
     assert fixed_vectors(shell, b) == brute
     # one integer per positive cycle: the theta series counts the same set
-    assert theta_counts(IsometryElement(b, (0,) * b.dim).theta_key(), norm_sq) == len(brute)
+    assert theta_counts(IsometryElement(b, (0,) * b.dim).theta_key, norm_sq) == len(brute)
 
 
 def fixed_space_dim(b: SignedPermutation) -> int:
     """dim ker(B - Id) as the theta key reads it: one pair per cycle of
     sign product +1, whatever the translation."""
-    return len(IsometryElement(b, (0,) * b.dim).theta_key())
+    return len(IsometryElement(b, (0,) * b.dim).theta_key)
 
 
 def test_fixed_space_dim_examples():

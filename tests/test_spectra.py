@@ -7,10 +7,15 @@ import pkgutil
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import trace_p_oracle, z2_betti_closed_form, z2_closed_forms
+from oracles import (
+    enumerated_character_sum,
+    trace_p_oracle,
+    z2_betti_closed_form,
+    z2_closed_forms,
+)
 
 from flatspec import lattice
-from flatspec.arith import binomial
+from flatspec.arith import binomial, krawtchouk, krawtchouk_table
 from flatspec.bieberbach import IsometryElement, SignedPermutation, is_orientable
 from flatspec.families import catalog, hw_groups, kn_family, torus, z2_group, z2_parameters
 from flatspec.lattice import ShellCapExceeded, shell_count, shell_vectors
@@ -19,9 +24,6 @@ from flatspec.spectra import (
     betti_numbers,
     character_sum,
     compare_spectra,
-    exterior_trace_coeffs,
-    krawtchouk,
-    krawtchouk_table,
     multiplicity_row,
     theorem_check,
 )
@@ -83,9 +85,9 @@ def test_krawtchouk_parity_split_sums(n):
 
 def test_trace_examples():
     swap_block = SignedPermutation((1, 0, 2), (1, 1, 1))  # diag(J, 1)
-    assert exterior_trace_coeffs(swap_block)[1] == 1 == krawtchouk(3, 1, 1)
+    assert swap_block.exterior_traces()[1] == 1 == krawtchouk(3, 1, 1)
     for n in (2, 5):
-        assert exterior_trace_coeffs(SignedPermutation.identity(n)) == tuple(
+        assert SignedPermutation.identity(n).exterior_traces() == tuple(
             binomial(n, p) for p in range(n + 1)
         )
 
@@ -96,7 +98,7 @@ def test_trace_of_order_four_block_matrix():
     # 2-forms is 3: the two quantities differ for order-4 elements.
     b = catalog("dim6/z4_Mp").holonomy[1].linear
     assert trace_p_oracle(b, 2) == -1
-    assert exterior_trace_coeffs(b)[2] == -1
+    assert b.exterior_traces()[2] == -1
     assert betti_numbers(catalog("dim6/z4_Mp"))[2] == 3
 
 
@@ -109,7 +111,7 @@ def test_trace_oracle_examples():
 
 def test_trace_errors():
     # det(Id + t*B) has degree n: one trace per degree 0..n
-    assert len(exterior_trace_coeffs(SignedPermutation.identity(3))) == 4
+    assert len(SignedPermutation.identity(3).exterior_traces()) == 4
     with pytest.raises(ValueError):
         trace_p_oracle(SignedPermutation.identity(3), -1)
     with pytest.raises(ValueError):
@@ -127,7 +129,7 @@ def signed_permutations(draw, max_dim=8):
 @settings(deadline=None)
 @given(signed_permutations())
 def test_trace_agrees_with_wedge_oracle(b):
-    assert exterior_trace_coeffs(b) == tuple(trace_p_oracle(b, p) for p in range(b.dim + 1))
+    assert b.exterior_traces() == tuple(trace_p_oracle(b, p) for p in range(b.dim + 1))
 
 
 @settings(deadline=None)
@@ -135,8 +137,8 @@ def test_trace_agrees_with_wedge_oracle(b):
 def test_involution_traces_are_krawtchouk_values(b):
     if b.compose(b).is_identity():
         # the theta key has one pair per cycle of sign product +1
-        x = b.dim - len(IsometryElement(b, (0,) * b.dim).theta_key())
-        assert exterior_trace_coeffs(b) == tuple(krawtchouk(b.dim, p, x) for p in range(b.dim + 1))
+        x = b.dim - len(IsometryElement(b, (0,) * b.dim).theta_key)
+        assert b.exterior_traces() == tuple(krawtchouk(b.dim, p, x) for p in range(b.dim + 1))
 
 
 # character sums ---------------------------------------------------------------
@@ -150,8 +152,8 @@ def test_character_sums_of_the_dimension_three_trio():
     }
     for name, (at_one, at_five) in expected.items():
         group = catalog(name)
-        assert [character_sum(group, e, 1) for e in group.holonomy[1:]] == at_one
-        assert [character_sum(group, e, 5) for e in group.holonomy[1:]] == at_five
+        assert [character_sum(e, 1) for e in group.holonomy[1:]] == at_one
+        assert [character_sum(e, 5) for e in group.holonomy[1:]] == at_five
 
 
 @pytest.mark.parametrize("n,j,h", [(3, 1, 0), (3, 0, 2), (4, 1, 1), (5, 0, 2), (6, 2, 1)])
@@ -159,21 +161,22 @@ def test_character_sum_closed_form_for_z2_generators(n, j, h):
     group = z2_group(n, j, h)
     length = n - 2 * j - h
     gamma = group.holonomy[1]
-    assert character_sum(group, gamma, 1) == 2 * (length - 2)
+    assert character_sum(gamma, 1) == 2 * (length - 2)
 
 
-def test_character_sum_requires_membership():
-    group = catalog("hw3/M1")
-    stranger = catalog("hw3/M2").holonomy[1]
-    with pytest.raises(ValueError):
-        character_sum(group, stranger, 1)
+def test_character_sum_needs_no_group():
+    # e(gamma, N) depends on gamma alone: a coset that belongs to no built
+    # group, with a 2-cycle, a negated axis and quarter translations
+    element = IsometryElement(SignedPermutation((1, 0, 2, 3), (1, -1, -1, 1)), (1, 3, 2, 1))
+    for norm_sq in range(13):
+        assert character_sum(element, norm_sq) == enumerated_character_sum(element, norm_sq)
 
 
 def test_character_sum_quarter_translation_is_real():
     # +v and -v contributions are conjugate, so the sum is one real integer
     group = catalog("dim6/z4_M")
     gamma = group.holonomy[1]
-    assert type(character_sum(group, gamma, 1)) is int
+    assert type(character_sum(gamma, 1)) is int
 
 
 def test_odd_c_folds_to_four_times_the_length():
@@ -181,8 +184,8 @@ def test_odd_c_folds_to_four_times_the_length():
     # odd m cancel and m = 2k leaves (-1)^k q^(4k^2), theta(-q^4); mapping
     # odd c to (1, 2) without the 4l fold would give -2 at N = 1
     element = IsometryElement(SignedPermutation.identity(1), (1,))
-    assert element.theta_key() == ((4, 2),)
-    assert [lattice.theta_counts(element.theta_key(), n) for n in (0, 1, 4, 16)] == [1, 0, -2, 2]
+    assert element.theta_key == ((4, 2),)
+    assert [lattice.theta_counts(element.theta_key, n) for n in (0, 1, 4, 16)] == [1, 0, -2, 2]
 
 
 # multiplicities --------------------------------------------------------------
@@ -396,7 +399,7 @@ def test_every_cap_check_gives_the_shell_message(monkeypatch):
     calls = (
         lambda: shell_vectors(3, 5),
         lambda: shell_count(3, 5),
-        lambda: character_sum(m1, m1.holonomy[1], 5),
+        lambda: character_sum(m1.holonomy[1], 5),
         lambda: compare_spectra(m1, m2, "f", 5),
         lambda: theorem_check(m1, 5),
     )
@@ -409,7 +412,7 @@ def test_every_cap_check_gives_the_shell_message(monkeypatch):
     for call in calls:
         call()
     with pytest.raises(ValueError):
-        character_sum(m1, m1.holonomy[1], -1)
+        character_sum(m1.holonomy[1], -1)
 
 
 def _functions(module):
@@ -451,7 +454,7 @@ def test_every_cache_is_bounded():
         "bieberbach._interned_diagonal",
         "families.catalog",
         "lattice.theta_counts",
-        "spectra.krawtchouk_table",
+        "arith.krawtchouk_table",
         "spectra.multiplicity_row",
     }
     # catalog's keys are catalog_names(), so the registry bounds it

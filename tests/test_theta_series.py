@@ -37,7 +37,7 @@ from flatspec.lattice import (
     shell_vectors,
     theta_counts,
 )
-from flatspec.spectra import character_sum, multiplicity_row, spectral_signature
+from flatspec.spectra import character_sum, multiplicity_row
 
 
 def _kn_member(n, bits):
@@ -63,7 +63,7 @@ groups = st.one_of(catalog_groups, kn_members, z2_members, quarter_groups)
 @given(groups, st.integers(0, 12))
 def test_character_sums_and_rows_match_enumeration(group, norm_sq):
     sums = enumerated_character_sums(group, norm_sq)
-    assert [character_sum(group, element, norm_sq) for element in group.holonomy] == sums
+    assert [character_sum(element, norm_sq) for element in group.holonomy] == sums
     assert multiplicity_row(group, norm_sq) == reference_row(group, sums)
 
 
@@ -91,7 +91,7 @@ def test_theta_key_counts_the_fixed_shell(element, norm_sq):
         counts[sum(q * x for q, x in zip(element.translation, v)) % 4] += 1
     # v and -v pair i^-1 with i^1, so the sum is real: count_0 - count_2
     assert counts[1] == counts[3]
-    assert theta_counts(element.theta_key(), norm_sq) == counts[0] - counts[2]
+    assert theta_counts(element.theta_key, norm_sq) == counts[0] - counts[2]
     assert coset_is_torsion_free(element) == reference_torsion_free(element)
 
 
@@ -103,12 +103,12 @@ def test_signature_sums_the_traces_of_each_key(label):
     expected = {}
     for element in group.holonomy:
         traces = [trace_p_oracle(element.linear, p) for p in range(group.dim + 1)]
-        known = expected.setdefault(element.theta_key(), [0] * (group.dim + 1))
+        known = expected.setdefault(element.theta_key, [0] * (group.dim + 1))
         known[:] = [a + b for a, b in zip(known, traces)]
-    signature = spectral_signature(group)
+    signature = group.signature
     assert {key: list(traces) for key, traces in signature} == expected
     assert len(signature) == len(expected)
-    assert spectral_signature(group) is signature
+    assert group.signature is signature
 
 
 @pytest.mark.parametrize(
@@ -118,7 +118,7 @@ def test_only_the_identity_key_weighs_on_d_f(label):
     # sum_p tr_p(B) = det(I + B), which is 0 for an involution B != I
     group = CASES[label]
     identity_key = ((1, 0),) * group.dim
-    for key, traces in spectral_signature(group):
+    for key, traces in group.signature:
         assert sum(traces) == (2**group.dim if key == identity_key else 0), key
 
 

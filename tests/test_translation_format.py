@@ -33,7 +33,7 @@ def reference_compose(a: IsometryElement, b: IsometryElement):
 def reference_torsion_free(a: IsometryElement) -> bool:
     """Some positive cycle of B has a non-integral sum of eps * b."""
     translation = rationals(a.translation)
-    for indices, eps, sigma in a.linear.cycles():
+    for indices, eps, sigma in a.linear.cycles:
         if sigma != 1:
             continue
         total = sum((e * translation[j] for j, e in zip(indices, eps)), Fraction(0))
