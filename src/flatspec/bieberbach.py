@@ -422,7 +422,10 @@ def generators_from_json(obj: dict) -> tuple[list[IsometryElement], int, str | N
         if not isinstance(g, dict):
             raise ValueError(f"generator {i} must be a JSON object, got {g!r}")
         generators.append(IsometryElement.from_json(g))
-    return generators, dim, obj.get("name")
+    name = obj.get("name")
+    if name is not None and type(name) is not str:
+        raise ValueError(f"name must be a JSON string or null, got {name!r}")
+    return generators, dim, name
 
 
 def expand_holonomy(generators, dim: int, name: str | None = None) -> BieberbachGroup:

@@ -158,12 +158,21 @@ def _char_sum_table(groups, norm_sq: int) -> tuple[list[str], list[list[str]]]:
 
 
 def cmd_spectrum(args) -> int:
+    if args.csv and args.char_sums:
+        return _fail("--char-sums has no CSV form: use --json or the table")
     groups = _resolve_groups(args.groups)
     norms = _parse_norms(args.norms)
-    dim = groups[0].dim
-    rows = spectra.spectrum_rows(groups, norms)
+    columns = [f"d_{p}" for p in range(groups[0].dim + 1)] + ["d_f"]
+    # (label, N, row) for every pair, N-major: one table per eigenvalue
+    rows = [(g.label(), n, spectra.multiplicity_row(g, n)) for n in norms for g in groups]
     if args.json:
-        payload = {"rows": [row.to_json() for row in rows]}
+        payload = {
+            "rows": [
+                {"group": label, "N": norm_sq, "d": list(row)}
+                | {f"d_{mode}": spectra.row_value(row, mode) for mode in "feo"}
+                for label, norm_sq, row in rows
+            ]
+        }
         if args.char_sums:
             payload["char_sums"] = [
                 {
@@ -178,19 +187,17 @@ def cmd_spectrum(args) -> int:
         _print_json(payload)
         return 0
     if args.csv:
-        header = ["group", "N"] + [f"d_{p}" for p in range(dim + 1)] + ["d_f"]
-        data = [[row.group, row.norm_sq] + list(row.d) + [row.d_f] for row in rows]
-        print(_csv_text(header, data), end="")
+        data = [[label, n] + list(row) + [spectra.row_value(row, "f")] for label, n, row in rows]
+        print(_csv_text(["group", "N"] + columns, data), end="")
         return 0
     blocks = []
     for norm_sq in norms:
-        headers = ["group"] + [f"d_{p}" for p in range(dim + 1)] + ["d_f"]
         data = [
-            [row.group] + [str(v) for v in row.d] + [str(row.d_f)]
-            for row in rows
-            if row.norm_sq == norm_sq
+            [label] + [str(v) for v in row] + [str(spectra.row_value(row, "f"))]
+            for label, n, row in rows
+            if n == norm_sq
         ]
-        blocks.append(f"N={norm_sq}\n" + _format_table(headers, data))
+        blocks.append(f"N={norm_sq}\n" + _format_table(["group"] + columns, data))
         if args.char_sums:
             headers_cs, rows_cs = _char_sum_table(groups, norm_sq)
             blocks.append("character sums\n" + _format_table(headers_cs, rows_cs))
@@ -271,11 +278,10 @@ def cmd_family(args) -> int:
     if args.verify_theorem is not None:
         total = failures = 0
         for group in members:
-            check = spectra.theorem_check(group, args.verify_theorem)
-            status = "pass" if check.ok else "FAIL"
+            failed = spectra.theorem_check(group, args.verify_theorem) is not None
             total += 1
-            failures += 0 if check.ok else 1
-            print(f"{group.label()}: {status} (N <= {args.verify_theorem})")
+            failures += failed
+            print(f"{group.label()}: {'FAIL' if failed else 'pass'} (N <= {args.verify_theorem})")
         print(f"{total - failures}/{total} groups satisfy d_f = 2^(n-k)|shell| and d_e = d_o")
         return 0 if failures == 0 else 2
     if args.graphs:
@@ -286,6 +292,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    if args.array and (args.dim is not None or args.index is not None or args.all):
+        return _fail("--array takes no --dim, --index or --all")
     if args.array:
         arrays = [families.GhwArray.from_rows(json_field(_read_json(args.array), "rows", "an array"))]
     elif args.dim is None:
@@ -295,7 +303,7 @@ def cmd_graph(args) -> int:
     elif args.all:
         arrays = families.kn_arrays(args.dim)
     else:
-        arrays = [families.kn_array(args.dim, args.index)]
+        arrays = [families.kn_array(args.dim, args.index or 0)]
     if args.json and args.all:
         _print_json_list(graphs.graph_of(a).to_json() for a in arrays)
     elif args.json:
@@ -327,16 +335,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("krawtchouk", help="integer table K_p^n(x), 0 <= p, x <= n")
     p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true")
+    fmt.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_krawtchouk)
 
     p = sub.add_parser("spectrum", help="multiplicity tables d_0..d_n, d_f")
     p.add_argument("groups", nargs="+", help="group specs (catalog name, torus:N, file)")
     p.add_argument("--norms", required=True, help="comma list of squared norms, e.g. 1,2,5")
     p.add_argument("--char-sums", action="store_true", help="also emit character sums per representative")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true")
+    fmt.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("betti", help="Betti numbers (multiplicities at eigenvalue 0)")
@@ -364,8 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="directed graph of an array-family member")
     p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--index", type=int, default=0, help="lexicographic index into the family")
-    p.add_argument("--all", action="store_true")
+    members = p.add_mutually_exclusive_group()
+    members.add_argument("--index", type=int, help="lexicographic index into the family")
+    members.add_argument("--all", action="store_true")
     p.add_argument("--array", default=None, help="JSON file {\"rows\": [[0, \"1/2\", ...], ...]}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_graph)
@@ -381,6 +392,11 @@ def main(argv=None) -> int:
     except GroupValidationError as exc:
         print(json.dumps({"error": str(exc), "report": exc.report.to_json()}, sort_keys=True))
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: write nothing more, not even at exit
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     # TypeError: malformed JSON input, such as a float translation
     except (ValueError, TypeError, KeyError, ArithmeticError, OSError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)

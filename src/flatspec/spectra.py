@@ -83,7 +83,7 @@ def multiplicity_row(group: BieberbachGroup, norm_sq: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _row_value(row: tuple[int, ...], mode: str) -> int:
+def row_value(row: tuple[int, ...], mode: str) -> int:
     """One figure of a multiplicity row: 'f' sums every degree (d_f), 'e'
     the even degrees (d_e), 'o' the odd ones (d_o), and 'p<k>' is d_k."""
     if mode == "f":
@@ -100,84 +100,16 @@ def betti_numbers(group: BieberbachGroup) -> tuple[int, ...]:
     return multiplicity_row(group, 0)
 
 
-@dataclass(frozen=True)
-class MultiplicityRow:
-    """One table row: all multiplicities of a single eigenvalue."""
-
-    group: str
-    norm_sq: int
-    d: tuple[int, ...]
-
-    @property
-    def d_f(self) -> int:
-        return _row_value(self.d, "f")
-
-    @property
-    def d_e(self) -> int:
-        return _row_value(self.d, "e")
-
-    @property
-    def d_o(self) -> int:
-        return _row_value(self.d, "o")
-
-    @classmethod
-    def from_group(cls, group: BieberbachGroup, norm_sq: int) -> "MultiplicityRow":
-        return cls(group.label(), norm_sq, multiplicity_row(group, norm_sq))
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group,
-            "N": self.norm_sq,
-            "d": list(self.d),
-            "d_f": self.d_f,
-            "d_e": self.d_e,
-            "d_o": self.d_o,
-        }
-
-
-def spectrum_rows(groups, norms) -> list[MultiplicityRow]:
-    """Rows for every (group, N) pair, N-major to mirror one table per
-    eigenvalue."""
-    return [MultiplicityRow.from_group(g, n) for n in norms for g in groups]
-
-
-@dataclass(frozen=True)
-class TheoremCase:
-    norm_sq: int
-    shell_size: int
-    d_f: int
-    d_e: int
-    d_o: int
-    expected_f: int
-
-    @property
-    def ok(self) -> bool:
-        return self.d_f == self.expected_f and self.d_e == self.d_o == self.expected_f // 2
-
-
-@dataclass(frozen=True)
-class TheoremCheck:
-    """Direct-summation verification of d_f = 2^(n-k)|shell| and d_e = d_o."""
-
-    group: str
-    dim: int
-    rank: int
-    cases: tuple[TheoremCase, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(case.ok for case in self.cases)
-
-
 def _check_n_max(n_max: int) -> None:
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
 
 
-def theorem_check(group: BieberbachGroup, n_max: int) -> TheoremCheck:
-    """Requires holonomy Z_2^k; verifies the closed form for 0 <= N <= n_max
-    against multiplicities computed by direct summation.  n_max is checked
-    against the shell cap before any row is computed."""
+def theorem_check(group: BieberbachGroup, n_max: int) -> int | None:
+    """The least N <= n_max at which the row computed by direct summation
+    breaks d_f = 2^(n-k) r_n(N) or d_e = d_o, or None if no N does.
+    Requires holonomy Z_2^k.  n_max is checked against the shell cap before
+    any row is computed."""
     _check_n_max(n_max)
     lattice.check_norm(n_max)
     cls = classify_holonomy(group)
@@ -185,22 +117,13 @@ def theorem_check(group: BieberbachGroup, n_max: int) -> TheoremCheck:
         raise ValueError(
             f"theorem_check requires elementary abelian 2-holonomy, got {cls.description}"
         )
-    rank = cls.elementary_rank
-    cases = []
+    scale = 2 ** (group.dim - cls.elementary_rank)
     for norm_sq in range(n_max + 1):
-        size = lattice.shell_count(group.dim, norm_sq)
         row = multiplicity_row(group, norm_sq)
-        cases.append(
-            TheoremCase(
-                norm_sq=norm_sq,
-                shell_size=size,
-                d_f=_row_value(row, "f"),
-                d_e=_row_value(row, "e"),
-                d_o=_row_value(row, "o"),
-                expected_f=2 ** (group.dim - rank) * size,
-            )
-        )
-    return TheoremCheck(group=group.label(), dim=group.dim, rank=rank, cases=tuple(cases))
+        expected_f = scale * lattice.shell_count(group.dim, norm_sq)
+        if row_value(row, "f") != expected_f or row_value(row, "e") != row_value(row, "o"):
+            return norm_sq
+    return None
 
 
 @dataclass(frozen=True)
@@ -245,8 +168,8 @@ def compare_spectra(
     _check_n_max(n_max)
     lattice.check_norm(n_max)
     for norm_sq in range(n_max + 1):
-        a = _row_value(multiplicity_row(left, norm_sq), label)
-        b = _row_value(multiplicity_row(right, norm_sq), label)
+        a = row_value(multiplicity_row(left, norm_sq), label)
+        b = row_value(multiplicity_row(right, norm_sq), label)
         if a != b:
             return SpectralComparison(label, n_max, False, (norm_sq, a, b))
     return SpectralComparison(label, n_max, True, None)

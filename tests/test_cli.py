@@ -1,13 +1,16 @@
 """CLI: golden outputs, interchange formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import weakref
 from pathlib import Path
 
 import pytest
 
-from flatspec import families, graphs, lattice
+from flatspec import families, graphs, lattice, spectra
 from flatspec.bieberbach import IsometryElement, SignedPermutation
 from flatspec.cli import main
 from flatspec.graphs import graph_of
@@ -190,6 +193,22 @@ def test_family_verify_theorem(capsys):
     assert out.count("pass") == 8
 
 
+def test_family_verify_theorem_reports_failures(capsys, monkeypatch):
+    true_row = multiplicity_row
+
+    def sabotaged(group, norm_sq):
+        d = true_row(group, norm_sq)
+        return d if norm_sq < 2 else (d[0] + 1,) + d[1:]
+
+    monkeypatch.setattr(spectra, "multiplicity_row", sabotaged)
+    code, out = run(capsys, "family", "kn", "--dim", "4", "--verify-theorem", "3")
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 9
+    assert all(line.endswith(": FAIL (N <= 3)") for line in lines[:8])
+    assert lines[-1] == "0/8 groups satisfy d_f = 2^(n-k)|shell| and d_e = d_o"
+
+
 def test_family_graphs_golden(capsys):
     assert_golden(capsys, "family_k4_graphs.txt", "family", "kn", "--dim", "4", "--graphs")
 
@@ -340,6 +359,62 @@ def test_family_output_flags_exclude_each_other(capsys, flags):
             main(["family", kind, "--dim", "4", *flags])
         assert exit_info.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "hw3/M1", "--norms", "1", "--json", "--csv"),
+        ("krawtchouk", "3", "--json", "--csv"),
+        ("graph", "--dim", "4", "--all", "--index", "99"),
+    ],
+    ids=["spectrum-json-csv", "krawtchouk-json-csv", "graph-all-index"],
+)
+def test_format_and_member_flags_exclude_each_other(capsys, argv):
+    # each picks what the command prints, so none may silently drop another
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+ARRAY_ALONE = "--array takes no --dim, --index or --all"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("spectrum", "hw3/M1", "--norms", "1", "--csv", "--char-sums"),
+         "--char-sums has no CSV form: use --json or the table"),
+        (("graph", "--array", str(DATA / "k4_array.json"), "--dim", "4"), ARRAY_ALONE),
+        (("graph", "--array", str(DATA / "k4_array.json"), "--index", "0"), ARRAY_ALONE),
+        (("graph", "--array", str(DATA / "k4_array.json"), "--all"), ARRAY_ALONE),
+        (("graph", "--array", str(DATA / "k4_array.json"), "--all", "--json"), ARRAY_ALONE),
+    ],
+    ids=["csv-char-sums", "array-dim", "array-index", "array-all", "array-all-json"],
+)
+def test_flags_that_would_be_ignored_are_refused(capsys, argv, message):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": message}
+
+
+def test_a_closed_pipe_ends_the_run_quietly():
+    # the reader takes one line and closes: the writer prints nothing more,
+    # exits nonzero and reports nothing on stderr
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flatspec.cli", "graph", "--dim", "6", "--all"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"// K6[0000000000]\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) != 0
+    assert stderr == b""
 
 
 def test_graph_golden_and_json(capsys):
@@ -510,6 +585,10 @@ def test_malformed_group_json_is_an_error(capsys, tmp_path, payload, message):
         ),
         ("graph", {"rows": "0110"}, "rows must be a JSON array, got '0110'"),
         ("graph", {"rows": [[0, "1/2"], "10"]}, "row 2 must be a JSON array, got '10'"),
+        # a name that is neither a string nor null
+        ("spectrum", {"dim": 1, "name": 5}, "name must be a JSON string or null, got 5"),
+        ("spectrum", {"dim": 1, "name": ["a"]}, "name must be a JSON string or null, got ['a']"),
+        ("validate", {"dim": 1, "name": {}}, "name must be a JSON string or null, got {}"),
     ],
     ids=[
         "no-dim",
@@ -523,6 +602,9 @@ def test_malformed_group_json_is_an_error(capsys, tmp_path, payload, message):
         "rational-translation",
         "string-rows",
         "string-row",
+        "int-name",
+        "list-name",
+        "object-name",
     ],
 )
 def test_malformed_json_names_the_field_as_written(capsys, tmp_path, command, payload, message):

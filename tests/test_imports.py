@@ -29,18 +29,9 @@ def read_names(tree: ast.Module) -> set[str]:
     }
 
 
-def exported_names(tree: ast.Module) -> set[str]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]:
-            return set(ast.literal_eval(node.value))
-    raise AssertionError("no __all__")
-
-
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_imported_name_is_read(path):
+    # a re-export is an import that nothing reads, so the package's
+    # __init__.py stays a bare docstring and callers import the modules
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    if path == SRC / "__init__.py":
-        # the package imports exactly what it exports
-        assert imported_names(tree) == exported_names(tree)
-    else:
-        assert sorted(imported_names(tree) - read_names(tree)) == []
+    assert sorted(imported_names(tree) - read_names(tree)) == []

@@ -14,17 +14,17 @@ from oracles import (
     z2_closed_forms,
 )
 
-from flatspec import lattice
+from flatspec import lattice, spectra
 from flatspec.arith import binomial, krawtchouk, krawtchouk_table
 from flatspec.bieberbach import IsometryElement, SignedPermutation, is_orientable
 from flatspec.families import catalog, hw_groups, kn_family, torus, z2_group, z2_parameters
 from flatspec.lattice import ShellCapExceeded, shell_count, shell_vectors
 from flatspec.spectra import (
-    MultiplicityRow,
     betti_numbers,
     character_sum,
     compare_spectra,
     multiplicity_row,
+    row_value,
     theorem_check,
 )
 
@@ -203,18 +203,17 @@ def test_multiplicity_range_error():
 
 
 def test_aggregate_multiplicities():
-    def row(name, norm_sq):
-        return MultiplicityRow.from_group(catalog(name), norm_sq)
+    def value(name, norm_sq, mode):
+        return row_value(multiplicity_row(catalog(name), norm_sq), mode)
 
     for name in ("dim3/m10", "dim3/m02", "dim3/m01"):
-        assert row(name, 1).d_f == 24
-        assert row(name, 2).d_f == 48
+        assert value(name, 1, "f") == 24
+        assert value(name, 2, "f") == 48
     for name in ("dim4/m11", "dim4/m10", "dim4/m03", "dim4/m02", "dim4/m01"):
-        assert row(name, 1).d_f == 64
-        assert row(name, 2).d_f == 192
-    hw = row("hw3/M1", 1)
-    assert hw.d_e == hw.d_o == 6
-    assert hw.d_f == 12
+        assert value(name, 1, "f") == 64
+        assert value(name, 2, "f") == 192
+    assert value("hw3/M1", 1, "e") == value("hw3/M1", 1, "o") == 6
+    assert value("hw3/M1", 1, "f") == 12
 
 
 def test_full_dimension_three_tables():
@@ -264,19 +263,14 @@ def test_hw_trio_tables():
         assert multiplicity_row(catalog(name), 5) == at_five
 
 
-def test_multiplicity_row_dataclass():
-    row = MultiplicityRow.from_group(catalog("hw3/M1"), 1)
-    assert row.d == (0, 6, 6, 0)
-    assert row.d_f == sum(row.d) == 12
-    assert row.d_f == row.d_e + row.d_o
-    assert row.to_json() == {
-        "group": "hw3/M1",
-        "N": 1,
-        "d": [0, 6, 6, 0],
-        "d_f": 12,
-        "d_e": 6,
-        "d_o": 6,
-    }
+def test_row_value():
+    row = multiplicity_row(catalog("hw3/M1"), 1)
+    assert row == (0, 6, 6, 0)
+    assert row_value(row, "f") == sum(row) == 12
+    assert row_value(row, "f") == row_value(row, "e") + row_value(row, "o")
+    assert [row_value(row, f"p{k}") for k in range(4)] == list(row)
+    assert row_value((1, 2, 4, 8), "e") == 5
+    assert row_value((1, 2, 4, 8), "o") == 10
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -337,17 +331,36 @@ def test_z2_first_betti_number_is_free_rank():
 
 
 def test_theorem_check_examples():
-    hw = theorem_check(catalog("hw3/M1"), 1)
-    assert hw.rank == 2 and hw.ok
-    assert hw.cases[1].d_f == 12 == 2 ** (3 - 2) * 6
+    # (group, n_max, d_f at N = n_max, 2^(n-k) r_n(N) with the group's rank k)
+    for group, n_max, d_f, expected_f in (
+        (catalog("hw3/M1"), 1, 12, 2 ** (3 - 2) * 6),
+        (next(kn_family(4)), 1, 16, 2 ** (4 - 3) * 8),
+        (torus(3), 2, 96, 2**3 * shell_vectors(3, 2).count),
+    ):
+        assert theorem_check(group, n_max) is None
+        assert row_value(multiplicity_row(group, n_max), "f") == d_f == expected_f
 
-    k4 = theorem_check(next(kn_family(4)), 1)
-    assert k4.rank == 3 and k4.ok
-    assert k4.cases[1].d_f == 16 == 2 * 8
 
-    t = theorem_check(torus(3), 2)
-    assert t.rank == 0 and t.ok
-    assert t.cases[2].d_f == 2**3 * shell_vectors(3, 2).count
+def test_theorem_check_names_the_least_failing_norm(monkeypatch):
+    true_row = multiplicity_row
+
+    def sabotage(break_f):
+        # from N = 2 on, add one to d_0 (breaks d_f), or move one from d_1
+        # to d_0 (keeps d_f, breaks d_e = d_o)
+        def row(group, norm_sq):
+            d = true_row(group, norm_sq)
+            if norm_sq < 2:
+                return d
+            return (d[0] + 1, d[1] - (not break_f)) + d[2:]
+
+        return row
+
+    group = next(kn_family(4))
+    for break_f in (True, False):
+        monkeypatch.setattr(spectra, "multiplicity_row", sabotage(break_f))
+        assert theorem_check(group, 1) is None
+        assert theorem_check(group, 2) == 2
+        assert theorem_check(group, 5) == 2
 
 
 def test_theorem_check_rejects_non_elementary_holonomy():
@@ -362,7 +375,7 @@ def test_negative_nmax_is_rejected():
         theorem_check(m1, -1)
     with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
         compare_spectra(m1, catalog("dim3/m10"), "f", -1)
-    assert len(theorem_check(m1, 0).cases) == 1
+    assert theorem_check(m1, 0) is None
     assert compare_spectra(m1, catalog("hw3/M2"), "f", 0).equal
 
 
@@ -431,8 +444,7 @@ def _functions(module):
 def test_no_function_takes_a_per_call_cap():
     import flatspec
 
-    public = [getattr(flatspec, name) for name in flatspec.__all__]
-    functions = [obj for obj in public if callable(obj) and not inspect.isclass(obj)]
+    functions = []
     for info in pkgutil.iter_modules(flatspec.__path__):
         functions += _functions(importlib.import_module(f"flatspec.{info.name}"))
     assert len(functions) > 100
