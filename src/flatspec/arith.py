@@ -6,15 +6,15 @@ Nothing in the computation path ever touches floating point.  Translation
 coordinates live in (1/4)Z and are carried as integer quarter units: the
 int q stands for q/4.  Every character sum is then a real integer, and
 every multiplicity comes out as an exact integer or fails loudly.  Rationals
-appear only where coordinates are read or written: ``parse_quarter`` turns
-the interchange form (a bare int or 'p/q') into quarter units and
-``format_quarter`` turns them back.
+appear only in ``parse_quarter`` and ``format_quarter``, which read and write
+the interchange form (a bare int or 'p/q') in integer arithmetic; ``Fraction``
+serves only the fallback parse and diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import re
 from functools import lru_cache
 
 
@@ -68,26 +68,32 @@ def json_field(obj: dict, field: str, where: str):
 
 def parse_quarter(value: int | str) -> int:
     """Quarter units of a coordinate in interchange form: a bare integer or
-    'p/q' with q dividing 4."""
+    'p/q' with q dividing 4; ``Fraction`` reads any string but ASCII [+-]p[/q], q > 0."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise TypeError(f"cannot parse {value!r} as a rational")
-    frac = Fraction(value.strip() if isinstance(value, str) else value)
-    if 4 % frac.denominator:
-        raise ValueError(
-            f"denominator {frac.denominator} unsupported: coordinates must lie in (1/4)Z"
-        )
-    return int(4 * frac)
+    if isinstance(value, int):
+        return 4 * value
+    text = value.strip()
+    if re.fullmatch(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", text):
+        num, _, den = text.partition("/")
+        num, den = int(num), int(den or 1)
+    else:
+        from fractions import Fraction
+        frac = Fraction(text)
+        num, den = frac.numerator, frac.denominator
+    reduced = den // math.gcd(num, den)
+    if 4 % reduced:
+        raise ValueError(f"denominator {reduced} unsupported: coordinates must lie in (1/4)Z")
+    return 4 * num // den
 
 
 def format_quarter(q: int) -> int | str:
     """Interchange form of q/4: bare int, or 'p/q' for q in {2, 4}."""
-    frac = Fraction(q, 4)
-    if frac.denominator == 1:
-        return int(frac)
-    return f"{frac.numerator}/{frac.denominator}"
+    common = math.gcd(q, 4)
+    return q // 4 if common == 4 else f"{q // common}/{4 // common}"
 
 
-def quarters_as_rationals(quarters) -> tuple[Fraction, ...]:
-    """The rationals a quarter-unit vector stands for, as diagnostics print
-    them."""
+def quarters_as_rationals(quarters) -> tuple:
+    """The rationals a quarter-unit vector stands for, as diagnostics print them."""
+    from fractions import Fraction
     return tuple(Fraction(q, 4) for q in quarters)

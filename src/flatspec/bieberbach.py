@@ -28,8 +28,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
 from .arith import (
     format_quarter,
@@ -78,17 +78,48 @@ class GroupValidationError(ValueError):
         super().__init__(report.summary())
 
 
-def _trusted(cls, **fields):
-    """An instance of the frozen dataclass cls holding these fields, without
-    running __post_init__: for values valid by construction, such as the
-    product of two checked elements."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
+class Record:
+    """Base of the package's immutable value classes: the fields are the
+    names a subclass annotates (two or more); equality, hash and repr follow
+    them.  Only __init__, which a checking subclass's __init__ calls, and
+    _trusted, which skips those checks for values valid by construction,
+    write state by hand; a ``cached_property`` stores into the instance dict."""
+
+    def __init_subclass__(cls):
+        cls._fields = getattr(cls, "_fields", ()) + tuple(vars(cls).get("__annotations__", ()))
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = dict(zip(self._fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(self._fields) or fields.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+        self.__dict__.update(fields)
+
+    @classmethod
+    def _trusted(cls, **fields):
+        obj = object.__new__(cls)
+        obj.__dict__.update(fields)
+        return obj
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(Record):
     """An orthogonal automorphism of Z^n: B e_j = signs[j] * e_{perm[j]}.
 
     ``perm`` holds 0-based images; the JSON interchange form is 1-based.
@@ -97,14 +128,15 @@ class SignedPermutation:
     perm: tuple[int, ...]
     signs: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.perm)
-        if len(self.signs) != n:
+    def __init__(self, perm: tuple[int, ...], signs: tuple[int, ...]):
+        n = len(perm)
+        if len(signs) != n:
             raise ValueError("perm and signs must have equal length")
-        if sorted(self.perm) != list(range(n)):
-            raise ValueError(f"perm {self.perm} is not a permutation of 0..{n - 1}")
-        if any(s not in (1, -1) for s in self.signs):
+        if sorted(perm) != list(range(n)):
+            raise ValueError(f"perm {perm} is not a permutation of 0..{n - 1}")
+        if any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +1 or -1")
+        super().__init__(perm, signs)
 
     @property
     def dim(self) -> int:
@@ -142,7 +174,7 @@ class SignedPermutation:
         perm = tuple(self.perm[k] for k in other.perm)
         signs = tuple(s * self.signs[k] for s, k in zip(other.signs, other.perm))
         # a product of signed permutations is one by construction
-        return _trusted(SignedPermutation, perm=perm, signs=signs)
+        return SignedPermutation._trusted(perm=perm, signs=signs)
 
     @cached_property
     def cycles(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
@@ -214,8 +246,7 @@ class SignedPermutation:
         return f"[{cols}]"
 
 
-@dataclass(frozen=True)
-class IsometryElement:
+class IsometryElement(Record):
     """A Euclidean isometry B L_b with B a signed permutation and b taken
     mod 1.
 
@@ -230,14 +261,12 @@ class IsometryElement:
     linear: SignedPermutation
     translation: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.translation) != self.linear.dim:
+    def __init__(self, linear: SignedPermutation, translation: tuple[int, ...]):
+        if len(translation) != linear.dim:
             raise ValueError("translation length must equal the dimension")
-        if any(type(q) is not int for q in self.translation):
-            raise TypeError(
-                f"translation coordinates must be int quarter units, got {self.translation!r}"
-            )
-        object.__setattr__(self, "translation", tuple(q % 4 for q in self.translation))
+        if any(type(q) is not int for q in translation):
+            raise TypeError(f"translation coordinates must be int quarter units, got {translation!r}")
+        super().__init__(linear, tuple(q % 4 for q in translation))
 
     @property
     def dim(self) -> int:
@@ -255,7 +284,7 @@ class IsometryElement:
         b = other.linear
         a = self.translation
         shifted = tuple((s * a[p] + t) % 4 for p, s, t in zip(b.perm, b.signs, other.translation))
-        return _trusted(IsometryElement, linear=self.linear.compose(b), translation=shifted)
+        return IsometryElement._trusted(linear=self.linear.compose(b), translation=shifted)
 
     @cached_property
     def half_masks(self) -> tuple[int, int] | None:
@@ -307,8 +336,7 @@ class IsometryElement:
         return f"{self.linear}L[{trans}]"
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class BieberbachGroup:
+class BieberbachGroup(Record):
     """A candidate Bieberbach group: the generators it came from, plus one
     representative per coset of the translation lattice, identity first.
 
@@ -325,6 +353,9 @@ class BieberbachGroup:
     name: str | None
     #: the echelon basis of a mask group's pairs, None for any other group
     _basis = None
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("groups are made only by expand_holonomy")
 
     @cached_property
     def holonomy(self) -> tuple[IsometryElement, ...]:
@@ -461,9 +492,9 @@ def expand_holonomy(generators, dim: int, name: str | None = None) -> Bieberbach
         basis = _mask_basis(masks)
         if basis is None or 1 << len(basis) > HOLONOMY_CAP:
             _expand_masks(masks, dim)  # raises the error the walk meets first
-        return _trusted(BieberbachGroup, dim=dim, generators=gens, name=name, _basis=basis)
+        return BieberbachGroup._trusted(dim=dim, generators=gens, name=name, _basis=basis)
     holonomy = _expand_elements(gens, dim)
-    return _trusted(BieberbachGroup, dim=dim, holonomy=holonomy, generators=gens, name=name)
+    return BieberbachGroup._trusted(dim=dim, holonomy=holonomy, generators=gens, name=name)
 
 
 def _mask_basis(masks) -> tuple[tuple[int, int], ...] | None:
@@ -593,8 +624,7 @@ def torsion_witness(group: BieberbachGroup) -> IsometryElement | None:
     return None
 
 
-@dataclass(frozen=True)
-class HolonomyClass:
+class HolonomyClass(Record):
     """Isomorphism data for the finite holonomy group."""
 
     order: int
@@ -660,8 +690,7 @@ def is_orientable(group: BieberbachGroup) -> bool:
     return all(g.linear.det() == 1 for g in group.generators)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Outcome of the structural checks; accepted iff closure, cocycle
     consistency and torsion-freeness all hold."""
 
@@ -675,7 +704,7 @@ class ValidationReport:
     elementary_rank: int | None
     diagonal_type: bool
     orientable: bool
-    error: str | None = None
+    error: str | None
 
     @property
     def accepted(self) -> bool:
@@ -697,7 +726,7 @@ class ValidationReport:
         return "rejected: failed " + ", ".join(failed) + detail
 
     def to_json(self) -> dict:
-        return {**asdict(self), "accepted": self.accepted}
+        return dict(zip(self._fields, self._values(self)), accepted=self.accepted)
 
 
 def validate(group: BieberbachGroup) -> ValidationReport:

@@ -8,13 +8,12 @@ formats.  All output is deterministic (fixed orderings, sorted keys).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
 
-from . import families, graphs, spectra
+from . import families, spectra
 from .arith import json_field, krawtchouk_table
 from .bieberbach import (
     DIM_CAP,
@@ -50,6 +49,7 @@ def _format_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    import csv
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -59,7 +59,10 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
+        try:
+            obj = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object at the top level")
     return obj
@@ -79,7 +82,11 @@ def _resolve_group(spec: str) -> BieberbachGroup:
     if spec.startswith("file:"):
         return _load_group_file(spec[len("file:") :])
     if spec.startswith("torus:"):
-        return families.torus(int(spec[len("torus:") :]))
+        try:
+            n = int(spec[len("torus:") :])
+        except ValueError:
+            raise ValueError(f"group spec {spec!r} must be 'torus:N' with N an integer") from None
+        return families.torus(n)
     try:
         return families.catalog(spec)
     except KeyError:
@@ -105,7 +112,10 @@ def _parse_norms(text: str) -> list[int]:
     for part in text.split(","):
         part = part.strip()
         if part:
-            value = int(part)
+            try:
+                value = int(part)
+            except ValueError:
+                raise ValueError(f"--norms takes a comma list of integers, got {part!r}") from None
             if value < 0:
                 raise ValueError(f"squared norms must be >= 0, got {value}")
             norms.append(value)
@@ -251,6 +261,7 @@ def cmd_compare(args) -> int:
 def _print_kn_graphs(dim: int) -> int:
     """The DOT graph of every K_dim member, each under a '// K<n>[bits]' line
     and separated by a blank line, printed as it is made."""
+    from . import graphs
     separator = ""
     for array in families.kn_arrays(dim):
         dot = graphs.to_dot(graphs.graph_of(array))
@@ -292,6 +303,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from . import graphs
     if args.array and (args.dim is not None or args.index is not None or args.all):
         return _fail("--array takes no --dim, --index or --all")
     if args.array:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .arith import format_quarter, json_array, parse_quarter
@@ -28,8 +27,8 @@ from .bieberbach import (
     BieberbachGroup,
     GroupValidationError,
     IsometryElement,
+    Record,
     SignedPermutation,
-    _trusted,
     diagonal_element,
     expand_holonomy,
     is_orientable,
@@ -153,8 +152,7 @@ def hw_groups(n: int) -> tuple[BieberbachGroup, ...]:
 # the {0, 1/2} array family with holonomy Z2^(n-1)
 
 
-@dataclass(frozen=True)
-class GhwArray:
+class GhwArray(Record):
     """n x n array over {0, 1/2}: column i holds the translation of the i-th
     generator (which negates only axis i), column n the derived translation
     of the product of all generators.
@@ -172,20 +170,20 @@ class GhwArray:
     n: int
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, entries: tuple[tuple[int, ...], ...]):
         if n < 2:
             raise ValueError(f"arrays need n >= 2, got {n}")
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+        if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError(f"entries must form an {n}x{n} array")
-        for row in self.entries:
+        for row in entries:
             for value in row:
                 if value not in (0, 2):
                     raise ValueError(f"entries must be 0 or 1/2, got {format_quarter(value)}")
+        super().__init__(n, entries)
         # the free entries decide the rest, as from_bits builds them
         expected = GhwArray.from_bits(n, self.bits()).entries
         for r, c in itertools.product(range(n), repeat=2):
-            if self.entries[r][c] != expected[r][c]:
+            if entries[r][c] != expected[r][c]:
                 want = format_quarter(expected[r][c])
                 raise ValueError(f"entry ({r + 1},{c + 1}) must be {want}")
 
@@ -216,7 +214,7 @@ class GhwArray:
             rows[r][c] = 2 if bit else 0
         for r in range(n):
             rows[r][n - 1] = sum(rows[r][: n - 1]) % 4
-        return _trusted(cls, n=n, entries=tuple(tuple(row) for row in rows))
+        return cls._trusted(n=n, entries=tuple(tuple(row) for row in rows))
 
     def column(self, c: int) -> tuple[int, ...]:
         return tuple(self.entries[r][c] for r in range(self.n))

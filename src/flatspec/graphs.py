@@ -9,8 +9,7 @@ family graphs therefore collapses to equality of canonical edge sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .bieberbach import Record
 from .families import GhwArray
 
 
@@ -18,17 +17,17 @@ class GraphShapeError(ValueError):
     """The graph is not of the array family's shape."""
 
 
-@dataclass(frozen=True)
-class GhwGraph:
+class GhwGraph(Record):
     """Directed graph on vertices 1..n with edge set E (1-based pairs)."""
 
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self):
-        for i, j in self.edges:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"edge ({i},{j}) outside vertex range 1..{self.n}")
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+        for i, j in edges:
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"edge ({i},{j}) outside vertex range 1..{n}")
+        super().__init__(n, edges)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)

@@ -19,10 +19,9 @@ enforced; like the other limits it is a constant, read at each call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .bieberbach import SignedPermutation
+from .bieberbach import Record, SignedPermutation
 
 #: largest squared norm admitted, read at each call by check_norm.  From a
 #: cold cache, multiplicity_row(torus(n), SHELL_CAP) takes about 2 s for
@@ -37,8 +36,7 @@ class ShellCapExceeded(ValueError):
     """Requested squared norm is above SHELL_CAP."""
 
 
-@dataclass(frozen=True)
-class Shell:
+class Shell(Record):
     """All integer vectors of squared norm ``norm_sq`` in dimension ``dim``,
     in lexicographic order (hence closed under negation)."""
 

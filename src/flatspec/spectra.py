@@ -42,12 +42,11 @@ they coincide with the Krawtchouk value K_p^n(n - n_B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
 from . import lattice
-from .bieberbach import BieberbachGroup, IsometryElement, classify_holonomy
+from .bieberbach import BieberbachGroup, IsometryElement, Record, classify_holonomy
 
 
 def character_sum(element: IsometryElement, norm_sq: int) -> int:
@@ -126,8 +125,7 @@ def theorem_check(group: BieberbachGroup, n_max: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class SpectralComparison:
+class SpectralComparison(Record):
     mode: str
     n_max: int
     equal: bool

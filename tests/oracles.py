@@ -12,6 +12,8 @@ Also here, because only tests compare against them:
   constructor, through which ``pairwise_group_check`` forms products
   independently of ``SignedPermutation.compose``;
 * ``canonical_key``, a group's sorted coset representatives as one string;
+* ``fraction_parse_quarter`` and ``fraction_format_quarter``, the quarter
+  I/O of ``arith`` done through ``Fraction``;
 * the paper's closed forms for the (j, h) family of ``families.z2_group``:
   ``z2_closed_forms`` (d_p at N = 1 and 2) and ``z2_betti_closed_form``.
 """
@@ -19,6 +21,7 @@ Also here, because only tests compare against them:
 import math
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
 
 from flatspec import bieberbach
@@ -28,6 +31,26 @@ from flatspec.lattice import fixed_vectors, shell_vectors
 
 # (re, im) of the unit e^(-2*pi*i*q/4) for q = 0, 1, 2, 3
 QUARTER_TURNS = ((1, 0), (0, -1), (-1, 0), (0, 1))
+
+
+def fraction_parse_quarter(value) -> int:
+    """arith.parse_quarter, every string read by Fraction."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"cannot parse {value!r} as a rational")
+    frac = Fraction(value.strip() if isinstance(value, str) else value)
+    if 4 % frac.denominator:
+        raise ValueError(
+            f"denominator {frac.denominator} unsupported: coordinates must lie in (1/4)Z"
+        )
+    return int(4 * frac)
+
+
+def fraction_format_quarter(q: int):
+    """arith.format_quarter through Fraction."""
+    frac = Fraction(q, 4)
+    if frac.denominator == 1:
+        return int(frac)
+    return f"{frac.numerator}/{frac.denominator}"
 
 
 def inverse(b: SignedPermutation) -> SignedPermutation:

@@ -4,6 +4,7 @@ interchange form of quarter units."""
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import fraction_format_quarter, fraction_parse_quarter
 
 from flatspec.arith import binomial, format_quarter, json_int, parse_quarter
 
@@ -58,3 +59,28 @@ def test_parse_and_format_round_trip():
         parse_quarter("1/3")
     with pytest.raises(TypeError):
         parse_quarter(0.25)
+
+
+def _outcome(function, value):
+    """(type, value) of the result, or (type, message) of the error."""
+    try:
+        result = function(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return type(result), result
+
+
+# ints and True; the plain ASCII forms; denominators that are not in (1/4)Z,
+# zero or signed; the forms only Fraction reads; and no number at all
+QUARTER_INPUTS = [0, 5, -3, -12, True, "+1/2", " 3/4 ", "2/4", "-1/4", "1/3", "1/0", "1/-2"]
+QUARTER_INPUTS += ["0.5", "1e0", "1_0", "\u0661/\u0662", "", "abc"]
+
+
+@pytest.mark.parametrize("value", QUARTER_INPUTS, ids=repr)
+def test_parse_quarter_matches_the_fraction_oracle(value):
+    assert _outcome(parse_quarter, value) == _outcome(fraction_parse_quarter, value)
+
+
+def test_format_quarter_matches_the_fraction_oracle():
+    for q in range(-9, 10):
+        assert _outcome(format_quarter, q) == _outcome(fraction_format_quarter, q)

@@ -1,6 +1,7 @@
 """Group model: composition convention, expansion, validation, classification."""
 
 import json
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +70,43 @@ def test_trusted_products_equal_checked_ones(pair):
     assert trusted == expected and hash(trusted) == hash(expected)
     assert hash(trusted.linear) == hash((expected.linear.perm, expected.linear.signs))
     assert all(0 <= q < 4 for q in trusted.translation)
+
+
+def test_records_are_frozen_values_of_one_class():
+    calls = []
+
+    class Pair(bieberbach.Record):
+        left: int
+        right: int
+
+        @cached_property
+        def total(self):
+            calls.append(self)
+            return self.left + self.right
+
+    class Twin(bieberbach.Record):
+        left: int
+        right: int
+
+    class Heir(Pair):
+        pass
+
+    pair = Pair(1, right=2)
+    assert pair == Pair(1, 2) and hash(pair) == hash((1, 2))
+    assert repr(pair).endswith("Pair(left=1, right=2)")
+    assert pair != Twin(1, 2) and Twin(1, 2) != pair
+    assert pair != Heir(1, 2) and Heir(1, 2) != pair
+    for bad in ((1,), (1, 2, 3)):
+        with pytest.raises(TypeError):
+            Pair(*bad)
+    with pytest.raises(AttributeError):
+        pair.left = 5
+    with pytest.raises(AttributeError):
+        del pair.right
+    with pytest.raises(AttributeError):
+        pair.total = 0
+    assert pair.total == pair.total == 3 and calls == [pair]
+    assert (pair.left, pair.right) == (1, 2)
 
 
 def test_public_constructors_still_check():

@@ -635,6 +635,32 @@ def test_malformed_array_json_is_an_error(capsys, tmp_path, payload, message):
     assert message in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("command", ["validate", "spectrum"])
+def test_deeply_nested_json_names_the_file(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    argv = {
+        "validate": ("validate", str(path)),
+        "spectrum": ("spectrum", str(path), "--norms", "1"),
+    }[command]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": f"{path}: JSON nested too deeply to read"}
+
+
+def test_a_torus_spec_names_its_form(capsys):
+    code, out = run(capsys, "spectrum", "torus:abc", "--norms", "1")
+    assert code == 2
+    message = "group spec 'torus:abc' must be 'torus:N' with N an integer"
+    assert json.loads(out) == {"error": message}
+
+
+def test_the_norms_option_names_its_form(capsys):
+    code, out = run(capsys, "spectrum", "torus:3", "--norms", "0..3")
+    assert code == 2
+    assert json.loads(out) == {"error": "--norms takes a comma list of integers, got '0..3'"}
+
+
 def test_unknown_group_spec(capsys):
     code, out = run(capsys, "spectrum", "dim3/m99", "--norms", "1")
     assert code == 2

@@ -9,7 +9,6 @@ import inspect
 import pkgutil
 import random
 import time
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -92,8 +91,9 @@ def test_groups_have_no_public_constructor():
     group = catalog("hw3/M1")
     with pytest.raises(TypeError):
         BieberbachGroup(group.dim, group.holonomy, group.generators, group.name)
-    with pytest.raises(TypeError):
-        replace(group, holonomy=group.holonomy[:-1])
+    with pytest.raises(AttributeError):
+        group.holonomy = group.holonomy[:-1]
+    assert len(group.holonomy) == group.order
 
 
 def test_only_bieberbach_makes_groups():
@@ -110,8 +110,8 @@ def test_only_bieberbach_makes_groups():
             if not isinstance(node, ast.Call):
                 continue
             names = [_called_name(node.func)]
-            if names[0] == "_trusted" and node.args:
-                names.append(_called_name(node.args[0]))
+            if names[0] == "_trusted" and isinstance(node.func, ast.Attribute):
+                names.append(_called_name(node.func.value))
             if "BieberbachGroup" in names:
                 makers.append(f"{info.name}:{node.lineno}")
     assert makers == []
@@ -138,7 +138,7 @@ def test_derived_data_have_one_owner():
     # signature without knowing how a mask group encodes its cosets
     import flatspec
 
-    allowed = {"bieberbach._trusted", "bieberbach.IsometryElement.__post_init__"}
+    allowed = {"bieberbach.Record._trusted", "bieberbach.Record.__init__"}
     stores, mask_names = [], []
     for info in pkgutil.iter_modules(flatspec.__path__):
         source = inspect.getsource(importlib.import_module(f"flatspec.{info.name}"))
@@ -168,7 +168,7 @@ def abelian_group(factors) -> BieberbachGroup:
     as a cycle of length 2^(k-1) with one sign flip, an odd Z_d as a d-cycle,
     each on its own coordinates.  Above DIM_CAP, which a prime d > 64 needs,
     expand_holonomy refuses the dimension, so the compose oracle expands and
-    bieberbach._trusted assembles the group."""
+    BieberbachGroup._trusted assembles the group."""
     blocks = [(d // 2, -1) if d % 2 == 0 else (d, 1) for d in factors]
     n = sum(length for length, _sign in blocks)
     generators, start = [], 0
@@ -184,7 +184,7 @@ def abelian_group(factors) -> BieberbachGroup:
         return expand_holonomy(generators, n)
     reps, generators = expand_by_compose(generators, n), tuple(generators)
     fields = {"dim": n, "holonomy": reps, "generators": generators, "name": None}
-    return bieberbach._trusted(BieberbachGroup, **fields)
+    return BieberbachGroup._trusted(**fields)
 
 
 def test_classify_matches_the_search_on_every_abelian_type_to_order_128():
@@ -294,8 +294,8 @@ def test_signed_permutation_hash_matches_equality():
     a = SignedPermutation((2, 0, 1), (1, -1, 1))
     b = SignedPermutation((2, 0, 1), (1, -1, 1))
     assert a == b and hash(a) == hash(b) == hash((a.perm, a.signs))
-    assert a != replace(a, signs=(1, 1, 1))
-    assert hash(replace(a, signs=(1, 1, 1))) == hash(((2, 0, 1), (1, 1, 1)))
+    assert a != SignedPermutation(a.perm, (1, 1, 1))
+    assert hash(SignedPermutation(a.perm, (1, 1, 1))) == hash(((2, 0, 1), (1, 1, 1)))
     assert len({a, b, a.compose(SignedPermutation.identity(3))}) == 1
 
 

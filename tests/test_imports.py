@@ -1,6 +1,10 @@
 """Every import is read: a module's imports name the API it exercises."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +39,19 @@ def test_every_imported_name_is_read(path):
     # __init__.py stays a bare docstring and callers import the modules
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted(imported_names(tree) - read_names(tree)) == []
+
+
+def test_the_cli_loads_only_what_every_run_uses():
+    # which modules a bare start-up loads, not how long it takes: the output
+    # modules load in the subcommands that print them, while the benchmark's
+    # tracer wraps the four eager ones
+    code = "import flatspec.cli, json, sys; print(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(json.loads(result.stdout))
+    absent = ("dataclasses", "inspect", "fractions", "decimal", "csv", "flatspec.graphs")
+    assert [name for name in absent if name in loaded] == []
+    eager = ("lattice", "spectra", "bieberbach", "families")
+    assert [name for name in eager if f"flatspec.{name}" not in loaded] == []

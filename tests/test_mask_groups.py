@@ -10,7 +10,6 @@ must equal what the same representatives give through the element path
 
 import gc
 import weakref
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +34,7 @@ def _element_twin(group: BieberbachGroup) -> BieberbachGroup:
     every check takes the element path."""
     reps = expand_by_compose(group.generators, group.dim)
     fields = {"dim": group.dim, "generators": group.generators, "name": group.name}
-    return bieberbach._trusted(BieberbachGroup, holonomy=reps, **fields)
+    return BieberbachGroup._trusted(holonomy=reps, **fields)
 
 
 def assert_matches_element_path(group: BieberbachGroup) -> None:
@@ -107,8 +106,11 @@ def test_mask_groups_compare_without_building_holonomy():
     for group in (left, right):
         assert "holonomy" not in vars(group)
     # the representatives follow from the generators: none can be swapped in
+    with pytest.raises(AttributeError):
+        left.holonomy = left.holonomy[:-1]
     with pytest.raises(TypeError):
-        replace(left, holonomy=left.holonomy[:-1])
+        BieberbachGroup(**vars(left) | {"holonomy": left.holonomy[:-1]})
+    assert len(left.holonomy) == left.order
 
 
 def test_holonomy_is_built_once_and_nothing_else_is_derived():
