@@ -8,7 +8,7 @@ int q stands for q/4.  Every character sum is then a real integer, and
 every multiplicity comes out as an exact integer or fails loudly.  Rationals
 appear only in ``parse_quarter`` and ``format_quarter``, which read and write
 the interchange form (a bare int or 'p/q') in integer arithmetic; ``Fraction``
-serves only the fallback parse and diagnostics.
+serves only the fallback parse.
 """
 
 from __future__ import annotations
@@ -92,8 +92,3 @@ def format_quarter(q: int) -> int | str:
     common = math.gcd(q, 4)
     return q // 4 if common == 4 else f"{q // common}/{4 // common}"
 
-
-def quarters_as_rationals(quarters) -> tuple:
-    """The rationals a quarter-unit vector stands for, as diagnostics print them."""
-    from fractions import Fraction
-    return tuple(Fraction(q, 4) for q in quarters)

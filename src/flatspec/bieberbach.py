@@ -38,7 +38,6 @@ from .arith import (
     json_int,
     krawtchouk_table,
     parse_quarter,
-    quarters_as_rationals,
 )
 
 #: largest holonomy group expand_holonomy will build, read at each call.
@@ -46,13 +45,22 @@ from .arith import (
 #: computed where it is formed, so a group's cosets are freed with it.
 #: Repeats are dropped, but a distinct generator that the others already
 #: generate still costs its |F| products.  validate forms no product: B_6
-#: (|F| = 46080, 3 generators) expands in about 1.7 s and validates in under
+#: (|F| = 46080, 3 generators) expands in 1.1-1.7 s and validates in about
 #: 1 ms.  A group with diagonal generators and translations in (1/2)Z^n
 #: keeps a basis of int mask pairs instead and builds no coset: a K_17
 #: member (2^16 cosets, 16 generators) expands in about 0.1 ms and
 #: validates in about 42 ms, the torsion test's walk over the basis, and a
 #: K_6 member (32 cosets) in about 15 us and 40 us, against 0.9 ms to
-#: compose its cosets (CPython 3.11, Xeon VM).
+#: compose its cosets.  The worst admitted inputs all end in an error:
+#:
+#: * 16 adjacent transpositions in dim 17 walk to the cap in 3.1-3.8 s;
+#: * 16 independent mask generators plus their product with another
+#:   translation, an inconsistent span, walk to the conflict in 7.0-9.0 s
+#:   in dim 17 and 15-19.5 s in dim 64;
+#: * 17 independent mask generators, a consistent span over the cap, are
+#:   refused off the basis in under 1 ms.
+#:
+#: (CPython 3.11, Xeon VM, 3 runs each.)
 HOLONOMY_CAP = 2**16
 
 #: largest dimension expand_holonomy will build a group in, and the largest
@@ -344,9 +352,10 @@ class BieberbachGroup(Record):
     representatives from the generators and is the only way to make a group.
     A group it builds from diagonal generators with translations in
     (1/2)Z^n holds a basis of its cosets' (negation mask, half-translation
-    mask) pairs (see IsometryElement.half_masks), and ``holonomy`` is built
+    mask) pairs (see IsometryElement.half_masks), and builds ``holonomy``
     only when read; the order, the torsion test, the classification and the
-    signature read the basis."""
+    signature read the basis, and a torsion witness walks only as far as
+    the witness."""
 
     dim: int
     generators: tuple[IsometryElement, ...]
@@ -359,11 +368,11 @@ class BieberbachGroup(Record):
 
     @cached_property
     def holonomy(self) -> tuple[IsometryElement, ...]:
-        """The representatives, identity first.  Runs only for a mask group,
-        at the first read, which stores the result: expand_holonomy stores
-        an element group's representatives itself."""
-        cosets = _expand_masks([g.half_masks for g in self.generators], self.dim)
-        return tuple(_mask_element(self.dim, neg, trans) for neg, trans in cosets)
+        """The representatives, identity first, in the order of the one
+        walk.  Runs only for a mask group, at the first read, which stores
+        the result: expand_holonomy stores an element group's
+        representatives itself."""
+        return tuple(_walk(self.generators, self.dim))
 
     def __eq__(self, other) -> bool:
         # the representatives follow from the generators
@@ -465,22 +474,25 @@ def expand_holonomy(generators, dim: int, name: str | None = None) -> Bieberbach
     Keeps one representative per linear part (the identity's translation is
     0 by construction).  Raises HolonomyExpansionError if two products demand
     different translations mod 1 for the same linear part, or if the closure
-    exceeds HOLONOMY_CAP elements, and ValueError if dim exceeds DIM_CAP.
-    Each distinct generator is kept once, in first-seen order: a repeat forms
-    no new product, so the representatives are the same, and neither this
-    walk nor classify_holonomy's commutation check repeats it.  Costs |F| * g
-    products for g distinct generators; see HOLONOMY_CAP for the time at the
-    largest admitted group.  The only way to make a group.
+    exceeds HOLONOMY_CAP elements, and ValueError if dim is below 1 or
+    exceeds DIM_CAP.  Each distinct generator is kept once, in first-seen
+    order: a repeat forms no new product, so the representatives are the
+    same, and neither this walk nor classify_holonomy's commutation check
+    repeats it.  Costs |F| * g products for g distinct generators; see
+    HOLONOMY_CAP for the time at the largest admitted inputs.  The only way
+    to make a group.
 
     When every generator is diagonal with translation in (1/2)Z^n, a product
     is the XOR of (negation mask, half-translation mask) pairs, because a
     diagonal B is its own inverse and -1/2 = 1/2 mod 1.  The group is then
     the GF(2) span of the generators' pairs, and it keeps an echelon basis
-    of them, built in O(g^2) XORs; its representatives are built only when
-    read, by the same walk on int pairs, in the same order.  A span that
-    is inconsistent or too large runs that walk too, which raises the error
-    the general walk would.  Other groups take the general product.
+    of them, built in O(g^2) XORs; its representatives are walked only when
+    read.  A consistent span of rank r meets no conflict, so its only
+    possible error is the cap, raised at once when 2^r > HOLONOMY_CAP.  An
+    inconsistent span walks, to name the conflict the walk meets first.
     """
+    if dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
     if dim > DIM_CAP:
         raise ValueError(f"dimension {dim} exceeds the cap of {DIM_CAP}")
     gens = tuple(dict.fromkeys(generators))
@@ -488,13 +500,12 @@ def expand_holonomy(generators, dim: int, name: str | None = None) -> Bieberbach
         if g.dim != dim:
             raise ValueError(f"generator dimension {g.dim} != {dim}")
     masks = [g.half_masks for g in gens]
-    if None not in masks:
-        basis = _mask_basis(masks)
-        if basis is None or 1 << len(basis) > HOLONOMY_CAP:
-            _expand_masks(masks, dim)  # raises the error the walk meets first
-        return BieberbachGroup._trusted(dim=dim, generators=gens, name=name, _basis=basis)
-    holonomy = _expand_elements(gens, dim)
-    return BieberbachGroup._trusted(dim=dim, holonomy=holonomy, generators=gens, name=name)
+    basis = None if None in masks else _mask_basis(masks)
+    if basis is None:
+        holonomy = tuple(_walk(gens, dim))  # an inconsistent mask span raises here
+        return BieberbachGroup._trusted(dim=dim, holonomy=holonomy, generators=gens, name=name)
+    _check_cap((1 << len(basis)) - 1)  # the size before the walk's last coset
+    return BieberbachGroup._trusted(dim=dim, generators=gens, name=name, _basis=basis)
 
 
 def _mask_basis(masks) -> tuple[tuple[int, int], ...] | None:
@@ -514,10 +525,15 @@ def _mask_basis(masks) -> tuple[tuple[int, int], ...] | None:
     return tuple(basis)
 
 
-def _expand_elements(gens, dim: int) -> tuple[IsometryElement, ...]:
+def _walk(gens, dim: int):
+    """Breadth-first closure of the generators modulo Z^n: yields each new
+    representative rep(a) * g as the walk finds it, identity first, and
+    raises on a conflicting translation or past HOLONOMY_CAP.  The only
+    walk: a caller that stops early forms no further product."""
     identity = IsometryElement.identity(dim)
     reps: dict[SignedPermutation, IsometryElement] = {identity.linear: identity}
     queue = deque([identity])
+    yield identity
     while queue:
         elem = queue.popleft()
         for gen in gens:
@@ -527,39 +543,9 @@ def _expand_elements(gens, dim: int) -> tuple[IsometryElement, ...]:
                 _check_cap(len(reps))
                 reps[prod.linear] = prod
                 queue.append(prod)
+                yield prod
             elif known.translation != prod.translation:
                 raise _inconsistent(known, prod)
-    return tuple(reps.values())
-
-
-def _expand_masks(masks, dim: int) -> tuple[tuple[int, int], ...]:
-    """_expand_elements on the generators' (negation, half-translation)
-    mask pairs: the representatives' pairs, in the same order."""
-    reps = {0: 0}  # negation mask -> half-translation mask
-    queue = deque([0])
-    while queue:
-        neg = queue.popleft()
-        trans = reps[neg]
-        for gen_neg, gen_trans in masks:
-            prod_neg, prod_trans = neg ^ gen_neg, trans ^ gen_trans
-            known = reps.get(prod_neg)
-            if known is None:
-                _check_cap(len(reps))
-                reps[prod_neg] = prod_trans
-                queue.append(prod_neg)
-            elif known != prod_trans:
-                raise _inconsistent(
-                    _mask_element(dim, prod_neg, known), _mask_element(dim, prod_neg, prod_trans)
-                )
-    return tuple(reps.items())
-
-
-def _mask_element(dim: int, neg: int, trans: int) -> IsometryElement:
-    """The diagonal coset with these masks: axis j negated if bit j of neg
-    is set, translated by 1/2 if bit j of trans is."""
-    signs = tuple(-1 if neg >> j & 1 else 1 for j in range(dim))
-    translation = tuple(2 * (trans >> j & 1) for j in range(dim))
-    return IsometryElement(SignedPermutation.diagonal(signs), translation)
 
 
 def diagonal_element(signs, translation) -> IsometryElement:
@@ -588,11 +574,11 @@ def _check_cap(size: int) -> None:
 
 
 def _inconsistent(known: IsometryElement, prod: IsometryElement) -> HolonomyExpansionError:
+    pair = " and ".join(
+        "(" + ", ".join(str(format_quarter(q)) for q in e.translation) + ")" for e in (known, prod)
+    )
     return HolonomyExpansionError(
-        "inconsistent cocycle: linear part "
-        f"{prod.linear} carries translations "
-        f"{quarters_as_rationals(known.translation)} and "
-        f"{quarters_as_rationals(prod.translation)} mod 1"
+        f"inconsistent cocycle: linear part {prod.linear} carries translations {pair} mod 1"
     )
 
 
@@ -614,11 +600,16 @@ def is_torsion_free(group: BieberbachGroup) -> bool:
 
 def torsion_witness(group: BieberbachGroup) -> IsometryElement | None:
     """The first non-identity representative whose coset contains torsion,
-    or None.  A mask group is scanned only if its histogram shows one."""
+    or None.  A mask group walks only if its histogram shows one, and only
+    as far as the witness, storing no representative."""
     histogram = group.mask_histogram
-    if histogram is not None and all(b or not x for (x, b), _count in histogram):
+    if histogram is None:
+        cosets = group.holonomy
+    elif all(b or not x for (x, b), _count in histogram):
         return None
-    for elem in group.holonomy:
+    else:
+        cosets = _walk(group.generators, group.dim)
+    for elem in cosets:
         if not elem.linear.is_identity() and not coset_is_torsion_free(elem):
             return elem
     return None
@@ -734,10 +725,12 @@ def validate(group: BieberbachGroup) -> ValidationReport:
 
     Closure and cocycle consistency hold by construction: expand_holonomy,
     the only way to make a group, checks every product rep(a) * g of its
-    walk and raises on the first mismatch, which validate_generators
-    reports.  So this costs the torsion test and classify_holonomy, which
-    form no product and, for a mask group, build no coset: about 42 ms for
-    a K_17 member (2^16 cosets), and under 1 ms for B_6 (see HOLONOMY_CAP).
+    walk, or the span of a mask group's basis, and raises on the first
+    mismatch, which validate_generators reports.  So this costs the torsion
+    test and classify_holonomy, which form no product and, for a torsion-free
+    mask group, build no coset: about 42 ms for a K_17 member (2^16 cosets),
+    and about 1 ms for B_6 (see HOLONOMY_CAP).  A mask group with torsion
+    walks only as far as its witness and stores no coset.
     """
     witness = torsion_witness(group)
     cls = classify_holonomy(group)

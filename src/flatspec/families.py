@@ -294,8 +294,6 @@ def kn_family(n: int) -> Iterator[BieberbachGroup]:
 
 def torus(n: int) -> BieberbachGroup:
     """The trivial-holonomy group of the n-torus."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
     return expand_holonomy([], n, name=f"T^{n}")
 
 

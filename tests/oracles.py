@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from flatspec import bieberbach
-from flatspec.arith import binomial, krawtchouk, quarters_as_rationals
+from flatspec.arith import binomial, format_quarter, krawtchouk
 from flatspec.bieberbach import HolonomyExpansionError, IsometryElement, SignedPermutation
 from flatspec.lattice import fixed_vectors, shell_vectors
 
@@ -115,11 +115,13 @@ def expand_by_compose(generators, dim: int) -> tuple[IsometryElement, ...]:
                 reps[prod.linear] = prod
                 queue.append(prod)
             elif known.translation != prod.translation:
+                known_t, prod_t = (
+                    "(" + ", ".join(str(format_quarter(q)) for q in e.translation) + ")"
+                    for e in (known, prod)
+                )
                 raise HolonomyExpansionError(
-                    "inconsistent cocycle: linear part "
-                    f"{prod.linear} carries translations "
-                    f"{quarters_as_rationals(known.translation)} and "
-                    f"{quarters_as_rationals(prod.translation)} mod 1"
+                    f"inconsistent cocycle: linear part {prod.linear} carries "
+                    f"translations {known_t} and {prod_t} mod 1"
                 )
     return tuple(reps.values())
 

@@ -68,6 +68,34 @@ def test_dimension_cap_is_enforced_where_groups_are_built(capsys, tmp_path):
     assert report["error"] == message
 
 
+@pytest.mark.parametrize("dim", [-1, 0])
+def test_a_dimension_below_one_is_refused(capsys, tmp_path, dim):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"dim": dim}), encoding="utf-8")
+    message = f"dimension must be >= 1, got {dim}"
+    # main returns, so no traceback reaches the user
+    for spec in (str(path), f"torus:{dim}"):
+        code, out = run(capsys, "spectrum", spec, "--norms", "0,1")
+        assert code == 2 and json.loads(out) == {"error": message}
+    code, out = run(capsys, "validate", str(path))
+    report = json.loads(out)
+    assert code == 2 and not report["accepted"]
+    assert report["error"] == message
+
+
+def test_an_inconsistent_cocycle_names_its_translations(capsys, tmp_path):
+    # the swap with translation (1/4, 1/4) squares to the identity with (1/2, 1/2)
+    path = tmp_path / "inconsistent.json"
+    generator = {"perm": [2, 1], "signs": [1, 1], "translation": ["1/4", "1/4"]}
+    path.write_text(json.dumps({"dim": 2, "generators": [generator]}), encoding="utf-8")
+    code, out = run(capsys, "spectrum", str(path), "--norms", "1")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "inconsistent cocycle: linear part [e1,e2] carries translations "
+        "(0, 0) and (1/2, 1/2) mod 1"
+    }
+
+
 def test_spectrum_goldens(capsys):
     assert_golden(
         capsys, "spectrum_dim3.txt",

@@ -158,6 +158,21 @@ def test_derived_data_have_one_owner():
     assert mask_names == []
 
 
+def test_one_walk_builds_every_coset():
+    # the representatives, the inconsistency errors and the torsion
+    # witnesses all come from one breadth-first walk: exactly one function
+    # in the package builds a deque
+    import flatspec
+
+    builders = set()
+    for info in pkgutil.iter_modules(flatspec.__path__):
+        source = inspect.getsource(importlib.import_module(f"flatspec.{info.name}"))
+        for scope, node in _scoped_nodes(ast.parse(source), info.name):
+            if isinstance(node, ast.Call) and _called_name(node.func) == "deque":
+                builders.add(scope)
+    assert builders == {"bieberbach._walk"}
+
+
 def test_hyperoctahedral_orders_and_classes():
     assert [hyperoctahedral(n).order for n in (3, 4)] == [48, 384]
     assert classify_holonomy(hyperoctahedral(3)).description == "nonabelian of order 48"
@@ -354,15 +369,11 @@ def _outcome(expand):
 
 @settings(deadline=None, max_examples=300)
 @given(half_generator_sets(), st.sampled_from([None, 4]))
-def test_mask_walk_matches_the_compose_walk(case, cap):
+def test_mask_groups_expand_as_the_compose_walk(case, cap):
+    # at cap 4 a consistent span of rank 3 takes the basis's cap check
     n, gens = case
     cap = cap or bieberbach.HOLONOMY_CAP
-
-    def refuse(*args):
-        raise AssertionError("a diagonal half-translation group took the general product")
-
     with mock.patch.object(bieberbach, "HOLONOMY_CAP", cap):
         expected = _outcome(lambda: expand_by_compose(gens, n))
-        with mock.patch.object(IsometryElement, "compose", refuse):
-            got = _outcome(lambda: expand_holonomy(gens, n).holonomy)
+        got = _outcome(lambda: expand_holonomy(gens, n).holonomy)
     assert got == expected

@@ -45,10 +45,10 @@ def assert_matches_element_path(group: BieberbachGroup) -> None:
     assert is_torsion_free(group) == is_torsion_free(twin)
     assert classify_holonomy(group) == classify_holonomy(twin)
     assert dict(group.signature) == dict(twin.signature)
-    if is_torsion_free(twin):
-        assert "holonomy" not in vars(group), "a mask check built the representatives"
-    # a witness names the first torsion coset in representative order
+    # a witness names the first torsion coset in representative order, and
+    # no mask check, the walk that finds a witness included, stores one
     assert torsion_witness(group) == torsion_witness(twin)
+    assert "holonomy" not in vars(group), "a mask check built the representatives"
     assert group.holonomy == twin.holonomy
     assert group == twin and hash(group) == hash(twin)
 
@@ -95,6 +95,20 @@ def test_torsion_witness_is_the_first_in_order():
     assert not is_torsion_free(group)
     assert torsion_witness(group) == gens[1]
     assert torsion_witness(_element_twin(group)) == gens[1]
+
+
+def test_a_rejected_k8_member_names_its_witness_without_holonomy():
+    # a K_8 member whose generator 7 keeps its reflection but not its
+    # translation, as sweep-validate's reject jobs read it
+    member = families.kn_group_from_array(families.kn_array(8, 12345))
+    gens = list(member.generators)
+    gens[6] = IsometryElement(gens[6].linear, (0,) * 8)
+    group = expand_holonomy(gens, 8, name="K8-zero7")
+    report = validate(group)
+    assert not report.accepted and not report.torsion_free
+    assert "holonomy" not in vars(group)
+    witness = torsion_witness(_element_twin(group))
+    assert report.error == f"coset of {witness} contains an element of finite order"
 
 
 def test_mask_groups_compare_without_building_holonomy():
