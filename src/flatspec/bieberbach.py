@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import attrgetter
 
 from .arith import (
@@ -395,23 +395,9 @@ class BieberbachGroup(Record):
 
     @cached_property
     def mask_histogram(self) -> tuple[tuple[tuple[int, int], int], ...] | None:
-        """For a mask group, the pairs ((x, b), count): count cosets negate x
-        axes and translate b of the axes they fix by 1/2, x = popcount(neg)
-        and b = popcount(~neg & trans).  None for any other group.  A Gray-code
-        walk over the 2^r combinations of the basis.  A coset with x > 0 is
-        torsion free iff b > 0 (coset_is_torsion_free for a diagonal B)."""
-        basis = self._basis
-        if basis is None:
-            return None
-        counts = {(0, 0): 1}
-        neg = trans = 0
-        for i in range(1, 1 << len(basis)):
-            # step i flips the basis pair of its lowest set bit
-            b_neg, b_trans = basis[(i & -i).bit_length() - 1]
-            neg, trans = neg ^ b_neg, trans ^ b_trans
-            key = (neg.bit_count(), (trans & ~neg).bit_count())
-            counts[key] = counts.get(key, 0) + 1
-        return tuple(counts.items())
+        """span_histogram of a mask group's basis, None for any other group.
+        A coset with x > 0 is torsion free iff b > 0 (coset_is_torsion_free)."""
+        return None if self._basis is None else span_histogram(self._basis)
 
     @cached_property
     def signature(self) -> tuple[tuple[ThetaKey, tuple[int, ...]], ...]:
@@ -525,6 +511,23 @@ def _mask_basis(masks) -> tuple[tuple[int, int], ...] | None:
     return tuple(basis)
 
 
+def span_histogram(basis) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The pairs ((x, b), count) over the span of independent (negation,
+    half-translation) mask pairs: count elements negate x axes and translate
+    b of the axes they fix by 1/2, x = popcount(neg) and
+    b = popcount(~neg & trans).  A Gray-code walk, one XOR a step, with the
+    keys in order of first appearance."""
+    counts = {(0, 0): 1}
+    neg = trans = 0
+    for i in range(1, 1 << len(basis)):
+        # step i flips the basis pair of its lowest set bit
+        b_neg, b_trans = basis[(i & -i).bit_length() - 1]
+        neg, trans = neg ^ b_neg, trans ^ b_trans
+        key = (neg.bit_count(), (trans & ~neg).bit_count())
+        counts[key] = counts.get(key, 0) + 1
+    return tuple(counts.items())
+
+
 def _walk(gens, dim: int):
     """Breadth-first closure of the generators modulo Z^n: yields each new
     representative rep(a) * g as the walk finds it, identity first, and
@@ -550,19 +553,7 @@ def _walk(gens, dim: int):
 
 def diagonal_element(signs, translation) -> IsometryElement:
     """diag(signs) L_translation (quarter units), with the checks of the
-    public constructors, built once per distinct input: the members of a
-    family such as K_n share their generator objects.  Cosets are built
-    without it, so they are freed with their group."""
-    signs, translation = tuple(signs), tuple(translation)
-    if all(type(v) is int for v in signs + translation):
-        return _interned_diagonal(signs, translation)
-    return IsometryElement(SignedPermutation.diagonal(signs), translation)
-
-
-# int entries only: as a cache key True equals 1, so a bool entry would get
-# the cached element where the checks raise TypeError
-@lru_cache(maxsize=1 << 16)
-def _interned_diagonal(signs: tuple[int, ...], translation: tuple[int, ...]) -> IsometryElement:
+    public constructors."""
     return IsometryElement(SignedPermutation.diagonal(signs), translation)
 
 

@@ -265,7 +265,7 @@ def _print_kn_graphs(dim: int) -> int:
     separator = ""
     for array in families.kn_arrays(dim):
         dot = graphs.to_dot(graphs.graph_of(array))
-        print(f"{separator}// {families.kn_name(array)}\n{dot}", end="")
+        print(f"{separator}// {families.kn_name(array.n, array.bits())}\n{dot}", end="")
         separator = "\n"
     return 0
 
@@ -285,14 +285,19 @@ def cmd_family(args) -> int:
         return 0
     if args.graphs and args.kind == "kn":
         return _print_kn_graphs(args.dim)
-    members = families.family_members(args.kind, args.dim)
-    if args.verify_theorem is not None:
+    n_max = args.verify_theorem
+    if n_max is not None and args.kind == "kn":
+        checks = spectra.histogram_theorem_checks(families.kn_histograms(args.dim), args.dim, n_max)
+    else:
+        members = families.family_members(args.kind, args.dim)
+        checks = ((group.label(), spectra.theorem_check(group, n_max)) for group in members)
+    if n_max is not None:
         total = failures = 0
-        for group in members:
-            failed = spectra.theorem_check(group, args.verify_theorem) is not None
+        for label, failing in checks:
+            failed = failing is not None
             total += 1
             failures += failed
-            print(f"{group.label()}: {'FAIL' if failed else 'pass'} (N <= {args.verify_theorem})")
+            print(f"{label}: {'FAIL' if failed else 'pass'} (N <= {n_max})")
         print(f"{total - failures}/{total} groups satisfy d_f = 2^(n-k)|shell| and d_e = d_o")
         return 0 if failures == 0 else 2
     if args.graphs:

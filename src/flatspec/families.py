@@ -33,15 +33,17 @@ from .bieberbach import (
     expand_holonomy,
     is_orientable,
     is_torsion_free,
+    span_histogram,
     validate,
 )
 
 #: largest n for which the full Z2^(n-1) array family may be enumerated.
-#: Building costs about 0.18 ms per K_8 member and the theorem check to
-#: N = 2 about 0.23 ms more (CPython 3.11, Xeon VM, 2000 sampled members),
-#: so all 2^21 members of K_8 take about 6 minutes to build and 14 minutes
-#: with ``family kn --verify-theorem 2``; counting the family and building
-#: one member by index stay cheap at the cap.
+#: Building a K_8 member costs about 0.18 ms and its group's theorem check
+#: to N = 2 about 0.23 ms more, so all 2^21 take about 6 minutes to build.
+#: ``family kn --verify-theorem 2`` builds none: a member's histogram and
+#: three rows cost 0.13-0.16 ms (every 256th member, 8192 in all, 3 runs;
+#: CPython 3.11, Xeon VM), so all of K_8 takes 4.5-5.5 minutes, not 14.
+#: Counting the family and building one member by index stay cheap.
 KN_CAP = 8
 
 #: the built-in families, in the order the CLI offers them
@@ -199,31 +201,23 @@ class GhwArray(Record):
     @classmethod
     def from_bits(cls, n: int, bits) -> "GhwArray":
         """Array with the free entries (r, c), r < c <= n-2 (0-based, in
-        lexicographic order) set from the 0/1 bit vector: valid by
-        construction, so it skips the entry checks of the constructor."""
+        lexicographic order) set from the 0/1 bit vector: column c is the
+        translation mask of kn_masks' generator c.  Valid by construction, so
+        it skips the entry checks of the constructor."""
         if n < 2:
             raise ValueError(f"arrays need n >= 2, got {n}")
         bits = tuple(int(b) for b in bits)
-        positions = free_positions(n)
-        if len(bits) != len(positions):
-            raise ValueError(f"need {len(positions)} bits for n={n}, got {len(bits)}")
-        rows = [[0] * n for _ in range(n)]
-        for c in range(n - 1):
-            rows[c + 1][c] = 2
-        for (r, c), bit in zip(positions, bits):
-            rows[r][c] = 2 if bit else 0
-        for r in range(n):
-            rows[r][n - 1] = sum(rows[r][: n - 1]) % 4
-        return cls._trusted(n=n, entries=tuple(tuple(row) for row in rows))
+        width = free_parameter_count(n)
+        if len(bits) != width:
+            raise ValueError(f"need {width} bits for n={n}, got {len(bits)}")
+        rows = [[2 * (t >> r & 1) for _neg, t in kn_masks(n, bits)] for r in range(n)]
+        return cls._trusted(n=n, entries=tuple((*row, sum(row) % 4) for row in rows))
 
     def column(self, c: int) -> tuple[int, ...]:
         return tuple(self.entries[r][c] for r in range(self.n))
 
     def bits(self) -> tuple[int, ...]:
         return tuple(self.entries[r][c] // 2 for r, c in free_positions(self.n))
-
-    def bit_string(self) -> str:
-        return "".join(str(b) for b in self.bits())
 
     def to_json(self) -> dict:
         return {
@@ -246,13 +240,37 @@ def kn_group_from_array(array: GhwArray) -> BieberbachGroup:
     and translates by column i."""
     n = array.n
     columns = [tuple(-1 if k == c else 1 for k in range(n)) for c in range(n - 1)]
-    return diagonal_group(columns, map(array.column, range(n - 1)), name=kn_name(array))
+    return diagonal_group(columns, map(array.column, range(n - 1)), name=kn_name(n, array.bits()))
 
 
-def kn_name(array: GhwArray) -> str:
-    """K<n>[bits], or K<n> when the array has no free bits."""
-    bit_string = array.bit_string()
-    return f"K{array.n}[{bit_string}]" if bit_string else f"K{array.n}"
+def kn_name(n: int, bits) -> str:
+    """K<n>[bits] for a member's free bit vector, or K<n> when it has none."""
+    return f"K{n}[{''.join(map(str, bits))}]" if bits else f"K{n}"
+
+
+def kn_masks(n: int, bits) -> list[tuple[int, int]]:
+    """The generators' mask pairs (IsometryElement.half_masks) of the member
+    with these free bits, read off the bits: generator c negates axis c and
+    translates by 1/2 along axis c + 1 and each axis r with bit (r, c) set."""
+    trans = [2 << c for c in range(n - 1)]
+    for r, c in itertools.compress(free_positions(n), bits):
+        trans[c] |= 1 << r
+    return [(1 << c, t) for c, t in enumerate(trans)]
+
+
+def kn_histograms(n: int) -> Iterator[tuple[str, tuple]]:
+    """(name, mask histogram) of every member, in kn_arrays order, building no
+    object; n is checked at the call.  A histogram showing torsion (x > 0
+    with b = 0) builds the member, whose check raises the full report."""
+    kn_family_size(n)
+
+    def member(bits):
+        counts = span_histogram(kn_masks(n, bits))
+        if any(x and not b for (x, b), _count in counts):
+            kn_group_from_array(GhwArray.from_bits(n, bits))
+        return kn_name(n, bits), counts
+
+    return map(member, itertools.product((0, 1), repeat=free_parameter_count(n)))
 
 
 def kn_family_size(n: int) -> int:

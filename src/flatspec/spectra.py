@@ -31,9 +31,10 @@ how a group with diagonal generators and translations in (1/2)Z^n reads it
 off without building a coset) sums the trace vectors of the cosets that
 share a key, and a row is (1/|F|) * sum over keys of T_p[key] * e(key, N):
 one theta lookup per key, not one per coset.  This module only certifies
-rows and scans N.  The theorem check of a K_6 member to N = 2 (its
-signature and three certified rows) takes about 0.2 ms (CPython 3.11,
-Xeon VM).
+rows and scans N.  The theorem sweep of K_n reads each member's (x, b)
+histogram off its bits and builds no group (``histogram_theorem_checks``):
+about 50 us per K_6 member to N = 2, walk and three certified rows
+included, against 0.2 ms for a built group (CPython 3.11, Xeon VM).
 
 Traces of the p-th exterior representation are the coefficients of
 det(Id + t*B) (``SignedPermutation.exterior_traces``); for an involution
@@ -42,10 +43,12 @@ they coincide with the Krawtchouk value K_p^n(n - n_B).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 from operator import mul
 
 from . import lattice
+from .arith import krawtchouk_table
 from .bieberbach import BieberbachGroup, IsometryElement, Record, classify_holonomy
 
 
@@ -68,18 +71,21 @@ def multiplicity_row(group: BieberbachGroup, norm_sq: int) -> tuple[int, ...]:
     lattice.check_norm(norm_sq)
     signature = group.signature
     sums = [lattice.theta_counts(key, norm_sq) for key, _traces in signature]
-    order = group.order
-    row = []
     # column p holds each key's trace on p-forms
-    for p, column in enumerate(zip(*(traces for _key, traces in signature))):
-        total = sum(map(mul, column, sums))
+    columns = zip(*(traces for _key, traces in signature))
+    totals = [sum(map(mul, column, sums)) for column in columns]
+    return _certified_row(totals, group.order, group.label(), norm_sq)
+
+
+def _certified_row(totals, order: int, label: str, norm_sq: int) -> tuple[int, ...]:
+    """(total_p / |F|) for every p, each certified an integer >= 0."""
+    for p, total in enumerate(totals):
         if total % order != 0 or total < 0:
             raise ArithmeticError(
-                f"multiplicity is not a nonnegative integer for {group.label()} "
+                f"multiplicity is not a nonnegative integer for {label} "
                 f"p={p} N={norm_sq}: averaged sum {total}/{order}"
             )
-        row.append(total // order)
-    return tuple(row)
+    return tuple([total // order for total in totals])
 
 
 def row_value(row: tuple[int, ...], mode: str) -> int:
@@ -102,6 +108,7 @@ def betti_numbers(group: BieberbachGroup) -> tuple[int, ...]:
 def _check_n_max(n_max: int) -> None:
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    lattice.check_norm(n_max)
 
 
 def theorem_check(group: BieberbachGroup, n_max: int) -> int | None:
@@ -110,7 +117,6 @@ def theorem_check(group: BieberbachGroup, n_max: int) -> int | None:
     Requires holonomy Z_2^k.  n_max is checked against the shell cap before
     any row is computed."""
     _check_n_max(n_max)
-    lattice.check_norm(n_max)
     cls = classify_holonomy(group)
     if cls.elementary_rank is None:
         raise ValueError(
@@ -123,6 +129,38 @@ def theorem_check(group: BieberbachGroup, n_max: int) -> int | None:
         if row_value(row, "f") != expected_f or row_value(row, "e") != row_value(row, "o"):
             return norm_sq
     return None
+
+
+def histogram_theorem_checks(members, n: int, n_max: int) -> Iterator[tuple[str, int | None]]:
+    """(label, what theorem_check returns) for each (label, (x, b) histogram)
+    of a mask group in dimension n, building no group: the signature sum
+    regrouped by x, d_p(N) = (1/|F|) sum_x K_p^n(x) sum_b h[x, b] e_{x,b}(N),
+    with e_{x,b} the series of the theta key (1,0)^(n-x-b) (1,2)^b, tabled
+    once per key for every N <= n_max.  n_max is checked before any row."""
+    _check_n_max(n_max)
+    norms = range(n_max + 1)
+    shells = [lattice.shell_count(n, norm_sq) for norm_sq in norms]
+    kraw = krawtchouk_table(n)
+    table: dict[tuple[int, int], list[int]] = {}
+    for label, counts in members:
+        counts = dict(counts)
+        order = sum(counts.values())
+        for x, b in counts.keys() - table.keys():
+            key = ((1, 0),) * (n - x - b) + ((1, 2),) * b
+            table[x, b] = [lattice.theta_counts(key, norm_sq) for norm_sq in norms]
+        terms = [(x, count, table[x, b]) for (x, b), count in counts.items()]
+        failing = None
+        for norm_sq in norms:
+            weights = [0] * (n + 1)
+            for x, count, series in terms:
+                weights[x] += count * series[norm_sq]
+            totals = [sum(map(mul, k_p, weights)) for k_p in kraw]
+            row = _certified_row(totals, order, label, norm_sq)
+            expected_f = (1 << n) // order * shells[norm_sq]
+            if row_value(row, "f") != expected_f or row_value(row, "e") != row_value(row, "o"):
+                failing = norm_sq
+                break
+        yield label, failing
 
 
 class SpectralComparison(Record):
@@ -164,7 +202,6 @@ def compare_spectra(
         raise ValueError(f"dimension mismatch: {left.dim} vs {right.dim}")
     label = _normalize_mode(mode, left.dim)
     _check_n_max(n_max)
-    lattice.check_norm(n_max)
     for norm_sq in range(n_max + 1):
         a = row_value(multiplicity_row(left, norm_sq), label)
         b = row_value(multiplicity_row(right, norm_sq), label)

@@ -4,11 +4,11 @@
 attributes through which other layers call them, and reads ``cache_info()``
 from named caches.  A rename, a changed import or a cache turned into a
 plain function would break only traced benchmark runs; this runs one small
-traced job and checks its report.  The job is a K_n sweep, whose groups are
-all diagonal with half translations, so the benchmark's own compose counter
-must read 0.  The sweep must also pass through the wrapped family
-constructors, once for the family and once per member: a registry that kept
-the function objects it saw at import would bypass the wrappers.
+traced job and checks its report.  The job lists the K_4 family, whose
+groups are all diagonal with half translations, so the benchmark's own
+compose counter must read 0.  The listing must also pass through the wrapped
+family constructors, once for the family and once per member: a registry
+that kept the function objects it saw at import would bypass the wrappers.
 """
 
 import importlib.util
@@ -32,7 +32,7 @@ def _worker_tables():
 def test_traced_worker_installs_every_hook(tmp_path):
     report_path = tmp_path / "report.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    argv = ["family", "kn", "--dim", "4", "--verify-theorem", "1"]
+    argv = ["family", "kn", "--dim", "4"]
     done = subprocess.run(
         [sys.executable, str(WORKER), str(report_path), "1", *argv],
         env=env,
@@ -41,7 +41,7 @@ def test_traced_worker_installs_every_hook(tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1].startswith("8/8 ")
+    assert len(done.stdout.splitlines()) == 8
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report.get("code") == 0
     assert "error" not in report

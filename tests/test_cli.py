@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from flatspec import families, graphs, lattice, spectra
+from flatspec import bieberbach, families, graphs, lattice, spectra
 from flatspec.bieberbach import IsometryElement, SignedPermutation
 from flatspec.cli import main
 from flatspec.graphs import graph_of
@@ -222,13 +222,14 @@ def test_family_verify_theorem(capsys):
 
 
 def test_family_verify_theorem_reports_failures(capsys, monkeypatch):
-    true_row = multiplicity_row
+    # every row, whichever path summed it, passes the one certification
+    true_row = spectra._certified_row
 
-    def sabotaged(group, norm_sq):
-        d = true_row(group, norm_sq)
+    def sabotaged(totals, order, label, norm_sq):
+        d = true_row(totals, order, label, norm_sq)
         return d if norm_sq < 2 else (d[0] + 1,) + d[1:]
 
-    monkeypatch.setattr(spectra, "multiplicity_row", sabotaged)
+    monkeypatch.setattr(spectra, "_certified_row", sabotaged)
     code, out = run(capsys, "family", "kn", "--dim", "4", "--verify-theorem", "3")
     assert code == 2
     lines = out.splitlines()
@@ -261,28 +262,6 @@ def test_graph_all_json_is_a_list_even_of_one(capsys):
     assert json.loads(out) == payload[0]
 
 
-def test_family_sweep_holds_few_groups(capsys, monkeypatch):
-    # each member costs two rows (N = 0, 1), so a full row cache pins
-    # maxsize // 2 groups, plus the one being checked
-    alive = weakref.WeakSet()
-    most = 0
-    build = families.kn_group_from_array
-
-    def tracked(array):
-        nonlocal most
-        group = build(array)
-        alive.add(group)
-        most = max(most, len(alive))
-        return group
-
-    monkeypatch.setattr(families, "kn_group_from_array", tracked)
-    multiplicity_row.cache_clear()
-    code, out = run(capsys, "family", "kn", "--dim", "5", "--verify-theorem", "1")
-    assert code == 0
-    assert out.splitlines()[-1].startswith("64/64 ")
-    assert most <= multiplicity_row.cache_info().maxsize // 2 + 1
-
-
 def test_family_sweep_takes_the_mask_walk(capsys, monkeypatch):
     # no product, cycle, element order or theta key, and no representatives
     def refuse(*args):
@@ -295,19 +274,61 @@ def test_family_sweep_takes_the_mask_walk(capsys, monkeypatch):
         (SignedPermutation, "order", refuse),
     ):
         monkeypatch.setattr(cls, name, patch)
+    # and no group: the members are read off their bits
     built = []
-    build = families.kn_group_from_array
-
-    def tracked(array):
-        built.append(build(array))
-        return built[-1]
-
-    monkeypatch.setattr(families, "kn_group_from_array", tracked)
+    for name in ("kn_group_from_array", "expand_holonomy"):
+        monkeypatch.setattr(families, name, lambda *args, name=name: built.append(name))
     guarded = run(capsys, "family", "kn", "--dim", "5", "--verify-theorem", "2")
-    assert len(built) == 64 and not any("holonomy" in vars(group) for group in built)
+    assert built == []
     monkeypatch.undo()
     assert guarded == run(capsys, "family", "kn", "--dim", "5", "--verify-theorem", "2")
     assert guarded[0] == 0 and guarded[1].splitlines()[-1].startswith("64/64 ")
+
+
+def test_a_torsion_histogram_raises_the_group_paths_report(capsys, monkeypatch):
+    # K4[010]'s walk is made to show a reflection, and every coset to hold
+    # torsion: the sweep then builds that member, and the group path's
+    # report ends the run after the members before it
+    true_histogram = bieberbach.span_histogram
+    target = frozenset(families.kn_masks(4, (0, 1, 0)))
+
+    def with_torsion(basis):
+        counts = true_histogram(basis)
+        return counts + (((1, 0), 1),) if frozenset(basis) == target else counts
+
+    for module in (bieberbach, families):
+        monkeypatch.setattr(module, "span_histogram", with_torsion)
+    monkeypatch.setattr(bieberbach, "coset_is_torsion_free", lambda element: False)
+    with pytest.raises(bieberbach.GroupValidationError) as built:
+        families.kn_group_from_array(families.kn_array(4, 2))
+    code, out = run(capsys, "family", "kn", "--dim", "4", "--verify-theorem", "2")
+    lines = out.splitlines()
+    assert code == 2 and len(lines) == 3
+    assert lines[:2] == ["K4[000]: pass (N <= 2)", "K4[001]: pass (N <= 2)"]
+    assert json.loads(lines[2]) == {"error": str(built.value), "report": built.value.report.to_json()}
+    assert "finite order" in str(built.value)
+
+
+def test_the_k7_theorem_sweep_within_budget(capsys):
+    start = time.perf_counter()
+    code, out = run(capsys, "family", "kn", "--dim", "7", "--verify-theorem", "2")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and out.splitlines()[-1].startswith("32768/32768 ")
+    assert elapsed < 5.0, f"the K_7 sweep took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize(
+    "dim, n_max, message",
+    [
+        ("1", "2", "the family needs n >= 2, got 1"),
+        ("9", "2", "dimension 9 exceeds the family cap 8"),
+        ("9", "-1", "dimension 9 exceeds the family cap 8"),
+        ("4", "10001", "squared norm 10001 exceeds the shell cap 10000"),
+    ],
+)
+def test_the_theorem_sweep_checks_its_input_first(capsys, dim, n_max, message):
+    code, out = run(capsys, "family", "kn", "--dim", dim, "--verify-theorem", n_max)
+    assert (code, json.loads(out)) == (2, {"error": message})
 
 
 def test_negative_nmax_is_an_error(capsys):

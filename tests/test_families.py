@@ -23,6 +23,8 @@ from flatspec.families import (
     kn_family,
     kn_family_size,
     kn_group_from_array,
+    kn_histograms,
+    kn_masks,
     torus,
     z2_family,
     z2_family_size,
@@ -201,6 +203,42 @@ def test_kn_array_equals_the_checked_array(n):
         array = kn_array(n, index)
         assert array == GhwArray(n, array.entries)
         assert hash(array) == hash(GhwArray(n, array.entries))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_members_from_bits_match_the_built_groups(n):
+    # the theorem sweep reads each member off its bits; the group path
+    # builds it: the mask pairs and histograms agree as multisets
+    bit_vectors = itertools.product((0, 1), repeat=free_parameter_count(n))
+    members = list(kn_histograms(n))
+    assert len(members) == kn_family_size(n)
+    for index, (bits, (name, counts)) in enumerate(zip(bit_vectors, members)):
+        group = kn_group_from_array(kn_array(n, index))
+        assert name == group.name
+        assert sorted(kn_masks(n, bits)) == sorted(g.half_masks for g in group.generators)
+        assert sorted(counts) == sorted(group.mask_histogram)
+
+
+def test_the_sweep_rows_are_the_group_rows(monkeypatch):
+    # every row the histogram sweep certifies, recorded at the one
+    # certification, against multiplicity_row of the built group
+    from flatspec import spectra
+
+    rows = {}
+    certify = spectra._certified_row
+
+    def recorded(totals, order, label, norm_sq):
+        rows[label, norm_sq] = certify(totals, order, label, norm_sq)
+        return rows[label, norm_sq]
+
+    monkeypatch.setattr(spectra, "_certified_row", recorded)
+    checks = list(spectra.histogram_theorem_checks(kn_histograms(5), 5, 12))
+    monkeypatch.undo()
+    assert len(checks) == 64 and all(failing is None for _name, failing in checks)
+    assert len(rows) == 64 * 13
+    for group in kn_family(5):
+        for norm_sq in range(13):
+            assert rows[group.name, norm_sq] == spectra.multiplicity_row(group, norm_sq)
 
 
 def test_from_bits_keeps_its_own_checks():

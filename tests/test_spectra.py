@@ -463,7 +463,6 @@ def test_every_cache_is_bounded():
     # a new cache must be named here; products, mask cosets, exterior
     # traces and cycles have none
     assert set(maxsizes) == {
-        "bieberbach._interned_diagonal",
         "families.catalog",
         "lattice.theta_counts",
         "arith.krawtchouk_table",
