@@ -262,6 +262,29 @@ def test_graph_all_json_is_a_list_even_of_one(capsys):
     assert json.loads(out) == payload[0]
 
 
+def test_family_sweep_holds_few_groups(capsys, monkeypatch):
+    # each member costs two rows (N = 0, 1), so a full row cache pins
+    # maxsize // 2 groups, plus the one being checked; the bit sweep
+    # reads its members off their bits and holds none
+    alive = weakref.WeakSet()
+    most = 0
+    build = families.kn_group_from_array
+
+    def tracked(array):
+        nonlocal most
+        group = build(array)
+        alive.add(group)
+        most = max(most, len(alive))
+        return group
+
+    monkeypatch.setattr(families, "kn_group_from_array", tracked)
+    multiplicity_row.cache_clear()
+    code, out = run(capsys, "family", "kn", "--dim", "5", "--verify-theorem", "1")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("64/64 ")
+    assert most <= multiplicity_row.cache_info().maxsize // 2 + 1
+
+
 def test_family_sweep_takes_the_mask_walk(capsys, monkeypatch):
     # no product, cycle, element order or theta key, and no representatives
     def refuse(*args):
