@@ -19,6 +19,7 @@ Translations are written in quarter units throughout (2 is 1/2, 1 is 1/4).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import lru_cache, partial
 
@@ -33,17 +34,13 @@ from .bieberbach import (
     expand_holonomy,
     is_orientable,
     is_torsion_free,
-    span_histogram,
     validate,
 )
 
 #: largest n for which the full Z2^(n-1) array family may be enumerated.
-#: Building a K_8 member costs about 0.18 ms and its group's theorem check
-#: to N = 2 about 0.23 ms more, so all 2^21 take about 6 minutes to build.
-#: ``family kn --verify-theorem 2`` builds none: a member's histogram and
-#: three rows cost 0.13-0.16 ms (every 256th member, 8192 in all, 3 runs;
-#: CPython 3.11, Xeon VM), so all of K_8 takes 4.5-5.5 minutes, not 14.
-#: Counting the family and building one member by index stay cheap.
+#: A K_8 member takes 0.26-0.32 ms to build and 0.15-0.18 ms to check to
+#: N = 2, so 14-18 minutes for all 2^21; ``family kn --verify-theorem 2``
+#: builds none: all of K_8 in 85-115 s, 44 MiB peak RSS (CPython 3.11, VM).
 KN_CAP = 8
 
 #: the built-in families, in the order the CLI offers them
@@ -121,8 +118,7 @@ def diagonal_group(sign_columns, translations, name: str | None = None) -> Biebe
     (quarter units).
 
     Raises GroupValidationError carrying the full report if the group has
-    torsion.  Builds the Hantzsche-Wendt groups, the dimension-3 Z2^2 trio
-    and every member of the array family.
+    torsion.  Builds the Hantzsche-Wendt groups and the dimension-3 Z2^2 trio.
     """
     columns = [tuple(col) for col in sign_columns]
     shifts = [tuple(trans) for trans in translations]
@@ -177,10 +173,10 @@ class GhwArray(Record):
             raise ValueError(f"arrays need n >= 2, got {n}")
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError(f"entries must form an {n}x{n} array")
-        for row in entries:
-            for value in row:
-                if value not in (0, 2):
-                    raise ValueError(f"entries must be 0 or 1/2, got {format_quarter(value)}")
+        for value in itertools.chain.from_iterable(entries):
+            if type(value) is not int or value not in (0, 2):
+                got = format_quarter(value) if type(value) is int else repr(value)
+                raise ValueError(f"entries must be 0 or 1/2, got {got}")
         super().__init__(n, entries)
         # the free entries decide the rest, as from_bits builds them
         expected = GhwArray.from_bits(n, self.bits()).entries
@@ -210,8 +206,8 @@ class GhwArray(Record):
         width = free_parameter_count(n)
         if len(bits) != width:
             raise ValueError(f"need {width} bits for n={n}, got {len(bits)}")
-        rows = [[2 * (t >> r & 1) for _neg, t in kn_masks(n, bits)] for r in range(n)]
-        return cls._trusted(n=n, entries=tuple((*row, sum(row) % 4) for row in rows))
+        columns = [[2 * (t >> r & 1) for r in range(n)] for _neg, t in kn_masks(n, bits)]
+        return cls._trusted(n=n, entries=tuple((*row, sum(row) % 4) for row in zip(*columns)))
 
     def column(self, c: int) -> tuple[int, ...]:
         return tuple(self.entries[r][c] for r in range(self.n))
@@ -236,11 +232,13 @@ def free_parameter_count(n: int) -> int:
 
 
 def kn_group_from_array(array: GhwArray) -> BieberbachGroup:
-    """The torsion-free group read off an array: generator i negates axis i
-    and translates by column i."""
+    """The torsion-free group read off an array: generator c negates axis c
+    and translates by column c, valid by construction and built unchecked."""
     n = array.n
-    columns = [tuple(-1 if k == c else 1 for k in range(n)) for c in range(n - 1)]
-    return diagonal_group(columns, map(array.column, range(n - 1)), name=kn_name(n, array.bits()))
+    flips = [tuple(-1 if k == c else 1 for k in range(n)) for c in range(n - 1)]
+    linears = [SignedPermutation._trusted(perm=tuple(range(n)), signs=signs) for signs in flips]
+    gens = [IsometryElement._trusted(linear=b, translation=array.column(c)) for c, b in enumerate(linears)]
+    return require_torsion_free(expand_holonomy(gens, n, name=kn_name(n, array.bits())))
 
 
 def kn_name(n: int, bits) -> str:
@@ -258,19 +256,49 @@ def kn_masks(n: int, bits) -> list[tuple[int, int]]:
     return [(1 << c, t) for c, t in enumerate(trans)]
 
 
+def kn_coset_keys(n: int) -> Iterator[tuple[tuple[int, ...], bytes]]:
+    """(free bits, coset keys) of every member, in kn_arrays order; n is
+    checked at the call.  Byte S is 16 x + b for the product of the
+    generators in the bit set S: axis r adds 16 if r is in S, else 1 if
+    |S & R_r| is odd, R_r being row r of the array (generator r - 1 and each
+    c > r with bit (r, c) set).  The terms of rows 0-1, and of the others, are
+    summed ahead (2^11 and 2^10 sums at n = 8): one big-int addition a member."""
+    kn_family_size(n)
+    cosets = range(1 << (n - 1))
+
+    def terms(r):
+        columns = range(r + 1, n - 1)  # the free bits (r, c) of row r
+        for bits in itertools.product((0, 1), repeat=len(columns)):
+            R = 1 << r >> 1 | sum(bit << c for bit, c in zip(bits, columns))
+            yield int.from_bytes(bytes(16 if S >> r & 1 else (S & R).bit_count() & 1 for S in cosets), "little")
+
+    head, tail = (list(map(sum, itertools.product(*map(terms, rows)))) for rows in (range(2), range(2, n)))
+    keys = ((v + w).to_bytes(len(cosets), "little") for v, w in itertools.product(head, tail))
+    return zip(itertools.product((0, 1), repeat=free_parameter_count(n)), keys)
+
+
 def kn_histograms(n: int) -> Iterator[tuple[str, tuple]]:
     """(name, mask histogram) of every member, in kn_arrays order, building no
-    object; n is checked at the call.  A histogram showing torsion (x > 0
-    with b = 0) builds the member, whose check raises the full report."""
-    kn_family_size(n)
+    object; n is checked at the call.  Sorted coset keys are decoded once and
+    shared (the memo is cleared at 2^14 keys); a new histogram with torsion
+    (x > 0 with b = 0) builds the member, whose check raises the report."""
+    members = kn_coset_keys(n)
+    decoded: dict[bytes, tuple] = {}
+    pairs = {  # shared: K_8's histograms are mostly distinct, and took 250 MiB unshared
+        (16 * x + b, c): ((x, b), c) for x in range(n) for b in range(n + 1 - x) for c in range(1 << n - 1)
+    }
 
-    def member(bits):
-        counts = span_histogram(kn_masks(n, bits))
-        if any(x and not b for (x, b), _count in counts):
-            kn_group_from_array(GhwArray.from_bits(n, bits))
-        return kn_name(n, bits), counts
+    def histogram(bits, keys):
+        keys = bytes(sorted(keys))
+        if keys not in decoded:
+            if len(decoded) >= 1 << 14:
+                decoded.clear()
+            decoded[keys] = tuple(map(pairs.__getitem__, Counter(keys).items()))
+            if any(x and not b for (x, b), _count in decoded[keys]):
+                kn_group_from_array(GhwArray.from_bits(n, bits))
+        return kn_name(n, bits), decoded[keys]
 
-    return map(member, itertools.product((0, 1), repeat=free_parameter_count(n)))
+    return itertools.starmap(histogram, members)
 
 
 def kn_family_size(n: int) -> int:
@@ -302,7 +330,7 @@ def kn_arrays(n: int) -> Iterator[GhwArray]:
 def kn_family(n: int) -> Iterator[BieberbachGroup]:
     """All 2^((n-1)(n-2)/2) groups, each validated torsion-free, built one at
     a time as the result is iterated; n is checked at the call.  See KN_CAP
-    for the cost at the cap (about 6 minutes to build all of K_8)."""
+    for the cost at the cap (about 10 minutes to build all of K_8)."""
     return map(kn_group_from_array, kn_arrays(n))
 
 

@@ -32,9 +32,8 @@ off without building a coset) sums the trace vectors of the cosets that
 share a key, and a row is (1/|F|) * sum over keys of T_p[key] * e(key, N):
 one theta lookup per key, not one per coset.  This module only certifies
 rows and scans N.  The theorem sweep of K_n reads each member's (x, b)
-histogram off its bits and builds no group (``histogram_theorem_checks``):
-about 50 us per K_6 member to N = 2, walk and three certified rows
-included, against 0.2 ms for a built group (CPython 3.11, Xeon VM).
+histogram off its array and builds no group (``histogram_theorem_checks``):
+15-25 us per K_6 member to N = 2, against 0.2 ms built (CPython 3.11, VM).
 
 Traces of the p-th exterior representation are the coefficients of
 det(Id + t*B) (``SignedPermutation.exterior_traces``); for an involution
@@ -136,31 +135,39 @@ def histogram_theorem_checks(members, n: int, n_max: int) -> Iterator[tuple[str,
     of a mask group in dimension n, building no group: the signature sum
     regrouped by x, d_p(N) = (1/|F|) sum_x K_p^n(x) sum_b h[x, b] e_{x,b}(N),
     with e_{x,b} the series of the theta key (1,0)^(n-x-b) (1,2)^b, tabled
-    once per key for every N <= n_max.  n_max is checked before any row."""
+    once per key.  A distinct histogram is scanned, and a distinct row (|F|,
+    N, w) certified, once (memos cleared at 2^16); n_max is checked first."""
     _check_n_max(n_max)
     norms = range(n_max + 1)
     shells = [lattice.shell_count(n, norm_sq) for norm_sq in norms]
     kraw = krawtchouk_table(n)
     table: dict[tuple[int, int], list[int]] = {}
+    passes: dict[tuple[int, ...], bool] = {}  # (|F|, N, *w) -> the row keeps the theorem
+    verdicts: dict[tuple, int | None] = {}
     for label, counts in members:
-        counts = dict(counts)
-        order = sum(counts.values())
-        for x, b in counts.keys() - table.keys():
-            key = ((1, 0),) * (n - x - b) + ((1, 2),) * b
-            table[x, b] = [lattice.theta_counts(key, norm_sq) for norm_sq in norms]
-        terms = [(x, count, table[x, b]) for (x, b), count in counts.items()]
-        failing = None
-        for norm_sq in norms:
-            weights = [0] * (n + 1)
-            for x, count, series in terms:
-                weights[x] += count * series[norm_sq]
-            totals = [sum(map(mul, k_p, weights)) for k_p in kraw]
-            row = _certified_row(totals, order, label, norm_sq)
-            expected_f = (1 << n) // order * shells[norm_sq]
-            if row_value(row, "f") != expected_f or row_value(row, "e") != row_value(row, "o"):
-                failing = norm_sq
-                break
-        yield label, failing
+        if counts not in verdicts:
+            if max(len(verdicts), len(passes)) >= 1 << 16:
+                verdicts.clear()
+                passes.clear()
+            order = sum(count for _key, count in counts)
+            for x, b in dict(counts).keys() - table.keys():
+                key = ((1, 0),) * (n - x - b) + ((1, 2),) * b
+                table[x, b] = [lattice.theta_counts(key, norm_sq) for norm_sq in norms]
+            terms = [(x, count, table[x, b]) for (x, b), count in counts]
+            verdicts[counts] = None
+            for norm_sq in norms:
+                weights = [0] * (n + 1)
+                for x, count, series in terms:
+                    weights[x] += count * series[norm_sq]
+                row_key = (order, norm_sq, *weights)
+                if row_key not in passes:
+                    row = _certified_row([sum(map(mul, k_p, weights)) for k_p in kraw], order, label, norm_sq)
+                    f, e, o = (row_value(row, mode) for mode in "feo")
+                    passes[row_key] = f == (1 << n) // order * shells[norm_sq] and e == o
+                if not passes[row_key]:
+                    verdicts[counts] = norm_sq
+                    break
+        yield label, verdicts[counts]
 
 
 class SpectralComparison(Record):

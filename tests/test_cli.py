@@ -309,18 +309,24 @@ def test_family_sweep_takes_the_mask_walk(capsys, monkeypatch):
 
 
 def test_a_torsion_histogram_raises_the_group_paths_report(capsys, monkeypatch):
-    # K4[010]'s walk is made to show a reflection, and every coset to hold
-    # torsion: the sweep then builds that member, and the group path's
-    # report ends the run after the members before it
-    true_histogram = bieberbach.span_histogram
+    # K4[010] is made to show a reflection, to the sweep in its coset keys
+    # (byte 1, the coset of generator 0, translating no axis it fixes) and
+    # to the group path in its walk, and every coset to hold torsion: the
+    # sweep then builds that member, and the group path's report ends the
+    # run after the members before it
+    true_keys, true_histogram = families.kn_coset_keys, bieberbach.span_histogram
     target = frozenset(families.kn_masks(4, (0, 1, 0)))
 
-    def with_torsion(basis):
+    def keys_with_torsion(n):
+        for bits, keys in true_keys(n):
+            yield bits, (keys[:1] + bytes([16]) + keys[2:] if bits == (0, 1, 0) else keys)
+
+    def walk_with_torsion(basis):
         counts = true_histogram(basis)
         return counts + (((1, 0), 1),) if frozenset(basis) == target else counts
 
-    for module in (bieberbach, families):
-        monkeypatch.setattr(module, "span_histogram", with_torsion)
+    monkeypatch.setattr(families, "kn_coset_keys", keys_with_torsion)
+    monkeypatch.setattr(bieberbach, "span_histogram", walk_with_torsion)
     monkeypatch.setattr(bieberbach, "coset_is_torsion_free", lambda element: False)
     with pytest.raises(bieberbach.GroupValidationError) as built:
         families.kn_group_from_array(families.kn_array(4, 2))
@@ -337,7 +343,20 @@ def test_the_k7_theorem_sweep_within_budget(capsys):
     code, out = run(capsys, "family", "kn", "--dim", "7", "--verify-theorem", "2")
     elapsed = time.perf_counter() - start
     assert code == 0 and out.splitlines()[-1].startswith("32768/32768 ")
-    assert elapsed < 5.0, f"the K_7 sweep took {elapsed:.2f} s"
+    assert elapsed < 2.0, f"the K_7 sweep took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("n_max", [0, 1, 4])
+def test_the_theorem_sweep_prints_the_group_paths_lines(capsys, dim, n_max):
+    # the sweep reads its members off their arrays; the group path builds
+    # each one and scans it with theorem_check
+    verdicts = [(g.label(), spectra.theorem_check(g, n_max)) for g in families.kn_family(dim)]
+    passed = sum(failing is None for _label, failing in verdicts)
+    lines = [f"{label}: {'pass' if failing is None else 'FAIL'} (N <= {n_max})" for label, failing in verdicts]
+    lines.append(f"{passed}/{len(verdicts)} groups satisfy d_f = 2^(n-k)|shell| and d_e = d_o")
+    expected = (0 if passed == len(verdicts) else 2, "\n".join(lines) + "\n")
+    assert run(capsys, "family", "kn", "--dim", str(dim), "--verify-theorem", str(n_max)) == expected
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,13 @@ import time
 import pytest
 from oracles import canonical_key
 
-from flatspec.bieberbach import GroupValidationError, is_torsion_free, validate
+from flatspec.bieberbach import (
+    GroupValidationError,
+    IsometryElement,
+    SignedPermutation,
+    is_torsion_free,
+    validate,
+)
 from flatspec.families import (
     KN_CAP,
     GhwArray,
@@ -20,6 +26,7 @@ from flatspec.families import (
     hw_groups,
     kn_array,
     kn_arrays,
+    kn_coset_keys,
     kn_family,
     kn_family_size,
     kn_group_from_array,
@@ -127,6 +134,17 @@ def test_array_invariants_rejected():
         GhwArray.from_rows([[0, 0], ["1/4", "1/4"]])
 
 
+@pytest.mark.parametrize("value", [2.0, 0.0, False, True, 1])
+def test_array_entries_are_int_quarter_units(value):
+    # kn_group_from_array builds its generators unchecked from the columns,
+    # so the array itself refuses any entry that is not the int 0 or 2
+    entries = [list(row) for row in GhwArray.from_bits(3, (1,)).entries]
+    entries[0][1 if value else 0] = value
+    got = "1/4" if value == 1 and type(value) is int else repr(value)
+    with pytest.raises(ValueError, match=rf"^entries must be 0 or 1/2, got {got}$"):
+        GhwArray(3, tuple(map(tuple, entries)))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_exactly_the_family_arrays_are_accepted(n):
     members = {array.entries for array in kn_arrays(n)}
@@ -221,8 +239,11 @@ def test_members_from_bits_match_the_built_groups(n):
 
 def test_the_sweep_rows_are_the_group_rows(monkeypatch):
     # every row the histogram sweep certifies, recorded at the one
-    # certification, against multiplicity_row of the built group
-    from flatspec import spectra
+    # certification under the first member that needs it, against
+    # multiplicity_row of the built group: a row depends on (N, w) alone,
+    # w_x(N) = sum_b h[x, b] e_{x,b}(N), so each distinct (N, w) is
+    # certified once and every member resolves to it
+    from flatspec import lattice, spectra
 
     rows = {}
     certify = spectra._certified_row
@@ -235,10 +256,48 @@ def test_the_sweep_rows_are_the_group_rows(monkeypatch):
     checks = list(spectra.histogram_theorem_checks(kn_histograms(5), 5, 12))
     monkeypatch.undo()
     assert len(checks) == 64 and all(failing is None for _name, failing in checks)
-    assert len(rows) == 64 * 13
-    for group in kn_family(5):
+    first = {}
+    for group, (name, counts) in zip(kn_family(5), kn_histograms(5)):
+        assert name == group.name
         for norm_sq in range(13):
-            assert rows[group.name, norm_sq] == spectra.multiplicity_row(group, norm_sq)
+            weights = [0] * 6
+            for (x, b), count in counts:
+                key = ((1, 0),) * (5 - x - b) + ((1, 2),) * b
+                weights[x] += count * lattice.theta_counts(key, norm_sq)
+            label = first.setdefault((norm_sq, tuple(weights)), name)
+            assert rows[label, norm_sq] == spectra.multiplicity_row(group, norm_sq)
+    assert len(rows) == len(first) < 64 * 13
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_coset_keys_are_the_built_cosets(n):
+    # byte S of a member's keys is 16 x + b for the product of the
+    # generators in the bit set S, read off the built group's mask pairs
+    members = list(kn_coset_keys(n))
+    assert [bits for bits, _keys in members] == [array.bits() for array in kn_arrays(n)]
+    for bits, keys in members:
+        masks = [g.half_masks for g in kn_group_from_array(GhwArray.from_bits(n, bits)).generators]
+        assert len(keys) == 1 << (n - 1)
+        for subset, key in enumerate(keys):
+            neg = trans = 0
+            for c in range(n - 1):
+                if subset >> c & 1:
+                    neg, trans = neg ^ masks[c][0], trans ^ masks[c][1]
+            assert key == 16 * neg.bit_count() + (trans & ~neg).bit_count()
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_kn_generators_equal_the_checked_elements(n):
+    # kn_group_from_array skips the element checks; the checking
+    # constructors must agree
+    for array in kn_arrays(n):
+        generators = kn_group_from_array(array).generators
+        checked = tuple(
+            IsometryElement(SignedPermutation.diagonal(-1 if k == c else 1 for k in range(n)), array.column(c))
+            for c in range(n - 1)
+        )
+        assert generators == checked
+        assert list(map(hash, generators)) == list(map(hash, checked))
 
 
 def test_from_bits_keeps_its_own_checks():
