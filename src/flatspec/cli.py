@@ -287,7 +287,7 @@ def cmd_family(args) -> int:
         return _print_kn_graphs(args.dim)
     n_max = args.verify_theorem
     if n_max is not None and args.kind == "kn":
-        checks = spectra.histogram_theorem_checks(families.kn_histograms(args.dim), args.dim, n_max)
+        checks = spectra.theorem_checks(families.kn_histograms(args.dim), args.dim, n_max)
     else:
         members = families.family_members(args.kind, args.dim)
         checks = ((group.label(), spectra.theorem_check(group, n_max)) for group in members)

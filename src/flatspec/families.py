@@ -232,13 +232,15 @@ def free_parameter_count(n: int) -> int:
 
 
 def kn_group_from_array(array: GhwArray) -> BieberbachGroup:
-    """The torsion-free group read off an array: generator c negates axis c
-    and translates by column c, valid by construction and built unchecked."""
+    """The group read off an array: generator c negates axis c and translates
+    by column c, built unchecked.  It is valid and torsion free by
+    construction: a coset S != {} with c = max S keeps axis c + 1, which of
+    S only generator c translates (the forced 1/2), so it fixes no point."""
     n = array.n
     flips = [tuple(-1 if k == c else 1 for k in range(n)) for c in range(n - 1)]
     linears = [SignedPermutation._trusted(perm=tuple(range(n)), signs=signs) for signs in flips]
     gens = [IsometryElement._trusted(linear=b, translation=array.column(c)) for c, b in enumerate(linears)]
-    return require_torsion_free(expand_holonomy(gens, n, name=kn_name(n, array.bits())))
+    return expand_holonomy(gens, n, name=kn_name(n, array.bits()))
 
 
 def kn_name(n: int, bits) -> str:
@@ -278,25 +280,23 @@ def kn_coset_keys(n: int) -> Iterator[tuple[tuple[int, ...], bytes]]:
 
 
 def kn_histograms(n: int) -> Iterator[tuple[str, tuple]]:
-    """(name, mask histogram) of every member, in kn_arrays order, building no
-    object; n is checked at the call.  Sorted coset keys are decoded once and
-    shared (the memo is cleared at 2^14 keys); a new histogram with torsion
-    (x > 0 with b = 0) builds the member, whose check raises the report."""
+    """(name, ((theta key, count), ...)) of every member, in kn_arrays order,
+    building no object; n is checked at the call.  Coset byte 16 x + b has
+    the key (1, 0)^(n-x-b) (1, 2)^b (BieberbachGroup.signature).  Sorted
+    coset keys are decoded once and shared (the memo is cleared at 2^14)."""
     members = kn_coset_keys(n)
     decoded: dict[bytes, tuple] = {}
-    pairs = {  # shared: K_8's histograms are mostly distinct, and took 250 MiB unshared
-        (16 * x + b, c): ((x, b), c) for x in range(n) for b in range(n + 1 - x) for c in range(1 << n - 1)
-    }
+    keys = {16 * x + b: ((1, 0),) * (n - x - b) + ((1, 2),) * b for x in range(n) for b in range(n + 1 - x)}
+    # shared: K_8's histograms are mostly distinct, and took 250 MiB unshared
+    pairs = {(byte, c): (key, c) for byte, key in keys.items() for c in range(1 << n - 1)}
 
-    def histogram(bits, keys):
-        keys = bytes(sorted(keys))
-        if keys not in decoded:
+    def histogram(bits, cosets):
+        cosets = bytes(sorted(cosets))
+        if cosets not in decoded:
             if len(decoded) >= 1 << 14:
                 decoded.clear()
-            decoded[keys] = tuple(map(pairs.__getitem__, Counter(keys).items()))
-            if any(x and not b for (x, b), _count in decoded[keys]):
-                kn_group_from_array(GhwArray.from_bits(n, bits))
-        return kn_name(n, bits), decoded[keys]
+            decoded[cosets] = tuple(map(pairs.__getitem__, Counter(cosets).items()))
+        return kn_name(n, bits), decoded[cosets]
 
     return itertools.starmap(histogram, members)
 
@@ -328,9 +328,9 @@ def kn_arrays(n: int) -> Iterator[GhwArray]:
 
 
 def kn_family(n: int) -> Iterator[BieberbachGroup]:
-    """All 2^((n-1)(n-2)/2) groups, each validated torsion-free, built one at
-    a time as the result is iterated; n is checked at the call.  See KN_CAP
-    for the cost at the cap (about 10 minutes to build all of K_8)."""
+    """All 2^((n-1)(n-2)/2) groups, torsion free by construction (see
+    kn_group_from_array), built one at a time as iterated; n is checked at
+    the call.  KN_CAP states the cost at the cap (about 10 minutes for K_8)."""
     return map(kn_group_from_array, kn_arrays(n))
 
 

@@ -31,13 +31,15 @@ how a group with diagonal generators and translations in (1/2)Z^n reads it
 off without building a coset) sums the trace vectors of the cosets that
 share a key, and a row is (1/|F|) * sum over keys of T_p[key] * e(key, N):
 one theta lookup per key, not one per coset.  This module only certifies
-rows and scans N.  The theorem sweep of K_n reads each member's (x, b)
-histogram off its array and builds no group (``histogram_theorem_checks``):
-15-25 us per K_6 member to N = 2, against 0.2 ms built (CPython 3.11, VM).
+rows and scans N.
 
 Traces of the p-th exterior representation are the coefficients of
-det(Id + t*B) (``SignedPermutation.exterior_traces``); for an involution
-they coincide with the Krawtchouk value K_p^n(n - n_B).
+det(Id + t*B) (``SignedPermutation.exterior_traces``).  Every coset of a
+group with holonomy Z_2^k is an involution, whose cycles are axes kept or
+negated and 2-cycles of sign product +1.  The kept axes and the 2-cycles
+make its theta key, so B has the eigenvalue -1 x = n - len(key) times and
+its traces are K_p^n(x).  ``theorem_checks`` thus reads such a group as a
+count per key, a K_n member's straight off its array with no group built.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from operator import mul
 
 from . import lattice
 from .arith import krawtchouk_table
-from .bieberbach import BieberbachGroup, IsometryElement, Record, classify_holonomy
+from .bieberbach import BieberbachGroup, IsometryElement, Record, ThetaKey, classify_holonomy
 
 
 def character_sum(element: IsometryElement, norm_sq: int) -> int:
@@ -111,37 +113,34 @@ def _check_n_max(n_max: int) -> None:
 
 
 def theorem_check(group: BieberbachGroup, n_max: int) -> int | None:
-    """The least N <= n_max at which the row computed by direct summation
-    breaks d_f = 2^(n-k) r_n(N) or d_e = d_o, or None if no N does.
-    Requires holonomy Z_2^k.  n_max is checked against the shell cap before
-    any row is computed."""
+    """The least N <= n_max at which the group breaks d_f = 2^(n-k) r_n(N)
+    or d_e = d_o, or None if no N does: theorem_checks over the group alone,
+    T[0] of each signature entry counting the cosets with that key.
+    Requires holonomy Z_2^k.  n_max is checked before any row is computed."""
     _check_n_max(n_max)
     cls = classify_holonomy(group)
     if cls.elementary_rank is None:
         raise ValueError(
             f"theorem_check requires elementary abelian 2-holonomy, got {cls.description}"
         )
-    scale = 2 ** (group.dim - cls.elementary_rank)
-    for norm_sq in range(n_max + 1):
-        row = multiplicity_row(group, norm_sq)
-        expected_f = scale * lattice.shell_count(group.dim, norm_sq)
-        if row_value(row, "f") != expected_f or row_value(row, "e") != row_value(row, "o"):
-            return norm_sq
-    return None
+    counts = tuple((key, traces[0]) for key, traces in group.signature)
+    ((_label, failing),) = theorem_checks([(group.label(), counts)], group.dim, n_max)
+    return failing
 
 
-def histogram_theorem_checks(members, n: int, n_max: int) -> Iterator[tuple[str, int | None]]:
-    """(label, what theorem_check returns) for each (label, (x, b) histogram)
-    of a mask group in dimension n, building no group: the signature sum
-    regrouped by x, d_p(N) = (1/|F|) sum_x K_p^n(x) sum_b h[x, b] e_{x,b}(N),
-    with e_{x,b} the series of the theta key (1,0)^(n-x-b) (1,2)^b, tabled
-    once per key.  A distinct histogram is scanned, and a distinct row (|F|,
-    N, w) certified, once (memos cleared at 2^16); n_max is checked first."""
+def theorem_checks(members, n: int, n_max: int) -> Iterator[tuple[str, int | None]]:
+    """(label, what theorem_check returns) for each (label, ((theta key,
+    count), ...)) of a group with holonomy Z_2^k in dimension n.  Its cosets
+    are involutions, so a coset's traces are K_p^n(x), x = n - len(key), and
+    d_p(N) = (1/|F|) sum_x K_p^n(x) w_x(N), w_x(N) summing count * e(key, N)
+    over the keys with that x.  A key's series is tabled once, a distinct
+    member scanned, and a distinct row (|F|, N, w) certified, once (memos
+    cleared at 2^16); n_max is checked first."""
     _check_n_max(n_max)
     norms = range(n_max + 1)
     shells = [lattice.shell_count(n, norm_sq) for norm_sq in norms]
     kraw = krawtchouk_table(n)
-    table: dict[tuple[int, int], list[int]] = {}
+    table: dict[ThetaKey, list[int]] = {}
     passes: dict[tuple[int, ...], bool] = {}  # (|F|, N, *w) -> the row keeps the theorem
     verdicts: dict[tuple, int | None] = {}
     for label, counts in members:
@@ -150,10 +149,10 @@ def histogram_theorem_checks(members, n: int, n_max: int) -> Iterator[tuple[str,
                 verdicts.clear()
                 passes.clear()
             order = sum(count for _key, count in counts)
-            for x, b in dict(counts).keys() - table.keys():
-                key = ((1, 0),) * (n - x - b) + ((1, 2),) * b
-                table[x, b] = [lattice.theta_counts(key, norm_sq) for norm_sq in norms]
-            terms = [(x, count, table[x, b]) for (x, b), count in counts]
+            for key, _count in counts:
+                if key not in table:
+                    table[key] = [lattice.theta_counts(key, norm_sq) for norm_sq in norms]
+            terms = [(n - len(key), count, table[key]) for key, count in counts]
             verdicts[counts] = None
             for norm_sq in norms:
                 weights = [0] * (n + 1)

@@ -12,6 +12,9 @@ Also here, because only tests compare against them:
   constructor, through which ``pairwise_group_check`` forms products
   independently of ``SignedPermutation.compose``;
 * ``canonical_key``, a group's sorted coset representatives as one string;
+* ``row_scan_theorem_check``, the paper's theorem checked row by row on
+  ``spectra.multiplicity_row``, apart from the scan ``spectra.theorem_check``
+  shares with the K_n sweep;
 * ``fraction_parse_quarter`` and ``fraction_format_quarter``, the quarter
   I/O of ``arith`` done through ``Fraction``;
 * the paper's closed forms for the (j, h) family of ``families.z2_group``:
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from flatspec import bieberbach
+from flatspec import bieberbach, lattice, spectra
 from flatspec.arith import binomial, format_quarter, krawtchouk
 from flatspec.bieberbach import HolonomyExpansionError, IsometryElement, SignedPermutation
 from flatspec.lattice import fixed_vectors, shell_vectors
@@ -190,6 +193,18 @@ def reference_row(group, sums) -> tuple[int, ...]:
         assert total % group.order == 0 and total >= 0, total
         row.append(total // group.order)
     return tuple(row)
+
+
+def row_scan_theorem_check(group, n_max: int):
+    """The least N <= n_max at which multiplicity_row, summed over the
+    signature's own traces, breaks d_f = (2^n/|F|) r_n(N) or d_e = d_o, or
+    None if no N does."""
+    scale = 2**group.dim // group.order
+    for norm_sq in range(n_max + 1):
+        row = spectra.multiplicity_row(group, norm_sq)
+        if sum(row) != scale * lattice.shell_count(group.dim, norm_sq) or sum(row[0::2]) != sum(row[1::2]):
+            return norm_sq
+    return None
 
 
 def partitions(total: int, largest: int | None = None):

@@ -1,5 +1,6 @@
 """CLI: golden outputs, interchange formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from flatspec import bieberbach, families, graphs, lattice, spectra
+from flatspec import families, graphs, lattice, spectra
 from flatspec.bieberbach import IsometryElement, SignedPermutation
 from flatspec.cli import main
 from flatspec.graphs import graph_of
@@ -308,34 +309,54 @@ def test_family_sweep_takes_the_mask_walk(capsys, monkeypatch):
     assert guarded[0] == 0 and guarded[1].splitlines()[-1].startswith("64/64 ")
 
 
-def test_a_torsion_histogram_raises_the_group_paths_report(capsys, monkeypatch):
-    # K4[010] is made to show a reflection, to the sweep in its coset keys
-    # (byte 1, the coset of generator 0, translating no axis it fixes) and
-    # to the group path in its walk, and every coset to hold torsion: the
-    # sweep then builds that member, and the group path's report ends the
-    # run after the members before it
-    true_keys, true_histogram = families.kn_coset_keys, bieberbach.span_histogram
-    target = frozenset(families.kn_masks(4, (0, 1, 0)))
+# sha256 prefixes of the stdout of every family sweep for n <= 6 and n_max in
+# (0, 2, 5), recorded before the kn and group sweeps shared one scan; each
+# run exits 0
+SWEEP_STDOUT = {
+    ("z2", 2, 0): "64a2110ea38f98da",
+    ("z2", 2, 2): "550cea5c994c1e98",
+    ("z2", 2, 5): "4c5b9f93d4595b8b",
+    ("z2", 3, 0): "02d3c12431bcf90c",
+    ("z2", 3, 2): "bf4c226ab8adf46b",
+    ("z2", 3, 5): "067519738f86c9bd",
+    ("z2", 4, 0): "3365eddf5cc24955",
+    ("z2", 4, 2): "08bdb3963ce366e8",
+    ("z2", 4, 5): "5641802e80f6555d",
+    ("z2", 5, 0): "df35955365c817f0",
+    ("z2", 5, 2): "f62db443e17ba7ff",
+    ("z2", 5, 5): "4c0d7d95b4761e0f",
+    ("z2", 6, 0): "64348ff02675e16f",
+    ("z2", 6, 2): "f07316b1d278e627",
+    ("z2", 6, 5): "06b9cc4f606b9f94",
+    ("kn", 2, 0): "a826bcac0870549c",
+    ("kn", 2, 2): "7d70c392b428b51c",
+    ("kn", 2, 5): "c30cb67de42064be",
+    ("kn", 3, 0): "e39915dbd1057d2f",
+    ("kn", 3, 2): "4e151056e4c46b1a",
+    ("kn", 3, 5): "e22748fefd98a977",
+    ("kn", 4, 0): "e0abc58e16b2bba2",
+    ("kn", 4, 2): "a6b39dbb27115586",
+    ("kn", 4, 5): "0959705ebcba18b9",
+    ("kn", 5, 0): "a02cdb191597ffc9",
+    ("kn", 5, 2): "f10179a5e769a757",
+    ("kn", 5, 5): "0464724ef6829e6b",
+    ("kn", 6, 0): "2571212356492f57",
+    ("kn", 6, 2): "ff6cf8b6cb1060fa",
+    ("kn", 6, 5): "b33f9ed6851d00ca",
+    ("hw-catalog", 3, 0): "0037d88b937ea243",
+    ("hw-catalog", 3, 2): "7683d230038e9aea",
+    ("hw-catalog", 3, 5): "1d0aff9585a15d57",
+    ("hw-catalog", 5, 0): "5a42d11d24154326",
+    ("hw-catalog", 5, 2): "bdf7f7290f8ac494",
+    ("hw-catalog", 5, 5): "3f27db89bd3b9bae",
+}
 
-    def keys_with_torsion(n):
-        for bits, keys in true_keys(n):
-            yield bits, (keys[:1] + bytes([16]) + keys[2:] if bits == (0, 1, 0) else keys)
 
-    def walk_with_torsion(basis):
-        counts = true_histogram(basis)
-        return counts + (((1, 0), 1),) if frozenset(basis) == target else counts
-
-    monkeypatch.setattr(families, "kn_coset_keys", keys_with_torsion)
-    monkeypatch.setattr(bieberbach, "span_histogram", walk_with_torsion)
-    monkeypatch.setattr(bieberbach, "coset_is_torsion_free", lambda element: False)
-    with pytest.raises(bieberbach.GroupValidationError) as built:
-        families.kn_group_from_array(families.kn_array(4, 2))
-    code, out = run(capsys, "family", "kn", "--dim", "4", "--verify-theorem", "2")
-    lines = out.splitlines()
-    assert code == 2 and len(lines) == 3
-    assert lines[:2] == ["K4[000]: pass (N <= 2)", "K4[001]: pass (N <= 2)"]
-    assert json.loads(lines[2]) == {"error": str(built.value), "report": built.value.report.to_json()}
-    assert "finite order" in str(built.value)
+@pytest.mark.parametrize("kind, dim, n_max", list(SWEEP_STDOUT))
+def test_every_sweep_prints_its_recorded_stdout(capsys, kind, dim, n_max):
+    code, out = run(capsys, "family", kind, "--dim", str(dim), "--verify-theorem", str(n_max))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == SWEEP_STDOUT[kind, dim, n_max]
 
 
 def test_the_k7_theorem_sweep_within_budget(capsys):

@@ -226,7 +226,8 @@ def test_kn_array_equals_the_checked_array(n):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_members_from_bits_match_the_built_groups(n):
     # the theorem sweep reads each member off its bits; the group path
-    # builds it: the mask pairs and histograms agree as multisets
+    # builds it: the mask pairs, and the theta keys with the number of
+    # cosets holding each (T[0] of the signature), agree as multisets
     bit_vectors = itertools.product((0, 1), repeat=free_parameter_count(n))
     members = list(kn_histograms(n))
     assert len(members) == kn_family_size(n)
@@ -234,39 +235,62 @@ def test_members_from_bits_match_the_built_groups(n):
         group = kn_group_from_array(kn_array(n, index))
         assert name == group.name
         assert sorted(kn_masks(n, bits)) == sorted(g.half_masks for g in group.generators)
-        assert sorted(counts) == sorted(group.mask_histogram)
+        assert sorted(counts) == sorted((key, traces[0]) for key, traces in group.signature)
 
 
 def test_the_sweep_rows_are_the_group_rows(monkeypatch):
-    # every row the histogram sweep certifies, recorded at the one
+    # every row the theorem scan certifies, recorded at the one
     # certification under the first member that needs it, against
-    # multiplicity_row of the built group: a row depends on (N, w) alone,
-    # w_x(N) = sum_b h[x, b] e_{x,b}(N), so each distinct (N, w) is
-    # certified once and every member resolves to it
+    # multiplicity_row of the built group: a row depends on (|F|, N, w)
+    # alone, w_x(N) summing count * e(key, N) over the keys with
+    # n - len(key) = x, so each distinct row is certified once and every
+    # member resolves to it.  K_5 is read off its arrays, as the sweep reads
+    # it; the z2 members with swap blocks are no mask groups
     from flatspec import lattice, spectra
 
-    rows = {}
+    def key_counts(group):
+        return tuple((key, traces[0]) for key, traces in group.signature)
+
+    inputs = [("kn", 5, list(zip(kn_family(5), (counts for _name, counts in kn_histograms(5)))))]
+    for n in range(4, 9):
+        inputs.append(("z2", n, [(g, key_counts(g)) for g in z2_family(n) if g.generators[0].half_masks is None]))
     certify = spectra._certified_row
+    for kind, n, members in inputs:
+        rows = {}
 
-    def recorded(totals, order, label, norm_sq):
-        rows[label, norm_sq] = certify(totals, order, label, norm_sq)
-        return rows[label, norm_sq]
+        def recorded(totals, order, label, norm_sq):
+            rows[label, norm_sq] = certify(totals, order, label, norm_sq)
+            return rows[label, norm_sq]
 
-    monkeypatch.setattr(spectra, "_certified_row", recorded)
-    checks = list(spectra.histogram_theorem_checks(kn_histograms(5), 5, 12))
-    monkeypatch.undo()
-    assert len(checks) == 64 and all(failing is None for _name, failing in checks)
-    first = {}
-    for group, (name, counts) in zip(kn_family(5), kn_histograms(5)):
-        assert name == group.name
-        for norm_sq in range(13):
-            weights = [0] * 6
-            for (x, b), count in counts:
-                key = ((1, 0),) * (5 - x - b) + ((1, 2),) * b
-                weights[x] += count * lattice.theta_counts(key, norm_sq)
-            label = first.setdefault((norm_sq, tuple(weights)), name)
-            assert rows[label, norm_sq] == spectra.multiplicity_row(group, norm_sq)
-    assert len(rows) == len(first) < 64 * 13
+        monkeypatch.setattr(spectra, "_certified_row", recorded)
+        checks = list(spectra.theorem_checks(((g.label(), counts) for g, counts in members), n, 12))
+        monkeypatch.undo()
+        assert checks == [(g.label(), None) for g, _counts in members]
+        first = {}
+        for group, counts in members:
+            for norm_sq in range(13):
+                weights = [0] * (n + 1)
+                for key, count in counts:
+                    weights[n - len(key)] += count * lattice.theta_counts(key, norm_sq)
+                label = first.setdefault((group.order, norm_sq, tuple(weights)), group.label())
+                assert rows[label, norm_sq] == spectra.multiplicity_row(group, norm_sq)
+        assert len(rows) == len(first) <= len(members) * 13
+        if kind == "kn":  # its members share rows
+            assert len(members) == 64 and len(rows) < 64 * 13
+    assert sum(len(members) for _kind, _n, members in inputs[1:]) == 33
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_kn_members_are_torsion_free_by_construction(n):
+    # the lemma of kn_group_from_array, over every coset byte 16 x + b of
+    # every member: a coset negating x > 0 axes translates b >= 1 of the
+    # others by 1/2, and none negates all n; is_torsion_free agrees on
+    # every built member up to K_5
+    for _bits, keys in kn_coset_keys(n):
+        assert all(byte < 16 or byte % 16 for byte in keys)
+        assert all(byte // 16 != n for byte in keys)
+    if n <= 5:
+        assert all(is_torsion_free(group) for group in kn_family(n))
 
 
 @pytest.mark.parametrize("n", range(2, 6))

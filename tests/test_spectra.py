@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     enumerated_character_sum,
+    row_scan_theorem_check,
     trace_p_oracle,
     z2_betti_closed_form,
     z2_closed_forms,
@@ -16,8 +17,17 @@ from oracles import (
 
 from flatspec import lattice, spectra
 from flatspec.arith import binomial, krawtchouk, krawtchouk_table
-from flatspec.bieberbach import IsometryElement, SignedPermutation, is_orientable
-from flatspec.families import catalog, hw_groups, kn_family, torus, z2_group, z2_parameters
+from flatspec.bieberbach import IsometryElement, SignedPermutation, classify_holonomy, is_orientable
+from flatspec.families import (
+    catalog,
+    catalog_names,
+    hw_groups,
+    kn_family,
+    torus,
+    z2_family,
+    z2_group,
+    z2_parameters,
+)
 from flatspec.lattice import ShellCapExceeded, shell_count, shell_vectors
 from flatspec.spectra import (
     betti_numbers,
@@ -342,13 +352,13 @@ def test_theorem_check_examples():
 
 
 def test_theorem_check_names_the_least_failing_norm(monkeypatch):
-    true_row = multiplicity_row
+    true_row = spectra._certified_row
 
     def sabotage(break_f):
         # from N = 2 on, add one to d_0 (breaks d_f), or move one from d_1
         # to d_0 (keeps d_f, breaks d_e = d_o)
-        def row(group, norm_sq):
-            d = true_row(group, norm_sq)
+        def row(totals, order, label, norm_sq):
+            d = true_row(totals, order, label, norm_sq)
             if norm_sq < 2:
                 return d
             return (d[0] + 1, d[1] - (not break_f)) + d[2:]
@@ -357,10 +367,46 @@ def test_theorem_check_names_the_least_failing_norm(monkeypatch):
 
     group = next(kn_family(4))
     for break_f in (True, False):
-        monkeypatch.setattr(spectra, "multiplicity_row", sabotage(break_f))
+        monkeypatch.setattr(spectra, "_certified_row", sabotage(break_f))
         assert theorem_check(group, 1) is None
         assert theorem_check(group, 2) == 2
         assert theorem_check(group, 5) == 2
+
+
+def _z2k_groups():
+    """Every catalog group with holonomy Z2^k, the z2 family for n <= 8 (its
+    swap blocks make groups that are not mask groups) and K_5."""
+    groups = [catalog(name) for name in catalog_names()]
+    groups = [g for g in groups if classify_holonomy(g).elementary_rank is not None]
+    groups += [g for n in range(2, 9) for g in z2_family(n)]
+    return groups + list(kn_family(5))
+
+
+def test_z2k_traces_are_krawtchouk_values_of_the_key_length():
+    # every coset of a Z2^k group is an involution, negating n - len(key)
+    # directions: the fact the one theorem scan rests on
+    groups = _z2k_groups()
+    assert len(groups) == 143
+    for group in groups:
+        n = group.dim
+        columns = list(zip(*krawtchouk_table(n)))
+        for key, traces in group.signature:
+            assert traces == tuple(traces[0] * k for k in columns[n - len(key)])
+        for element in group.holonomy:
+            assert element.linear.exterior_traces() == columns[n - len(element.theta_key)]
+
+
+@pytest.mark.parametrize("n_max", [0, 2, 7, 20])
+def test_theorem_check_matches_the_row_scan(monkeypatch, n_max):
+    groups = _z2k_groups()
+    for group in groups:
+        assert theorem_check(group, n_max) == row_scan_theorem_check(group, n_max) is None
+    # both name the same least failing N when r_n(N) is off from N = 3 on
+    true_count = lattice.shell_count
+    monkeypatch.setattr(lattice, "shell_count", lambda n, N: true_count(n, N) + (N >= 3))
+    for group in groups:
+        expected = 3 if n_max >= 3 else None
+        assert theorem_check(group, n_max) == row_scan_theorem_check(group, n_max) == expected
 
 
 def test_theorem_check_rejects_non_elementary_holonomy():
