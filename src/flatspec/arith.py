@@ -1,6 +1,6 @@
-"""Exact scalars shared by every module: binomial coefficients, Krawtchouk
-values, the checks on JSON values read from the interchange form, and the
-boundary between rationals and quarter units.
+"""Exact scalars shared by every module: the checks on JSON values read
+from the interchange form, and the boundary between rationals and quarter
+units.
 
 Nothing in the computation path ever touches floating point.  Translation
 coordinates live in (1/4)Z and are carried as integer quarter units: the
@@ -15,31 +15,6 @@ from __future__ import annotations
 
 import math
 import re
-from functools import lru_cache
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) as an exact integer, with 0 for k outside 0..n."""
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def krawtchouk(n: int, p: int, x: int) -> int:
-    """K_p^n(x) by the defining alternating sum of binomial products."""
-    if not 0 <= p <= n:
-        raise ValueError(f"degree p must satisfy 0 <= p <= n, got p={p}, n={n}")
-    if not 0 <= x <= n:
-        raise ValueError(f"argument x must satisfy 0 <= x <= n, got x={x}, n={n}")
-    return sum((-1) ** t * binomial(x, t) * binomial(n - x, p - t) for t in range(p + 1))
-
-
-@lru_cache(maxsize=16)
-def krawtchouk_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row p, column x: K_p^n(x) for 0 <= p, x <= n."""
-    return tuple(tuple(krawtchouk(n, p, x) for x in range(n + 1)) for p in range(n + 1))
 
 
 def json_int(value, field: str) -> int:

@@ -13,7 +13,7 @@ Each datum derived from one object is a ``functools.cached_property`` of
 its class, computed at the first read and freed with the object, and no
 other module stores data on it: ``SignedPermutation.cycles``, the
 ``half_masks`` and ``theta_key`` of an ``IsometryElement``, and a group's
-``holonomy`` (if a mask group), ``mask_histogram``, ``signature`` and hash.
+``holonomy`` (if a mask group), ``key_counts``, ``signature`` and hash.
 
 Conventions, fixed once and used everywhere:
 
@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
-from functools import cached_property
+from collections import Counter, deque
+from functools import cached_property, lru_cache
 from operator import attrgetter
 
 from .arith import (
@@ -36,7 +36,6 @@ from .arith import (
     json_array,
     json_field,
     json_int,
-    krawtchouk_table,
     parse_quarter,
 )
 
@@ -64,10 +63,10 @@ from .arith import (
 HOLONOMY_CAP = 2**16
 
 #: largest dimension expand_holonomy will build a group in, and the largest
-#: n of the krawtchouk command.  A group's Krawtchouk table costs O(n^3) and
-#: lattice.theta_counts recurses once per pair of a theta key, so at the cap
-#: ``spectrum torus:64 --norms 0,1,2`` takes about 0.25 s, and a row at
-#: lattice.SHELL_CAP about 70 s.
+#: n of the krawtchouk command.  krawtchouk_table costs O(n^3) (all 64
+#: tables take about 0.3 s), and lattice.theta_counts recurses once per
+#: pair of a theta key, so at the cap ``spectrum torus:64 --norms 0,1,2``
+#: takes about 0.25 s, and a row at lattice.SHELL_CAP about 70 s.
 DIM_CAP = 64
 
 #: the (l, c) pairs of IsometryElement.theta_key
@@ -254,6 +253,15 @@ class SignedPermutation(Record):
         return f"[{cols}]"
 
 
+@lru_cache(maxsize=16)
+def krawtchouk_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row p, column x: K_p^n(x) for 0 <= p, x <= n, the trace on p-forms of
+    an involution with eigenvalue -1 of multiplicity x, as is every coset of
+    a Z2^k group: column x is the exterior traces of diag(-1^x, 1^(n-x))."""
+    involutions = (SignedPermutation.diagonal((-1,) * x + (1,) * (n - x)) for x in range(n + 1))
+    return tuple(zip(*(b.exterior_traces() for b in involutions)))
+
+
 class IsometryElement(Record):
     """A Euclidean isometry B L_b with B a signed permutation and b taken
     mod 1.
@@ -353,9 +361,9 @@ class BieberbachGroup(Record):
     A group it builds from diagonal generators with translations in
     (1/2)Z^n holds a basis of its cosets' (negation mask, half-translation
     mask) pairs (see IsometryElement.half_masks), and builds ``holonomy``
-    only when read; the order, the torsion test, the classification and the
-    signature read the basis, and a torsion witness walks only as far as
-    the witness."""
+    only when read; the order, the torsion test, the classification, the key
+    counts and the signature read the basis, and a torsion witness walks
+    only as far as the witness."""
 
     dim: int
     generators: tuple[IsometryElement, ...]
@@ -374,12 +382,6 @@ class BieberbachGroup(Record):
         representatives itself."""
         return tuple(_walk(self.generators, self.dim))
 
-    def __eq__(self, other) -> bool:
-        # the representatives follow from the generators
-        if not isinstance(other, BieberbachGroup):
-            return NotImplemented
-        return (self.dim, self.generators, self.name) == (other.dim, other.generators, other.name)
-
     @cached_property
     def _hash(self) -> int:
         # the row cache hashes the group per call; equal groups have equal generators
@@ -394,26 +396,35 @@ class BieberbachGroup(Record):
         return len(self.holonomy) if self._basis is None else 1 << len(self._basis)
 
     @cached_property
-    def mask_histogram(self) -> tuple[tuple[tuple[int, int], int], ...] | None:
-        """span_histogram of a mask group's basis, None for any other group.
-        A coset with x > 0 is torsion free iff b > 0 (coset_is_torsion_free)."""
-        return None if self._basis is None else span_histogram(self._basis)
+    def key_counts(self) -> tuple[tuple[ThetaKey, int], ...]:
+        """Pairs (theta key, number of representatives with it) in order of
+        first appearance, so the identity's key first.  A mask group walks
+        its basis in Gray-code order, one XOR a step and no coset built, and
+        names each coset's key by mask_key."""
+        if self._basis is None:
+            return tuple(Counter(elem.theta_key for elem in self.holonomy).items())
+        counts = {(0, 0): 1}  # (x, b) -> cosets
+        neg = trans = 0
+        for i in range(1, self.order):
+            # step i flips the basis pair of its lowest set bit
+            b_neg, b_trans = self._basis[(i & -i).bit_length() - 1]
+            neg, trans = neg ^ b_neg, trans ^ b_trans
+            x_b = (neg.bit_count(), (trans & ~neg).bit_count())
+            counts[x_b] = counts.get(x_b, 0) + 1
+        return tuple((mask_key(self.dim, x, b), count) for (x, b), count in counts.items())
 
     @cached_property
     def signature(self) -> tuple[tuple[ThetaKey, tuple[int, ...]], ...]:
         """Pairs (theta key, T) in order of first appearance, where T[p] sums
         the traces on p-forms of the representatives with that key: all that
         the multiplicities d_p(N) read of the group (see ``spectra``).
-        O(|F| * n).  A mask group reads it off its (x, b) histogram instead:
-        a coset negating x axes, b of the others translated by 1/2, has the
-        key (1, 0)^(n-x-b) (1, 2)^b and the traces K_p^n(x)."""
-        histogram = self.mask_histogram
-        if histogram is not None:
+        O(|F| * n).  A mask group reads it off its key counts instead: its
+        cosets are involutions, so a key's traces are K_p^n(n - len(key))."""
+        if self._basis is not None:
             n = self.dim
             columns = tuple(zip(*krawtchouk_table(n)))  # column x: K_p^n(x) for every p
             return tuple(
-                (((1, 0),) * (n - x - b) + ((1, 2),) * b, tuple(count * k for k in columns[x]))
-                for (x, b), count in histogram
+                (key, tuple(count * k for k in columns[n - len(key)])) for key, count in self.key_counts
             )
         totals: dict[ThetaKey, tuple[int, ...]] = {}
         for elem in self.holonomy:
@@ -511,21 +522,11 @@ def _mask_basis(masks) -> tuple[tuple[int, int], ...] | None:
     return tuple(basis)
 
 
-def span_histogram(basis) -> tuple[tuple[tuple[int, int], int], ...]:
-    """The pairs ((x, b), count) over the span of independent (negation,
-    half-translation) mask pairs: count elements negate x axes and translate
-    b of the axes they fix by 1/2, x = popcount(neg) and
-    b = popcount(~neg & trans).  A Gray-code walk, one XOR a step, with the
-    keys in order of first appearance."""
-    counts = {(0, 0): 1}
-    neg = trans = 0
-    for i in range(1, 1 << len(basis)):
-        # step i flips the basis pair of its lowest set bit
-        b_neg, b_trans = basis[(i & -i).bit_length() - 1]
-        neg, trans = neg ^ b_neg, trans ^ b_trans
-        key = (neg.bit_count(), (trans & ~neg).bit_count())
-        counts[key] = counts.get(key, 0) + 1
-    return tuple(counts.items())
+def mask_key(n: int, x: int, b: int) -> ThetaKey:
+    """The theta key of a mask coset in dimension n that negates x axes,
+    x = popcount(neg), and translates b of the others by 1/2,
+    b = popcount(~neg & trans): (1, 0)^(n-x-b) (1, 2)^b."""
+    return ((1, 0),) * (n - x - b) + ((1, 2),) * b
 
 
 def _walk(gens, dim: int):
@@ -591,12 +592,11 @@ def is_torsion_free(group: BieberbachGroup) -> bool:
 
 def torsion_witness(group: BieberbachGroup) -> IsometryElement | None:
     """The first non-identity representative whose coset contains torsion,
-    or None.  A mask group walks only if its histogram shows one, and only
-    as far as the witness, storing no representative."""
-    histogram = group.mask_histogram
-    if histogram is None:
+    or None.  A mask group walks, storing no coset and only as far as the
+    witness, only if a key of its key_counts past the identity's has no c != 0."""
+    if group._basis is None:
         cosets = group.holonomy
-    elif all(b or not x for (x, b), _count in histogram):
+    elif all(any(c for _l, c in key) for key, _count in group.key_counts[1:]):
         return None
     else:
         cosets = _walk(group.generators, group.dim)
@@ -648,7 +648,7 @@ def classify_holonomy(group: BieberbachGroup) -> HolonomyClass:
     A mask group is Z2^r with no product: every coset is an involution, and
     its 2^r distinct negation masks span a GF(2) space of rank r."""
     m = group.order
-    if group.mask_histogram is not None:
+    if group._basis is not None:
         factors = (2,) * (m.bit_length() - 1)
     else:
         gens = [g.linear for g in group.generators]

@@ -14,13 +14,14 @@ import os
 import sys
 
 from . import families, spectra
-from .arith import json_field, krawtchouk_table
+from .arith import json_field
 from .bieberbach import (
     DIM_CAP,
     BieberbachGroup,
     GroupValidationError,
     generators_from_json,
     group_from_json,
+    krawtchouk_table,
     validate_generators,
 )
 

@@ -34,6 +34,7 @@ from .bieberbach import (
     expand_holonomy,
     is_orientable,
     is_torsion_free,
+    mask_key,
     validate,
 )
 
@@ -156,8 +157,7 @@ class GhwArray(Record):
     of the product of all generators.
 
     Entries are quarter units like every translation, so each is 0 or 2.
-    ``from_rows`` reads and ``to_json`` writes the rational interchange form
-    (0 and "1/2").
+    ``from_rows`` reads the rational interchange form (0 and "1/2").
 
     Forced entries: subdiagonal (i+1, i) = 1/2, diagonal zero except
     (n, n) = 1/2, zero below the subdiagonal; every row carries an even
@@ -215,12 +215,6 @@ class GhwArray(Record):
     def bits(self) -> tuple[int, ...]:
         return tuple(self.entries[r][c] // 2 for r, c in free_positions(self.n))
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "rows": [[format_quarter(v) for v in row] for row in self.entries],
-        }
-
 
 def free_positions(n: int) -> list[tuple[int, int]]:
     """0-based free entry positions: r < c <= n-2, lexicographic."""
@@ -233,14 +227,18 @@ def free_parameter_count(n: int) -> int:
 
 def kn_group_from_array(array: GhwArray) -> BieberbachGroup:
     """The group read off an array: generator c negates axis c and translates
-    by column c, built unchecked.  It is valid and torsion free by
+    by column c, built unchecked from its mask pair (kn_masks), which it
+    carries as its half_masks.  It is valid and torsion free by
     construction: a coset S != {} with c = max S keeps axis c + 1, which of
     S only generator c translates (the forced 1/2), so it fixes no point."""
-    n = array.n
-    flips = [tuple(-1 if k == c else 1 for k in range(n)) for c in range(n - 1)]
-    linears = [SignedPermutation._trusted(perm=tuple(range(n)), signs=signs) for signs in flips]
-    gens = [IsometryElement._trusted(linear=b, translation=array.column(c)) for c, b in enumerate(linears)]
-    return expand_holonomy(gens, n, name=kn_name(n, array.bits()))
+    n, bits = array.n, array.bits()
+    gens = []
+    for neg, trans in kn_masks(n, bits):
+        signs = tuple(-1 if neg >> k & 1 else 1 for k in range(n))
+        linear = SignedPermutation._trusted(perm=tuple(range(n)), signs=signs)
+        translation = tuple(2 * (trans >> k & 1) for k in range(n))
+        gens.append(IsometryElement._trusted(linear=linear, translation=translation, half_masks=(neg, trans)))
+    return expand_holonomy(gens, n, name=kn_name(n, bits))
 
 
 def kn_name(n: int, bits) -> str:
@@ -282,11 +280,11 @@ def kn_coset_keys(n: int) -> Iterator[tuple[tuple[int, ...], bytes]]:
 def kn_histograms(n: int) -> Iterator[tuple[str, tuple]]:
     """(name, ((theta key, count), ...)) of every member, in kn_arrays order,
     building no object; n is checked at the call.  Coset byte 16 x + b has
-    the key (1, 0)^(n-x-b) (1, 2)^b (BieberbachGroup.signature).  Sorted
+    the key mask_key(n, x, b), as in BieberbachGroup.key_counts.  Sorted
     coset keys are decoded once and shared (the memo is cleared at 2^14)."""
     members = kn_coset_keys(n)
     decoded: dict[bytes, tuple] = {}
-    keys = {16 * x + b: ((1, 0),) * (n - x - b) + ((1, 2),) * b for x in range(n) for b in range(n + 1 - x)}
+    keys = {16 * x + b: mask_key(n, x, b) for x in range(n) for b in range(n + 1 - x)}
     # shared: K_8's histograms are mostly distinct, and took 250 MiB unshared
     pairs = {(byte, c): (key, c) for byte, key in keys.items() for c in range(1 << n - 1)}
 

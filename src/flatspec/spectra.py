@@ -38,8 +38,9 @@ det(Id + t*B) (``SignedPermutation.exterior_traces``).  Every coset of a
 group with holonomy Z_2^k is an involution, whose cycles are axes kept or
 negated and 2-cycles of sign product +1.  The kept axes and the 2-cycles
 make its theta key, so B has the eigenvalue -1 x = n - len(key) times and
-its traces are K_p^n(x).  ``theorem_checks`` thus reads such a group as a
-count per key, a K_n member's straight off its array with no group built.
+its traces are K_p^n(x) (``bieberbach.krawtchouk_table``).  So
+``theorem_checks`` reads such a group as its ``key_counts``, a K_n
+member's straight off its array with no group built.
 """
 
 from __future__ import annotations
@@ -49,8 +50,14 @@ from functools import lru_cache
 from operator import mul
 
 from . import lattice
-from .arith import krawtchouk_table
-from .bieberbach import BieberbachGroup, IsometryElement, Record, ThetaKey, classify_holonomy
+from .bieberbach import (
+    BieberbachGroup,
+    IsometryElement,
+    Record,
+    ThetaKey,
+    classify_holonomy,
+    krawtchouk_table,
+)
 
 
 def character_sum(element: IsometryElement, norm_sq: int) -> int:
@@ -114,17 +121,15 @@ def _check_n_max(n_max: int) -> None:
 
 def theorem_check(group: BieberbachGroup, n_max: int) -> int | None:
     """The least N <= n_max at which the group breaks d_f = 2^(n-k) r_n(N)
-    or d_e = d_o, or None if no N does: theorem_checks over the group alone,
-    T[0] of each signature entry counting the cosets with that key.
-    Requires holonomy Z_2^k.  n_max is checked before any row is computed."""
+    or d_e = d_o, or None if no N does: theorem_checks over the group's
+    key_counts alone.  Requires holonomy Z_2^k; n_max is checked first."""
     _check_n_max(n_max)
     cls = classify_holonomy(group)
     if cls.elementary_rank is None:
         raise ValueError(
             f"theorem_check requires elementary abelian 2-holonomy, got {cls.description}"
         )
-    counts = tuple((key, traces[0]) for key, traces in group.signature)
-    ((_label, failing),) = theorem_checks([(group.label(), counts)], group.dim, n_max)
+    ((_label, failing),) = theorem_checks([(group.label(), group.key_counts)], group.dim, n_max)
     return failing
 
 

@@ -17,6 +17,8 @@ Also here, because only tests compare against them:
   shares with the K_n sweep;
 * ``fraction_parse_quarter`` and ``fraction_format_quarter``, the quarter
   I/O of ``arith`` done through ``Fraction``;
+* ``binomial`` and ``krawtchouk``, K_p^n(x) by its defining alternating sum,
+  apart from ``bieberbach.krawtchouk_table``, which reads it off traces;
 * the paper's closed forms for the (j, h) family of ``families.z2_group``:
   ``z2_closed_forms`` (d_p at N = 1 and 2) and ``z2_betti_closed_form``.
 """
@@ -28,12 +30,30 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from flatspec import bieberbach, lattice, spectra
-from flatspec.arith import binomial, format_quarter, krawtchouk
+from flatspec.arith import format_quarter
 from flatspec.bieberbach import HolonomyExpansionError, IsometryElement, SignedPermutation
 from flatspec.lattice import fixed_vectors, shell_vectors
 
 # (re, im) of the unit e^(-2*pi*i*q/4) for q = 0, 1, 2, 3
 QUARTER_TURNS = ((1, 0), (0, -1), (-1, 0), (0, 1))
+
+
+def binomial(n: int, k: int) -> int:
+    """C(n, k) as an exact integer, with 0 for k outside 0..n."""
+    if n < 0:
+        raise ValueError(f"binomial requires n >= 0, got n={n}")
+    if k < 0 or k > n:
+        return 0
+    return math.comb(n, k)
+
+
+def krawtchouk(n: int, p: int, x: int) -> int:
+    """K_p^n(x) by the defining alternating sum of binomial products."""
+    if not 0 <= p <= n:
+        raise ValueError(f"degree p must satisfy 0 <= p <= n, got p={p}, n={n}")
+    if not 0 <= x <= n:
+        raise ValueError(f"argument x must satisfy 0 <= x <= n, got x={x}, n={n}")
+    return sum((-1) ** t * binomial(x, t) * binomial(n - x, p - t) for t in range(p + 1))
 
 
 def fraction_parse_quarter(value) -> int:

@@ -1,12 +1,12 @@
-"""Exact scalar arithmetic: binomials, JSON integers and the rational
-interchange form of quarter units."""
+"""Exact scalar arithmetic: JSON integers and the rational interchange form
+of quarter units, and the binomial oracle the Krawtchouk checks rest on."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import fraction_format_quarter, fraction_parse_quarter
+from oracles import binomial, fraction_format_quarter, fraction_parse_quarter
 
-from flatspec.arith import binomial, format_quarter, json_int, parse_quarter
+from flatspec.arith import format_quarter, json_int, parse_quarter
 
 
 def test_binomial_small_cases():

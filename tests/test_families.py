@@ -227,7 +227,7 @@ def test_kn_array_equals_the_checked_array(n):
 def test_members_from_bits_match_the_built_groups(n):
     # the theorem sweep reads each member off its bits; the group path
     # builds it: the mask pairs, and the theta keys with the number of
-    # cosets holding each (T[0] of the signature), agree as multisets
+    # cosets holding each (key_counts), agree as multisets
     bit_vectors = itertools.product((0, 1), repeat=free_parameter_count(n))
     members = list(kn_histograms(n))
     assert len(members) == kn_family_size(n)
@@ -235,7 +235,7 @@ def test_members_from_bits_match_the_built_groups(n):
         group = kn_group_from_array(kn_array(n, index))
         assert name == group.name
         assert sorted(kn_masks(n, bits)) == sorted(g.half_masks for g in group.generators)
-        assert sorted(counts) == sorted((key, traces[0]) for key, traces in group.signature)
+        assert sorted(counts) == sorted(group.key_counts)
 
 
 def test_the_sweep_rows_are_the_group_rows(monkeypatch):
@@ -248,12 +248,9 @@ def test_the_sweep_rows_are_the_group_rows(monkeypatch):
     # it; the z2 members with swap blocks are no mask groups
     from flatspec import lattice, spectra
 
-    def key_counts(group):
-        return tuple((key, traces[0]) for key, traces in group.signature)
-
     inputs = [("kn", 5, list(zip(kn_family(5), (counts for _name, counts in kn_histograms(5)))))]
     for n in range(4, 9):
-        inputs.append(("z2", n, [(g, key_counts(g)) for g in z2_family(n) if g.generators[0].half_masks is None]))
+        inputs.append(("z2", n, [(g, g.key_counts) for g in z2_family(n) if g.generators[0].half_masks is None]))
     certify = spectra._certified_row
     for kind, n, members in inputs:
         rows = {}
@@ -312,8 +309,8 @@ def test_coset_keys_are_the_built_cosets(n):
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_kn_generators_equal_the_checked_elements(n):
-    # kn_group_from_array skips the element checks; the checking
-    # constructors must agree
+    # kn_group_from_array skips the element checks and carries each
+    # generator's mask pair; the checking constructors must agree
     for array in kn_arrays(n):
         generators = kn_group_from_array(array).generators
         checked = tuple(
@@ -322,6 +319,7 @@ def test_kn_generators_equal_the_checked_elements(n):
         )
         assert generators == checked
         assert list(map(hash, generators)) == list(map(hash, checked))
+        assert [vars(g)["half_masks"] for g in generators] == [g.half_masks for g in checked]
 
 
 def test_from_bits_keeps_its_own_checks():

@@ -9,9 +9,9 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import binomial
 
 from flatspec import lattice
-from flatspec.arith import binomial
 from flatspec.bieberbach import IsometryElement, SignedPermutation
 from flatspec.lattice import (
     ShellCapExceeded,

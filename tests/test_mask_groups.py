@@ -2,10 +2,10 @@
 
 A group expanded from diagonal generators with translations in (1/2)Z^n
 keeps a basis of (negation, half-translation) mask pairs and reads its
-order, torsion verdict, classification and spectral signature off it.  Each
-must equal what the same representatives give through the element path
-(compose walk, theta keys, cycles), and none of them may build
-``holonomy``.
+order, torsion verdict, classification, key counts and spectral signature
+off it.  Each must equal what the same representatives give through the
+element path (compose walk, theta keys, cycles), and none of them may
+build ``holonomy``.
 """
 
 import gc
@@ -38,12 +38,13 @@ def _element_twin(group: BieberbachGroup) -> BieberbachGroup:
 
 
 def assert_matches_element_path(group: BieberbachGroup) -> None:
-    assert group.mask_histogram is not None
+    assert group._basis is not None
     twin = _element_twin(group)
-    assert twin.mask_histogram is None
+    assert twin._basis is None
     assert group.order == twin.order
     assert is_torsion_free(group) == is_torsion_free(twin)
     assert classify_holonomy(group) == classify_holonomy(twin)
+    assert dict(group.key_counts) == dict(twin.key_counts)
     assert dict(group.signature) == dict(twin.signature)
     # a witness names the first torsion coset in representative order, and
     # no mask check, the walk that finds a witness included, stores one

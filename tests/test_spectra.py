@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    binomial,
     enumerated_character_sum,
+    krawtchouk,
     row_scan_theorem_check,
     trace_p_oracle,
     z2_betti_closed_form,
@@ -16,8 +18,14 @@ from oracles import (
 )
 
 from flatspec import lattice, spectra
-from flatspec.arith import binomial, krawtchouk, krawtchouk_table
-from flatspec.bieberbach import IsometryElement, SignedPermutation, classify_holonomy, is_orientable
+from flatspec.bieberbach import (
+    DIM_CAP,
+    IsometryElement,
+    SignedPermutation,
+    classify_holonomy,
+    is_orientable,
+    krawtchouk_table,
+)
 from flatspec.families import (
     catalog,
     catalog_names,
@@ -57,6 +65,13 @@ KRAWTCHOUK_N4 = (
 def test_krawtchouk_tables_match_published_values():
     assert krawtchouk_table(3) == KRAWTCHOUK_N3
     assert krawtchouk_table(4) == KRAWTCHOUK_N4
+
+
+def test_krawtchouk_table_is_the_defining_sum_up_to_the_dimension_cap():
+    # the table is made of exterior traces; the oracle sums binomials
+    for n in range(DIM_CAP + 1):
+        expected = tuple(tuple(krawtchouk(n, p, x) for x in range(n + 1)) for p in range(n + 1))
+        assert krawtchouk_table(n) == expected
 
 
 def test_krawtchouk_spot_values():
@@ -389,7 +404,7 @@ def test_z2k_traces_are_krawtchouk_values_of_the_key_length():
     assert len(groups) == 143
     for group in groups:
         n = group.dim
-        columns = list(zip(*krawtchouk_table(n)))
+        columns = [tuple(krawtchouk(n, p, x) for p in range(n + 1)) for x in range(n + 1)]
         for key, traces in group.signature:
             assert traces == tuple(traces[0] * k for k in columns[n - len(key)])
         for element in group.holonomy:
@@ -511,7 +526,7 @@ def test_every_cache_is_bounded():
     assert set(maxsizes) == {
         "families.catalog",
         "lattice.theta_counts",
-        "arith.krawtchouk_table",
+        "bieberbach.krawtchouk_table",
         "spectra.multiplicity_row",
     }
     # catalog's keys are catalog_names(), so the registry bounds it

@@ -6,12 +6,11 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import enumerated_character_sums, reference_row, trace_p_oracle
+from oracles import binomial, enumerated_character_sums, reference_row, trace_p_oracle
 
 from test_group_algebra import CASES
 from test_translation_format import reference_torsion_free
 
-from flatspec.arith import binomial
 from flatspec.bieberbach import (
     IsometryElement,
     SignedPermutation,
