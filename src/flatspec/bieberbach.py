@@ -158,9 +158,6 @@ class SignedPermutation(Record):
         signs = tuple(signs)
         return cls(tuple(range(len(signs))), signs)
 
-    def is_identity(self) -> bool:
-        return all(s == 1 for s in self.signs) and self.perm == tuple(range(self.dim))
-
     def is_diagonal(self) -> bool:
         return self.perm == tuple(range(self.dim))
 
@@ -592,16 +589,17 @@ def is_torsion_free(group: BieberbachGroup) -> bool:
 
 def torsion_witness(group: BieberbachGroup) -> IsometryElement | None:
     """The first non-identity representative whose coset contains torsion,
-    or None.  A mask group walks, storing no coset and only as far as the
-    witness, only if a key of its key_counts past the identity's has no c != 0."""
+    or None; holonomy and _walk both yield the identity first.  A mask group
+    walks, storing no coset and only as far as the witness, only if a key of
+    its key_counts past the identity's has no c != 0."""
     if group._basis is None:
         cosets = group.holonomy
     elif all(any(c for _l, c in key) for key, _count in group.key_counts[1:]):
         return None
     else:
         cosets = _walk(group.generators, group.dim)
-    for elem in cosets:
-        if not elem.linear.is_identity() and not coset_is_torsion_free(elem):
+    for elem in itertools.islice(cosets, 1, None):
+        if not coset_is_torsion_free(elem):
             return elem
     return None
 
@@ -660,13 +658,6 @@ def classify_holonomy(group: BieberbachGroup) -> HolonomyClass:
     return HolonomyClass(m, True, rank, f"Z2^{rank}" if rank and rank > 1 else text)
 
 
-def is_diagonal_type(group: BieberbachGroup) -> bool:
-    """All linear parts diagonal sign matrices and all translations in
-    (1/2)Z^n.  Read off the generators: each is its own coset's
-    representative, and products of such cosets are such cosets."""
-    return all(g.half_masks is not None for g in group.generators)
-
-
 def is_orientable(group: BieberbachGroup) -> bool:
     """All linear parts of determinant 1, read off the generators."""
     return all(g.linear.det() == 1 for g in group.generators)
@@ -721,7 +712,8 @@ def validate(group: BieberbachGroup) -> ValidationReport:
     test and classify_holonomy, which form no product and, for a torsion-free
     mask group, build no coset: about 42 ms for a K_17 member (2^16 cosets),
     and about 1 ms for B_6 (see HOLONOMY_CAP).  A mask group with torsion
-    walks only as far as its witness and stores no coset.
+    walks only as far as its witness and stores no coset.  diagonal_type is
+    whether it is a mask group: every generator has half_masks, torus too.
     """
     witness = torsion_witness(group)
     cls = classify_holonomy(group)
@@ -735,7 +727,7 @@ def validate(group: BieberbachGroup) -> ValidationReport:
         holonomy_order=group.order,
         holonomy=cls.description,
         elementary_rank=cls.elementary_rank,
-        diagonal_type=is_diagonal_type(group),
+        diagonal_type=group._basis is not None,
         orientable=is_orientable(group),
         error=detail,
     )

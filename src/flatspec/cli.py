@@ -238,24 +238,27 @@ def cmd_betti(args) -> int:
 def cmd_compare(args) -> int:
     left = _resolve_group(args.left)
     right = _resolve_group(args.right)
-    verdict = spectra.compare_spectra(left, right, args.mode, args.nmax)
+    mode, diff = spectra.compare_spectra(left, right, args.mode, args.nmax)
     if args.json:
-        diff = None
-        if verdict.first_difference is not None:
-            n, a, b = verdict.first_difference
-            diff = {"N": n, "left": a, "right": b}
+        first = None
+        if diff is not None:
+            n, a, b = diff
+            first = {"N": n, "left": a, "right": b}
         _print_json(
             {
                 "left": left.label(),
                 "right": right.label(),
-                "mode": verdict.mode,
-                "n_max": verdict.n_max,
-                "equal": verdict.equal,
-                "first_difference": diff,
+                "mode": mode,
+                "n_max": args.nmax,
+                "equal": diff is None,
+                "first_difference": first,
             }
         )
+    elif diff is None:
+        print(f"{left.label()} vs {right.label()}: equal in mode {mode} for all N <= {args.nmax}")
     else:
-        print(f"{left.label()} vs {right.label()}: {verdict.describe()}")
+        n, a, b = diff
+        print(f"{left.label()} vs {right.label()}: unequal in mode {mode} at N={n}: {a} != {b}")
     return 0
 
 

@@ -11,7 +11,7 @@ named groups and family kinds.
 * a named catalog of fixed example groups (dimensions 3 to 7), embedded
   verbatim rather than re-derived;
 * ``family_members`` and ``family_size``, the one place that decides what
-  each family kind holds and how many members it has.
+  each kind holds, and its count, read off the members' parameters.
 
 Translations are written in quarter units throughout (2 is 1/2, 1 is 1/4).
 """
@@ -25,6 +25,7 @@ from functools import lru_cache, partial
 
 from .arith import format_quarter, json_array, parse_quarter
 from .bieberbach import (
+    DIM_CAP,
     BieberbachGroup,
     GroupValidationError,
     IsometryElement,
@@ -75,6 +76,8 @@ def z2_linear(n: int, j: int, h: int) -> SignedPermutation:
 def _require_z2_dim(n: int) -> None:
     if n < 2:
         raise ValueError(f"the family needs dimension >= 2, got n={n}")
+    if n > DIM_CAP:
+        raise ValueError(f"dimension {n} exceeds the cap of {DIM_CAP}")
 
 
 def z2_parameters(n: int) -> list[tuple[int, int]]:
@@ -101,13 +104,6 @@ def z2_group(n: int, j: int, h: int, name: str | None = None) -> BieberbachGroup
 def z2_family(n: int) -> list[BieberbachGroup]:
     """Every diffeomorphism class with holonomy Z2 over the cubic lattice."""
     return [z2_group(n, j, h) for j, h in z2_parameters(n)]
-
-
-def z2_family_size(n: int) -> int:
-    """Closed-form cardinality (n - [(n-1)/2]) * ([(n-1)/2] + 1) - 1."""
-    _require_z2_dim(n)
-    half = (n - 1) // 2
-    return (n - half) * (half + 1) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +204,6 @@ class GhwArray(Record):
             raise ValueError(f"need {width} bits for n={n}, got {len(bits)}")
         columns = [[2 * (t >> r & 1) for r in range(n)] for _neg, t in kn_masks(n, bits)]
         return cls._trusted(n=n, entries=tuple((*row, sum(row) % 4) for row in zip(*columns)))
-
-    def column(self, c: int) -> tuple[int, ...]:
-        return tuple(self.entries[r][c] for r in range(self.n))
 
     def bits(self) -> tuple[int, ...]:
         return tuple(self.entries[r][c] // 2 for r, c in free_positions(self.n))
@@ -463,10 +456,10 @@ def family_members(kind: str, n: int) -> Iterable[BieberbachGroup]:
 
 def family_size(kind: str, n: int) -> int:
     """The number of family_members(kind, n), with the same errors, building
-    nothing: the closed forms for z2 and kn, the catalog names for
-    hw-catalog."""
+    nothing: the length of the parameter list for z2 and of the catalog
+    names for hw-catalog, the closed form 2^((n-1)(n-2)/2) for kn."""
     if kind == "z2":
-        return z2_family_size(n)
+        return len(z2_parameters(n))
     if kind == "kn":
         return kn_family_size(n)
     if kind == "hw-catalog":

@@ -31,7 +31,7 @@ how a group with diagonal generators and translations in (1/2)Z^n reads it
 off without building a coset) sums the trace vectors of the cosets that
 share a key, and a row is (1/|F|) * sum over keys of T_p[key] * e(key, N):
 one theta lookup per key, not one per coset.  This module only certifies
-rows and scans N.
+rows and scans N, and returns plain values: ``cli`` alone writes text.
 
 Traces of the p-th exterior representation are the coefficients of
 det(Id + t*B) (``SignedPermutation.exterior_traces``).  Every coset of a
@@ -53,7 +53,6 @@ from . import lattice
 from .bieberbach import (
     BieberbachGroup,
     IsometryElement,
-    Record,
     ThetaKey,
     classify_holonomy,
     krawtchouk_table,
@@ -174,19 +173,6 @@ def theorem_checks(members, n: int, n_max: int) -> Iterator[tuple[str, int | Non
         yield label, verdicts[counts]
 
 
-class SpectralComparison(Record):
-    mode: str
-    n_max: int
-    equal: bool
-    first_difference: tuple[int, int, int] | None  # (N, left value, right value)
-
-    def describe(self) -> str:
-        if self.equal:
-            return f"equal in mode {self.mode} for all N <= {self.n_max}"
-        n, left, right = self.first_difference
-        return f"unequal in mode {self.mode} at N={n}: {left} != {right}"
-
-
 def _normalize_mode(mode, dim: int) -> str:
     if isinstance(mode, int):
         if not 0 <= mode <= dim:
@@ -206,9 +192,11 @@ def _normalize_mode(mode, dim: int) -> str:
 
 def compare_spectra(
     left: BieberbachGroup, right: BieberbachGroup, mode, n_max: int
-) -> SpectralComparison:
-    """Scan N = 0..n_max and report the first distinguishing eigenvalue.
-    n_max is checked against the shell cap before any row is computed."""
+) -> tuple[str, tuple[int, int, int] | None]:
+    """(mode label, first difference or None) over N = 0..n_max, the
+    difference (N, left value, right value) at the least N whose values
+    differ.  The label is 'f', 'e', 'o' or 'p<k>' (see row_value); the
+    dimensions, the mode and n_max are checked before any row."""
     if left.dim != right.dim:
         raise ValueError(f"dimension mismatch: {left.dim} vs {right.dim}")
     label = _normalize_mode(mode, left.dim)
@@ -217,5 +205,5 @@ def compare_spectra(
         a = row_value(multiplicity_row(left, norm_sq), label)
         b = row_value(multiplicity_row(right, norm_sq), label)
         if a != b:
-            return SpectralComparison(label, n_max, False, (norm_sq, a, b))
-    return SpectralComparison(label, n_max, True, None)
+            return label, (norm_sq, a, b)
+    return label, None

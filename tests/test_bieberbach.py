@@ -17,7 +17,6 @@ from flatspec.bieberbach import (
     coset_is_torsion_free,
     expand_holonomy,
     group_from_json,
-    is_diagonal_type,
     is_orientable,
     is_torsion_free,
     validate,
@@ -184,7 +183,7 @@ def test_from_json_reduces_translations_mod_one():
 def test_identity_composition():
     e = IsometryElement.identity(3)
     assert e.compose(e) == e
-    assert e.linear.is_identity() and not any(e.translation)
+    assert e.linear == SignedPermutation.identity(3) and not any(e.translation)
 
 
 def test_compose_matches_hand_composition():
@@ -192,7 +191,7 @@ def test_compose_matches_hand_composition():
     # translation, i.e. the identity representative
     gamma = iso((-1, -1, 1), (2, 0, 2))
     square = gamma.compose(gamma)
-    assert square.linear.is_identity()
+    assert square.linear == SignedPermutation.identity(3)
     assert square.translation == (0, 0, 0)
 
 
@@ -324,16 +323,16 @@ def test_classify_cyclic_four_and_product():
 
 def test_diagonal_type_and_orientable():
     hw = catalog("hw3/M1")
-    assert is_diagonal_type(hw)
+    assert validate(hw).diagonal_type
     assert is_orientable(hw)
     dicosm_labeled = catalog("dim3/m10")
-    assert not is_diagonal_type(dicosm_labeled)
+    assert not validate(dicosm_labeled).diagonal_type
     assert not is_orientable(dicosm_labeled)
     t = torus(2)
-    assert is_diagonal_type(t)
+    assert validate(t).diagonal_type
     assert is_orientable(t)
     quarter_turn = catalog("dim6/z4_M")
-    assert not is_diagonal_type(quarter_turn)
+    assert not validate(quarter_turn).diagonal_type
     assert is_orientable(quarter_turn)
 
 

@@ -557,10 +557,12 @@ def test_graph_index_builds_one_array(capsys):
 
 
 def test_family_count_errors_are_kept(capsys):
-    for kind, dim in [("kn", "1"), ("kn", "9"), ("z2", "1"), ("hw-catalog", "4")]:
+    # the count fails where the listing fails, with the same line
+    for kind, dim in [("kn", "1"), ("kn", "9"), ("z2", "1"), ("z2", "65"), ("hw-catalog", "4")]:
         code, out = run(capsys, "family", kind, "--dim", dim, "--count-only")
         assert code == 2
         assert "error" in json.loads(out)
+        assert run(capsys, "family", kind, "--dim", dim) == (code, out)
 
 
 def test_hw_names_resolve_through_the_catalog(capsys):

@@ -34,7 +34,6 @@ from flatspec.families import (
     kn_masks,
     torus,
     z2_family,
-    z2_family_size,
     z2_group,
     z2_parameters,
 )
@@ -45,15 +44,14 @@ from flatspec.families import (
 def test_z2_family_counts():
     assert len(z2_family(3)) == 3
     assert len(z2_family(4)) == 5
-    assert z2_family_size(10) == (100 + 20 - 4) // 4 == 29
+    assert family_size("z2", 10) == (100 + 20 - 4) // 4 == 29
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_z2_family_size_closed_form(n):
-    params = z2_parameters(n)
-    assert len(params) == z2_family_size(n)
+    # the closed form (n - [(n-1)/2]) * ([(n-1)/2] + 1) - 1, in one fraction
     numerator = n * n + 2 * n - (4 if n % 2 == 0 else 3)
-    assert z2_family_size(n) == numerator // 4
+    assert len(z2_parameters(n)) == family_size("z2", n) == numerator // 4
 
 
 def test_z2_group_structure():
@@ -109,7 +107,7 @@ def test_free_positions_and_count():
 def test_klein_bottle_array():
     array = GhwArray.from_bits(2, ())
     assert array.entries == ((0, 0), (2, 2))
-    assert array.column(0) == (0, 2)
+    assert [row[0] for row in array.entries] == [0, 2]
 
 
 def test_array_invariants_rejected():
@@ -179,10 +177,7 @@ def test_array_round_trip_bits():
 def test_published_dimension_four_array_shape():
     # x = y = z = 0 member: second column (0, 0, 1/2, 0), last column derived
     array = GhwArray.from_bits(4, (0, 0, 0))
-    assert array.column(0) == (0, 2, 0, 0)
-    assert array.column(1) == (0, 0, 2, 0)
-    assert array.column(2) == (0, 0, 0, 2)
-    assert array.column(3) == (0, 2, 2, 2)
+    assert list(zip(*array.entries)) == [(0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (0, 2, 2, 2)]
     # x = z = 0, y = 1/2 flips exactly entries (1,3) and the derived (1,4)
     array = GhwArray.from_bits(4, (0, 1, 0))
     assert array.entries[0] == (0, 0, 2, 2)
@@ -314,8 +309,8 @@ def test_kn_generators_equal_the_checked_elements(n):
     for array in kn_arrays(n):
         generators = kn_group_from_array(array).generators
         checked = tuple(
-            IsometryElement(SignedPermutation.diagonal(-1 if k == c else 1 for k in range(n)), array.column(c))
-            for c in range(n - 1)
+            IsometryElement(SignedPermutation.diagonal(-1 if k == c else 1 for k in range(n)), column)
+            for c, column in zip(range(n - 1), zip(*array.entries))
         )
         assert generators == checked
         assert list(map(hash, generators)) == list(map(hash, checked))
@@ -363,7 +358,7 @@ def test_kn_three_matches_catalog_amphidicosms():
     from flatspec.spectra import compare_spectra
 
     for p in range(4):
-        assert compare_spectra(minus, catalog("hw3/M3"), p, 10).equal
+        assert compare_spectra(minus, catalog("hw3/M3"), p, 10)[1] is None
 
 
 def test_kn_holonomy_rank():
@@ -477,13 +472,25 @@ def test_hw_groups_by_dimension():
 
 
 def test_family_registry():
-    for kind, n in [("z2", 4), ("kn", 4), ("hw-catalog", 3), ("hw-catalog", 7)]:
+    # each kind on both sides of every limit: n = 2 and the caps hold members
+    inside = [
+        ("z2", 2), ("z2", 4), ("z2", 64), ("kn", 2), ("kn", 4), ("hw-catalog", 3), ("hw-catalog", 7)
+    ]
+    for kind, n in inside:
         members = list(family_members(kind, n))
         assert family_size(kind, n) == len(members)
         assert all(group.dim == n for group in members)
     assert [g.label() for g in family_members("hw-catalog", 3)] == ["hw3/M1", "hw3/M2", "hw3/M3"]
-    for call in (family_members, family_size):
-        with pytest.raises(ValueError, match="unknown family kind 'k9'"):
-            call("k9", 4)
-        with pytest.raises(ValueError, match="no built-in Hantzsche-Wendt data in dimension 4"):
-            call("hw-catalog", 4)
+    outside = {
+        ("k9", 4): "unknown family kind 'k9'",
+        ("z2", 1): "the family needs dimension >= 2, got n=1",
+        ("z2", 65): "dimension 65 exceeds the cap of 64",
+        ("kn", 1): "the family needs n >= 2, got 1",
+        ("kn", 9): "dimension 9 exceeds the family cap 8",
+        ("hw-catalog", 4): "no built-in Hantzsche-Wendt data in dimension 4",
+    }
+    for (kind, n), message in outside.items():
+        for call in (family_members, family_size):
+            with pytest.raises(ValueError) as err:
+                call(kind, n)
+            assert str(err.value) == message

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,55 @@ def test_the_cli_loads_only_what_every_run_uses():
     assert [name for name in absent if name in loaded] == []
     eager = ("lattice", "spectra", "bieberbach", "families")
     assert [name for name in eager if f"flatspec.{name}" not in loaded] == []
+
+
+# name -> why it stays though nothing else in src reads it
+READ_OUTSIDE_SRC = {
+    "lattice.shell_vectors": "wrapped by the perfbench tracer",
+    "lattice.fixed_vectors": "wrapped by the perfbench tracer",
+    "lattice.Shell.count": "read by the perfbench tracer's vector counter",
+    "families.hw_groups": "wrapped by the perfbench tracer",
+    "families.catalog_names": "public API, read only by tests",
+    "graphs.graphs_isomorphic": "public API, read only by tests",
+    "graphs.canonical_vertex_order": "public API, read only by tests",
+}
+
+
+def src_reads(node) -> tuple[Counter, Counter]:
+    """(names loaded or imported, attributes read) below node."""
+    names, attributes = Counter(), Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            names[child.id] += 1
+        elif isinstance(child, ast.ImportFrom):
+            names.update(alias.name for alias in child.names)
+        elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            attributes[child.attr] += 1
+    return names, attributes
+
+
+def test_every_src_name_is_read_in_src():
+    # a module-level function or class is read where src, outside its own
+    # body, loads or imports its name or reads an attribute of that name; a
+    # method, where src reads such an attribute; dunder methods are exempt
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    names, attributes = Counter(), Counter()
+    for tree in trees.values():
+        tree_names, tree_attributes = src_reads(tree)
+        names += tree_names
+        attributes += tree_attributes
+    unread = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own_names, own_attributes = src_reads(node)
+            if names[node.name] + attributes[node.name] == own_names[node.name] + own_attributes[node.name]:
+                unread.add(f"{module}.{node.name}")
+            methods = node.body if isinstance(node, ast.ClassDef) else ()
+            for method in methods:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("__"):
+                    if attributes[method.name] == src_reads(method)[1][method.name]:
+                        unread.add(f"{module}.{node.name}.{method.name}")
+    assert sorted(unread - READ_OUTSIDE_SRC.keys()) == []
+    assert sorted(READ_OUTSIDE_SRC.keys() - unread) == []
