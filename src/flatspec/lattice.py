@@ -6,9 +6,8 @@ so shells serve for both the lattice and its dual.
 
 The vectors fixed by a signed permutation are one integer m per cycle of
 sign product +1, so the spectral path only counts them, with signs, as the
-integer coefficients of products of real one-dimensional theta series
-(``theta_counts``), one per pair (l, c) of a coset's theta key
-(``IsometryElement.theta_key``).
+coefficients of products of theta series, one per pair (l, c) of a theta
+key (``IsometryElement.theta_key``), tabled per key and top (``theta_series``).
 ``shell_vectors`` and ``fixed_vectors`` list vectors and are off the
 spectral path: they stay only for the benchmark's tracer, which wraps them,
 and for the test oracles that check the series against listed shells.
@@ -20,13 +19,13 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import add, sub
 
 from .bieberbach import Record, SignedPermutation
 
-#: largest squared norm admitted, read at each call by check_norm.  From a
-#: cold cache, multiplicity_row(torus(n), SHELL_CAP) takes about 2 s for
-#: n = 8, filling 61193 of theta_counts' 2^16 entries, 7 s for n = 16 and
-#: 70 s for n = 64, bieberbach.DIM_CAP (CPython 3.11, Xeon VM).
+#: largest squared norm admitted, read at each call by check_norm.  Cold, a
+#: torus(8) row at SHELL_CAP takes 0.23 s, a torus(16) row 0.46 s and ``compare
+#: torus:16 torus:16 --nmax 10000`` 1.1 s (CPython 3.11, Xeon VM; see DIM_CAP).
 SHELL_CAP = 10_000
 
 IntVector = tuple[int, ...]
@@ -92,22 +91,29 @@ def fixed_vectors(shell: Shell, b: SignedPermutation) -> tuple[IntVector, ...]:
     return tuple(v for v in shell.vectors if b.apply(v) == v)
 
 
-@lru_cache(maxsize=1 << 16)
 def theta_counts(key: tuple[tuple[int, int], ...], norm_sq: int) -> int:
     """The q^N coefficient of the product over the pairs (l, c) of a theta
     key of theta(q^l) for c = 0 and theta(-q^l) for c = 2, with
     theta(q) = sum_m q^(m^2): the integer tuples (m_1, ...) with
     sum l*m^2 = N, each counted with the sign (-1)^(sum of m over c = 2)."""
+    return theta_series(key, min(1 << norm_sq.bit_length(), SHELL_CAP))[norm_sq]
+
+
+@lru_cache(maxsize=1 << 10)
+def theta_series(key: tuple[tuple[int, int], ...], top: int) -> tuple[int, ...]:
+    """theta_counts(key, N) for N <= top, a power of two or SHELL_CAP: the
+    prefix's series times 1 + 2 sum_(m >= 1) (-1)^(c*m/2) q^(l*m^2), by m."""
     if not key:
-        return 1 if norm_sq == 0 else 0
+        return (1,) + (0,) * top
     (length, c), rest = key[-1], key[:-1]
     if c not in (0, 2):
         raise ValueError(f"theta key pairs need c in (0, 2), got {(length, c)}")
-    total = theta_counts(rest, norm_sq)
-    for m in range(1, math.isqrt(norm_sq // length) + 1):
-        sub = theta_counts(rest, norm_sq - length * m * m)
-        total += -2 * sub if c and m % 2 else 2 * sub
-    return total
+    series = list(theta_series(rest, top))
+    twice = [2 * value for value in series]
+    for m in range(1, math.isqrt(top // length) + 1):
+        shift = length * m * m
+        series[shift:] = map(sub if c and m % 2 else add, series[shift:], twice)
+    return tuple(series)
 
 
 def shell_count(n: int, norm_sq: int) -> int:

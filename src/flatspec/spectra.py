@@ -22,8 +22,7 @@ a coefficient of a product of one-dimensional theta series.  Each factor
 is real: theta(q^l) for c = 0, theta(-q^l) for c = 2, and theta(-q^(4l))
 for odd c, whose odd terms cancel.  The pairs (l, c) of gamma's theta key
 (``IsometryElement.theta_key``, which also decides torsion) name these
-factors with c in {0, 2}, and ``lattice.theta_counts`` returns the
-coefficient as one integer, so no vector is ever listed.
+factors with c in {0, 2}, whose product ``lattice.theta_series`` tables.
 
 So d_p(N) depends on a coset only through its theta key and its traces.
 A group's signature (``BieberbachGroup.signature``, which also documents

@@ -19,6 +19,9 @@ Also here, because only tests compare against them:
   I/O of ``arith`` done through ``Fraction``;
 * ``binomial`` and ``krawtchouk``, K_p^n(x) by its defining alternating sum,
   apart from ``bieberbach.krawtchouk_table``, which reads it off traces;
+* ``recursive_theta_counts``, one coefficient of a theta key's product by
+  recursion over the key's prefixes, memoised per (prefix, N), apart from
+  ``lattice.theta_series``, which tables whole series;
 * the paper's closed forms for the (j, h) family of ``families.z2_group``:
   ``z2_closed_forms`` (d_p at N = 1 and 2) and ``z2_betti_closed_form``.
 """
@@ -27,6 +30,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from flatspec import bieberbach, lattice, spectra
@@ -54,6 +58,23 @@ def krawtchouk(n: int, p: int, x: int) -> int:
     if not 0 <= x <= n:
         raise ValueError(f"argument x must satisfy 0 <= x <= n, got x={x}, n={n}")
     return sum((-1) ** t * binomial(x, t) * binomial(n - x, p - t) for t in range(p + 1))
+
+
+@lru_cache(maxsize=1 << 16)
+def recursive_theta_counts(key: tuple[tuple[int, int], ...], norm_sq: int) -> int:
+    """lattice.theta_counts by recursion: the q^N coefficient of the product
+    over the pairs (l, c) of theta(q^l) for c = 0 and theta(-q^l) for c = 2,
+    summing the prefix's coefficient at N - l*m^2 over every m."""
+    if not key:
+        return 1 if norm_sq == 0 else 0
+    (length, c), rest = key[-1], key[:-1]
+    if c not in (0, 2):
+        raise ValueError(f"theta key pairs need c in (0, 2), got {(length, c)}")
+    total = recursive_theta_counts(rest, norm_sq)
+    for m in range(1, math.isqrt(norm_sq // length) + 1):
+        sub = recursive_theta_counts(rest, norm_sq - length * m * m)
+        total += -2 * sub if c and m % 2 else 2 * sub
+    return total
 
 
 def fraction_parse_quarter(value) -> int:

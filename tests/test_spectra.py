@@ -540,7 +540,7 @@ def test_every_cache_is_bounded():
     # traces and cycles have none
     assert set(maxsizes) == {
         "families.catalog",
-        "lattice.theta_counts",
+        "lattice.theta_series",
         "bieberbach.krawtchouk_table",
         "spectra.multiplicity_row",
     }

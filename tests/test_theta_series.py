@@ -1,17 +1,26 @@
 """The theta-series engine against shell enumeration, and identities that
 hold whatever engine computes the spectrum."""
 
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import binomial, enumerated_character_sums, reference_row, trace_p_oracle
+from oracles import (
+    binomial,
+    enumerated_character_sums,
+    recursive_theta_counts,
+    reference_row,
+    trace_p_oracle,
+)
 
 from test_group_algebra import CASES
 from test_translation_format import reference_torsion_free
 
+from flatspec import cli
 from flatspec.bieberbach import (
+    DIM_CAP,
     IsometryElement,
     SignedPermutation,
     classify_holonomy,
@@ -35,6 +44,7 @@ from flatspec.lattice import (
     shell_count,
     shell_vectors,
     theta_counts,
+    theta_series,
 )
 from flatspec.spectra import character_sum, multiplicity_row
 
@@ -133,6 +143,48 @@ def test_theta_counts_of_small_products():
         theta_counts(((1, 1),), 1)
 
 
+def test_theta_counts_match_the_recursion_on_every_catalog_and_k5_key():
+    groups = [*map(catalog, catalog_names()), *kn_family(5)]
+    keys = {key for group in groups for key, _count in group.key_counts}
+    assert len(keys) == 24
+    for key in keys:
+        expected = [recursive_theta_counts(key, norm_sq) for norm_sq in range(61)]
+        assert [theta_counts(key, norm_sq) for norm_sq in range(61)] == expected, key
+
+
+def _random_keys(seed: int, count: int):
+    # in any order, not only sorted as IsometryElement.theta_key makes them
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield tuple((rng.choice((1, 2, 3, 4, 8)), rng.choice((0, 2))) for _ in range(rng.randint(0, 8)))
+
+
+def test_theta_counts_match_the_recursion_on_random_keys():
+    for key in _random_keys(300, 300):
+        expected = [recursive_theta_counts(key, norm_sq) for norm_sq in range(201)]
+        assert [theta_counts(key, norm_sq) for norm_sq in range(201)] == expected, key
+
+
+def test_theta_counts_match_the_recursion_where_the_table_grows_and_at_the_cap():
+    # N = 2^k - 1 and 2^k read tables of different tops; above 8192 the top
+    # is clamped to SHELL_CAP
+    norms = sorted({v for k in range(14) for v in (2**k - 1, 2**k)} | {8193, 9001, SHELL_CAP})
+    theta_series.cache_clear()
+    for key in [((1, 0),) * 8, ((1, 2),) * 3 + ((2, 0), (4, 2)), *_random_keys(301, 2)]:
+        expected = [recursive_theta_counts(key, norm_sq) for norm_sq in norms]
+        assert [theta_counts(key, norm_sq) for norm_sq in norms] == expected, key
+
+
+@pytest.mark.parametrize("key", [((1, 1),), ((1, 0), (2, 3)), ((1, 3), (1, 0)), ((4, 1), (1, 2), (2, 5))])
+def test_a_bad_theta_key_pair_raises_as_in_the_recursion(key):
+    for norm_sq in (0, 5, 200):
+        with pytest.raises(ValueError) as tabled:
+            theta_counts(key, norm_sq)
+        with pytest.raises(ValueError) as recursive:
+            recursive_theta_counts(key, norm_sq)
+        assert str(tabled.value) == str(recursive.value)
+
+
 # engine-independent identities -------------------------------------------------
 
 
@@ -182,10 +234,32 @@ def test_torus_row_far_out_in_dimension_eight():
 
 def test_torus_row_at_the_shell_cap_in_dimension_eight():
     # the largest row the cap admits, within its stated cost
-    theta_counts.cache_clear()
+    theta_series.cache_clear()
     start = time.perf_counter()
     row = multiplicity_row(torus(8), SHELL_CAP)
     elapsed = time.perf_counter() - start
     size = jacobi_r8(SHELL_CAP)
     assert row == tuple(binomial(8, p) * size for p in range(9))
     assert elapsed < 10.0, f"multiplicity_row(torus(8), {SHELL_CAP}) took {elapsed:.2f} s"
+
+
+def test_torus_row_at_the_shell_cap_in_dimension_sixty_four():
+    # the costliest torus row the caps admit, within bieberbach.DIM_CAP's stated cost
+    theta_series.cache_clear()
+    multiplicity_row.cache_clear()
+    start = time.perf_counter()
+    row = multiplicity_row(torus(DIM_CAP), SHELL_CAP)
+    elapsed = time.perf_counter() - start
+    assert row == tuple(binomial(DIM_CAP, p) * shell_count(DIM_CAP, SHELL_CAP) for p in range(DIM_CAP + 1))
+    assert elapsed < 20.0, f"multiplicity_row(torus({DIM_CAP}), {SHELL_CAP}) took {elapsed:.2f} s"
+
+
+def test_compare_to_the_shell_cap_in_dimension_sixteen(capsys):
+    theta_series.cache_clear()
+    multiplicity_row.cache_clear()
+    start = time.perf_counter()
+    code = cli.main(["compare", "torus:16", "torus:16", "--nmax", "10000"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert capsys.readouterr().out == "T^16 vs T^16: equal in mode f for all N <= 10000\n"
+    assert elapsed < 15.0, f"compare torus:16 torus:16 --nmax 10000 took {elapsed:.2f} s"
