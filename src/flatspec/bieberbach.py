@@ -64,9 +64,10 @@ HOLONOMY_CAP = 2**16
 
 #: largest dimension expand_holonomy will build a group in, and the largest
 #: n of the krawtchouk command.  krawtchouk_table costs O(n^3) (all 64 take
-#: 0.3 s).  At lattice.SHELL_CAP a torus:64 row takes 2.1 s, ``compare torus:64
-#: torus:64`` 4.9 s at 119 MiB peak RSS, and a mask group's row 9.9 s at 160 MiB
-#: in dim 32 (224 keys), 24 s at 467 MiB in dim 64 (510 keys) (CPython 3.11, Xeon VM).
+#: 0.3 s).  At lattice.SHELL_CAP a torus:64 row takes 1.9-2.0 s, ``compare
+#: torus:64 torus:64`` 4.6-4.9 s at 90 MiB peak RSS, and the row of a dim-64 mask
+#: group of 16 random generators (697 keys, 1123 key prefixes) 38-39 s at 56 MiB
+#: (CPython 3.11, Xeon VM).
 DIM_CAP = 64
 
 #: the (l, c) pairs of IsometryElement.theta_key
@@ -411,25 +412,19 @@ class BieberbachGroup(Record):
         return tuple((mask_key(self.dim, x, b), count) for (x, b), count in counts.items())
 
     @cached_property
-    def signature(self) -> tuple[tuple[ThetaKey, tuple[int, ...]], ...]:
-        """Pairs (theta key, T) in order of first appearance, where T[p] sums
-        the traces on p-forms of the representatives with that key: all that
-        the multiplicities d_p(N) read of the group (see ``spectra``).
-        O(|F| * n).  A mask group reads it off its key counts instead: its
-        cosets are involutions, so a key's traces are K_p^n(n - len(key))."""
+    def signature(self) -> tuple[tuple[tuple[ThetaKey, tuple[int, ...]], int], ...]:
+        """Pairs ((theta key, T), count) in order of first appearance, where
+        T[p] is one coset's trace on p-forms and count the number of
+        representatives with that key and those traces: all that the
+        multiplicities d_p(N) read of the group (see ``spectra``).  O(|F| * n):
+        0.2 ms for hw7/H1 (|F| = 64, 7 entries).  A mask group reads it off
+        its key counts instead, one entry a key, since its cosets are
+        involutions whose traces are K_p^n(n - len(key)): 75 ms for a dim-64
+        group of 2^16 cosets and 697 keys (CPython 3.11, Xeon VM)."""
         if self._basis is not None:
-            n = self.dim
-            columns = tuple(zip(*krawtchouk_table(n)))  # column x: K_p^n(x) for every p
-            return tuple(
-                (key, tuple(count * k for k in columns[n - len(key)])) for key, count in self.key_counts
-            )
-        totals: dict[ThetaKey, tuple[int, ...]] = {}
-        for elem in self.holonomy:
-            key = elem.theta_key
-            traces = elem.linear.exterior_traces()
-            known = totals.get(key)
-            totals[key] = traces if known is None else tuple(map(sum, zip(known, traces)))
-        return tuple(totals.items())
+            columns = tuple(zip(*krawtchouk_table(self.dim)))  # column x: K_p^n(x) for every p
+            return tuple(((key, columns[self.dim - len(key)]), count) for key, count in self.key_counts)
+        return tuple(Counter((elem.theta_key, elem.linear.exterior_traces()) for elem in self.holonomy).items())
 
     def label(self) -> str:
         return self.name if self.name else f"group(dim={self.dim},|F|={self.order})"

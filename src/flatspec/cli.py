@@ -153,18 +153,13 @@ def cmd_krawtchouk(args) -> int:
     return 0
 
 
-def _char_sums(group: BieberbachGroup, norm_sq: int) -> list[int]:
-    """e(gamma, N) for every representative but the identity, in order."""
-    return [spectra.character_sum(elem, norm_sq) for elem in group.holonomy[1:]]
-
-
-def _char_sum_table(groups, norm_sq: int) -> tuple[list[str], list[list[str]]]:
+def _char_sum_table(groups, sums, norm_sq: int) -> tuple[list[str], list[list[str]]]:
     width = max(g.order for g in groups) - 1
     headers = ["group"] + [f"e(gamma_{i})" for i in range(1, width + 1)]
     rows = []
-    for group in groups:
-        sums = [str(value) for value in _char_sums(group, norm_sq)]
-        rows.append([group.label()] + sums + [""] * (width - len(sums)))
+    for group, series in zip(groups, sums):
+        values = [str(values[norm_sq]) for values in series]
+        rows.append([group.label()] + values + [""] * (width - len(values)))
     return headers, rows
 
 
@@ -174,8 +169,11 @@ def cmd_spectrum(args) -> int:
     groups = _resolve_groups(args.groups)
     norms = _parse_norms(args.norms)
     columns = [f"d_{p}" for p in range(groups[0].dim + 1)] + ["d_f"]
+    by_group = spectra.multiplicity_row(tuple(groups), tuple(norms))
     # (label, N, row) for every pair, N-major: one table per eigenvalue
-    rows = [(g.label(), n, spectra.multiplicity_row(g, n)) for n in norms for g in groups]
+    rows = [(g.label(), n, by_group[j][i]) for i, n in enumerate(norms) for j, g in enumerate(groups)]
+    # e(gamma, N) of every representative but the identity, in order, to the largest N
+    sums = [spectra.character_sum(g.holonomy[1:], max(norms)) for g in groups] if args.char_sums else None
     if args.json:
         payload = {
             "rows": [
@@ -190,10 +188,10 @@ def cmd_spectrum(args) -> int:
                     "group": group.label(),
                     "N": norm_sq,
                     # the interchange form keeps the complex shape; im is always 0
-                    "e": [{"im": 0, "re": value} for value in _char_sums(group, norm_sq)],
+                    "e": [{"im": 0, "re": values[norm_sq]} for values in series],
                 }
                 for norm_sq in norms
-                for group in groups
+                for group, series in zip(groups, sums)
             ]
         _print_json(payload)
         return 0
@@ -210,7 +208,7 @@ def cmd_spectrum(args) -> int:
         ]
         blocks.append(f"N={norm_sq}\n" + _format_table(["group"] + columns, data))
         if args.char_sums:
-            headers_cs, rows_cs = _char_sum_table(groups, norm_sq)
+            headers_cs, rows_cs = _char_sum_table(groups, sums, norm_sq)
             blocks.append("character sums\n" + _format_table(headers_cs, rows_cs))
     print("\n\n".join(blocks))
     return 0
@@ -219,18 +217,12 @@ def cmd_spectrum(args) -> int:
 def cmd_betti(args) -> int:
     groups = _resolve_groups(args.groups)
     dim = groups[0].dim
+    betti = spectra.betti_numbers(groups)
     if args.json:
-        _print_json(
-            {
-                "rows": [
-                    {"group": g.label(), "betti": list(spectra.betti_numbers(g))}
-                    for g in groups
-                ]
-            }
-        )
+        _print_json({"rows": [{"group": g.label(), "betti": list(row)} for g, row in zip(groups, betti)]})
         return 0
     headers = ["group"] + [f"b_{p}" for p in range(dim + 1)]
-    rows = [[g.label()] + [str(v) for v in spectra.betti_numbers(g)] for g in groups]
+    rows = [[g.label()] + [str(v) for v in row] for g, row in zip(groups, betti)]
     print(_format_table(headers, rows))
     return 0
 
@@ -290,25 +282,26 @@ def cmd_family(args) -> int:
     if args.graphs and args.kind == "kn":
         return _print_kn_graphs(args.dim)
     n_max = args.verify_theorem
-    if n_max is not None and args.kind == "kn":
+    if n_max is None:
+        members = families.family_members(args.kind, args.dim)
+        if args.graphs:
+            return _fail("--graphs is only defined for the kn family")
+        for group in members:
+            print(json.dumps(group.to_json(), sort_keys=True))
+        return 0
+    if args.kind == "kn":
         checks = spectra.theorem_checks(families.kn_histograms(args.dim), args.dim, n_max)
     else:
-        members = families.family_members(args.kind, args.dim)
-        checks = ((group.label(), spectra.theorem_check(group, n_max)) for group in members)
-    if n_max is not None:
-        total = failures = 0
-        for label, failing in checks:
-            failed = failing is not None
-            total += 1
-            failures += failed
-            print(f"{label}: {'FAIL' if failed else 'pass'} (N <= {n_max})")
-        print(f"{total - failures}/{total} groups satisfy d_f = 2^(n-k)|shell| and d_e = d_o")
-        return 0 if failures == 0 else 2
-    if args.graphs:
-        return _fail("--graphs is only defined for the kn family")
-    for group in members:
-        print(json.dumps(group.to_json(), sort_keys=True))
-    return 0
+        members = list(families.family_members(args.kind, args.dim))
+        checks = zip([group.label() for group in members], spectra.theorem_check(members, n_max))
+    total = failures = 0
+    for label, failing in checks:
+        failed = failing is not None
+        total += 1
+        failures += failed
+        print(f"{label}: {'FAIL' if failed else 'pass'} (N <= {n_max})")
+    print(f"{total - failures}/{total} groups satisfy d_f = 2^(n-k)|shell| and d_e = d_o")
+    return 0 if failures == 0 else 2
 
 
 def cmd_graph(args) -> int:

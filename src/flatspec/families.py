@@ -352,9 +352,10 @@ _Z4Z2_MP = (
     ((0, 1, 2, 3, 4, 5), (-1, -1, -1, 1, -1, 1), (0, 0, 0, 2, 2, 0)),
 )
 
-# name -> builder called with the name; the insertion order is
-# catalog_names().  The builders look up expand_holonomy and the checks at
-# each call, so a wrapper installed on a module attribute sees every build.
+# name -> builder called with the name, in the order in which hw-catalog and
+# the unknown-name message list them.  The builders look up expand_holonomy
+# and the checks at each call, so a wrapper installed on a module attribute
+# sees every build.
 # The hw<n>/H* rows are Hantzsche-Wendt translations (see _hw_sample): the
 # first per dimension is the classical chain b_i = (e_i + e_{i+1})/2, the
 # others were found by search over {0, 1/2} translations.
@@ -420,10 +421,6 @@ _CATALOG = {
         ),
     ),
 }
-
-
-def catalog_names() -> list[str]:
-    return list(_CATALOG)
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,8 @@ so shells serve for both the lattice and its dual.
 The vectors fixed by a signed permutation are one integer m per cycle of
 sign product +1, so the spectral path only counts them, with signs, as the
 coefficients of products of theta series, one per pair (l, c) of a theta
-key (``IsometryElement.theta_key``), tabled per key and top (``theta_series``).
+key (``IsometryElement.theta_key``).  ``theta_series`` walks all the keys a
+call needs, to one top, and caches nothing: it holds at most n + 1 series.
 ``shell_vectors`` and ``fixed_vectors`` list vectors and are off the
 spectral path: they stay only for the benchmark's tracer, which wraps them,
 and for the test oracles that check the series against listed shells.
@@ -18,14 +19,15 @@ enforced; like the other limits it is a constant, read at each call.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from collections.abc import Iterator
 from operator import add, sub
 
-from .bieberbach import Record, SignedPermutation
+from .bieberbach import Record, SignedPermutation, ThetaKey
 
 #: largest squared norm admitted, read at each call by check_norm.  Cold, a
-#: torus(8) row at SHELL_CAP takes 0.23 s, a torus(16) row 0.46 s and ``compare
-#: torus:16 torus:16 --nmax 10000`` 1.1 s (CPython 3.11, Xeon VM; see DIM_CAP).
+#: torus(8) row at SHELL_CAP takes 0.18 s, a torus(16) row 0.42-0.45 s and
+#: ``compare torus:16 torus:16 --nmax 10000`` 1.0 s (CPython 3.11, Xeon VM; see
+#: DIM_CAP).
 SHELL_CAP = 10_000
 
 IntVector = tuple[int, ...]
@@ -91,35 +93,32 @@ def fixed_vectors(shell: Shell, b: SignedPermutation) -> tuple[IntVector, ...]:
     return tuple(v for v in shell.vectors if b.apply(v) == v)
 
 
-def theta_counts(key: tuple[tuple[int, int], ...], norm_sq: int) -> int:
-    """The q^N coefficient of the product over the pairs (l, c) of a theta
-    key of theta(q^l) for c = 0 and theta(-q^l) for c = 2, with
-    theta(q) = sum_m q^(m^2): the integer tuples (m_1, ...) with
-    sum l*m^2 = N, each counted with the sign (-1)^(sum of m over c = 2)."""
-    return theta_series(key, min(1 << norm_sq.bit_length(), SHELL_CAP))[norm_sq]
+def theta_series(keys, top: int) -> Iterator[tuple[ThetaKey, list[int]]]:
+    """(key, coefficients of q^0..q^top) for each distinct theta key, sorted:
+    the product over its pairs (l, c) of theta(q^l) for c = 0 and theta(-q^l)
+    for c = 2, theta(q) = sum_m q^(m^2).  One depth-first walk of the keys'
+    prefix trie multiplies in 1 + 2 sum_(m >= 1) (-1)^(c*m/2) q^(l*m^2) per
+    edge, by slices, holding only the chain of live prefixes' lists, which a
+    caller only reads.  top is checked at the call, a pair when walked."""
+    check_norm(top)
+    order = sorted(set(keys))
 
+    def walk():
+        chain = [((), [1] + [0] * top)]  # (prefix, its series) down to the last key
+        for key in order:
+            while key[: len(chain[-1][0])] != chain[-1][0]:
+                chain.pop()
+            prefix, series = chain[-1]
+            for length, c in key[len(prefix) :]:
+                if c not in (0, 2):
+                    raise ValueError(f"theta key pairs need c in (0, 2), got {(length, c)}")
+                twice = [2 * value for value in series]
+                series = series[:]
+                for m in range(1, math.isqrt(top // length) + 1):
+                    shift = length * m * m
+                    series[shift:] = map(sub if c and m % 2 else add, series[shift:], twice)
+                prefix += ((length, c),)
+                chain.append((prefix, series))
+            yield key, series
 
-@lru_cache(maxsize=1 << 10)
-def theta_series(key: tuple[tuple[int, int], ...], top: int) -> tuple[int, ...]:
-    """theta_counts(key, N) for N <= top, a power of two or SHELL_CAP: the
-    prefix's series times 1 + 2 sum_(m >= 1) (-1)^(c*m/2) q^(l*m^2), by m."""
-    if not key:
-        return (1,) + (0,) * top
-    (length, c), rest = key[-1], key[:-1]
-    if c not in (0, 2):
-        raise ValueError(f"theta key pairs need c in (0, 2), got {(length, c)}")
-    series = list(theta_series(rest, top))
-    twice = [2 * value for value in series]
-    for m in range(1, math.isqrt(top // length) + 1):
-        shift = length * m * m
-        series[shift:] = map(sub if c and m % 2 else add, series[shift:], twice)
-    return tuple(series)
-
-
-def shell_count(n: int, norm_sq: int) -> int:
-    """r_n(N), the size of the shell of squared norm N in Z^n, from the
-    theta series without listing the shell."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    check_norm(norm_sq)
-    return theta_counts(((1, 0),) * n, norm_sq)
+    return walk()

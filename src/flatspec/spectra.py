@@ -22,15 +22,20 @@ a coefficient of a product of one-dimensional theta series.  Each factor
 is real: theta(q^l) for c = 0, theta(-q^l) for c = 2, and theta(-q^(4l))
 for odd c, whose odd terms cancel.  The pairs (l, c) of gamma's theta key
 (``IsometryElement.theta_key``, which also decides torsion) name these
-factors with c in {0, 2}, whose product ``lattice.theta_series`` tables.
+factors with c in {0, 2}, whose product ``lattice.theta_series`` walks.
 
 So d_p(N) depends on a coset only through its theta key and its traces.
 A group's signature (``BieberbachGroup.signature``, which also documents
 how a group with diagonal generators and translations in (1/2)Z^n reads it
-off without building a coset) sums the trace vectors of the cosets that
-share a key, and a row is (1/|F|) * sum over keys of T_p[key] * e(key, N):
-one theta lookup per key, not one per coset.  This module only certifies
-rows and scans N, and returns plain values: ``cli`` alone writes text.
+off without building a coset) counts the cosets per (key, traces), and a
+row is (1/|F|) * sum over them of count * T_p * e(key, N).  Each entry point
+takes all its groups and norms at once and walks their theta keys together
+to the largest N (compare_spectra once per block of N); no series outlives
+the call.  The module only certifies rows and scans N, and returns plain
+values: ``cli`` alone writes text.  Cold (CPython 3.11, Xeon VM), a dim-64
+mask group's row (697 keys, 1123 key prefixes) takes 3.7-4.6 s at 22 MiB
+peak at N = 2000, its compare with a second one (640 keys) 0.9-1.3 s at
+18 MiB to n_max 300 and 5.0-6.2 s at 27-29 MiB to 1100.
 
 Traces of the p-th exterior representation are the coefficients of
 det(Id + t*B) (``SignedPermutation.exterior_traces``).  Every coset of a
@@ -46,41 +51,57 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 from . import lattice
 from .bieberbach import (
     BieberbachGroup,
-    IsometryElement,
     ThetaKey,
     classify_holonomy,
     krawtchouk_table,
 )
 
 
-def character_sum(element: IsometryElement, norm_sq: int) -> int:
-    """e(gamma, N): the exact character sum over shell vectors fixed by the
-    linear part of gamma, as the theta-product coefficient of the module
-    docstring.  Each term exp(-2*pi*i * v.b) is the unit i^(-v.q) for the
-    translation q in quarter units, and those of v and -v sum to an integer.
+def character_sum(elements, top: int) -> tuple[list[int], ...]:
+    """e(gamma, N) for N = 0..top of each element gamma, from one walk (equal
+    keys share a list): the sum over the shell vectors v fixed by gamma's
+    linear part of the units i^(-v.q), q its translation in quarter units,
+    real since v and -v pair, as the module docstring's theta coefficient.
     It depends on gamma alone, whatever group gamma is taken from."""
-    lattice.check_norm(norm_sq)
-    return lattice.theta_counts(element.theta_key, norm_sq)
+    keys = [element.theta_key for element in elements]
+    series = dict(lattice.theta_series(keys, top))
+    return tuple(series[key] for key in keys)
 
 
-@lru_cache(maxsize=64)
-def multiplicity_row(group: BieberbachGroup, norm_sq: int) -> tuple[int, ...]:
-    """(d_0, ..., d_n) at squared norm N, each certified divisible by |F|
-    and >= 0, summed over the keys of the group's signature (one theta
-    lookup per key); the cache keeps the 64 latest rows, so a sweep holds
-    only a few groups."""
-    lattice.check_norm(norm_sq)
-    signature = group.signature
-    sums = [lattice.theta_counts(key, norm_sq) for key, _traces in signature]
-    # column p holds each key's trace on p-forms
-    columns = zip(*(traces for _key, traces in signature))
-    totals = [sum(map(mul, column, sums)) for column in columns]
-    return _certified_row(totals, group.order, group.label(), norm_sq)
+@lru_cache(maxsize=2)
+def multiplicity_row(groups, norms) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each group of the tuple groups, its row (d_0, ..., d_n) at each N
+    of the tuple norms, certified divisible by |F| and >= 0.  One walk over
+    the groups' keys, to the largest N (the norms are checked first, in
+    order), adds count * series into a sum per group and traces: at most n+1
+    for a mask group.  The cache keeps 2 calls, an entry the groups and
+    len(groups) * len(norms) rows."""
+    for norm_sq in norms:
+        lattice.check_norm(norm_sq)
+    sums = {group: {} for group in groups}  # per distinct group: traces -> its sum at each N
+    owners: dict[ThetaKey, list] = {}  # key -> (sums, traces, count) of each group with it
+    for group, group_sums in sums.items():
+        for (key, traces), count in group.signature:
+            owners.setdefault(key, []).append((group_sums, traces, count))
+    for key, series in lattice.theta_series(owners, max(norms)):
+        values = [*map(series.__getitem__, norms)]
+        for group_sums, traces, count in owners[key]:
+            known = group_sums.setdefault(traces, [0] * len(norms))
+            known[:] = map(add, known, [count * value for value in values])
+    rows = {}
+    for group, group_sums in sums.items():
+        by_degree = tuple(zip(*group_sums))  # row p: each trace vector's trace on p-forms
+        order, label = group.order, group.label()
+        rows[group] = tuple(
+            _certified_row([sum(map(mul, traces, weights)) for traces in by_degree], order, label, norm_sq)
+            for norm_sq, weights in zip(norms, zip(*group_sums.values()))
+        )
+    return tuple(rows[group] for group in groups)
 
 
 def _certified_row(totals, order: int, label: str, norm_sq: int) -> tuple[int, ...]:
@@ -106,9 +127,9 @@ def row_value(row: tuple[int, ...], mode: str) -> int:
     return row[int(mode[1:])]
 
 
-def betti_numbers(group: BieberbachGroup) -> tuple[int, ...]:
-    """(b_0, ..., b_n), the multiplicities of the eigenvalue 0."""
-    return multiplicity_row(group, 0)
+def betti_numbers(groups) -> tuple[tuple[int, ...], ...]:
+    """(b_0, ..., b_n) of each group, the multiplicities of the eigenvalue 0."""
+    return tuple(row for (row,) in multiplicity_row(tuple(groups), (0,)))
 
 
 def _check_n_max(n_max: int) -> None:
@@ -117,18 +138,24 @@ def _check_n_max(n_max: int) -> None:
     lattice.check_norm(n_max)
 
 
-def theorem_check(group: BieberbachGroup, n_max: int) -> int | None:
-    """The least N <= n_max at which the group breaks d_f = 2^(n-k) r_n(N)
-    or d_e = d_o, or None if no N does: theorem_checks over the group's
-    key_counts alone.  Requires holonomy Z_2^k; n_max is checked first."""
+def theorem_check(groups, n_max: int) -> list[int | None]:
+    """For each group, of one dimension n, the least N <= n_max at which it
+    breaks d_f = 2^(n-k) r_n(N) or d_e = d_o, or None if no N does: one
+    theorem_checks scan over the groups' key_counts, sharing one key table.
+    Requires holonomy Z_2^k; n_max and every group are checked first."""
     _check_n_max(n_max)
-    cls = classify_holonomy(group)
-    if cls.elementary_rank is None:
-        raise ValueError(
-            f"theorem_check requires elementary abelian 2-holonomy, got {cls.description}"
-        )
-    ((_label, failing),) = theorem_checks([(group.label(), group.key_counts)], group.dim, n_max)
-    return failing
+    groups = list(groups)
+    for group in groups:
+        cls = classify_holonomy(group)
+        if cls.elementary_rank is None:
+            raise ValueError(
+                f"theorem_check requires elementary abelian 2-holonomy, got {cls.description}"
+            )
+    dims = {group.dim for group in groups}
+    if len(dims) > 1:
+        raise ValueError(f"theorem_check needs one dimension, got {sorted(dims)}")
+    checks = theorem_checks(((g.label(), g.key_counts) for g in groups), max(dims, default=1), n_max)
+    return [failing for _label, failing in checks]
 
 
 def theorem_checks(members, n: int, n_max: int) -> Iterator[tuple[str, int | None]]:
@@ -136,14 +163,15 @@ def theorem_checks(members, n: int, n_max: int) -> Iterator[tuple[str, int | Non
     count), ...)) of a group with holonomy Z_2^k in dimension n.  Its cosets
     are involutions, so a coset's traces are K_p^n(x), x = n - len(key), and
     d_p(N) = (1/|F|) sum_x K_p^n(x) w_x(N), w_x(N) summing count * e(key, N)
-    over the keys with that x.  A key's series is tabled once, a distinct
-    member scanned, and a distinct row (|F|, N, w) certified, once (memos
+    over the keys with that x.  One table holds each key's series to n_max,
+    seeded with the torus key's r_n(N) and filled by one walk over each new
+    member's new keys (K_n has at most (n+1)(n+2)/2 keys); a distinct member
+    is scanned, and a distinct row (|F|, N, w) certified, once (memos
     cleared at 2^16); n_max is checked first."""
     _check_n_max(n_max)
-    norms = range(n_max + 1)
-    shells = [lattice.shell_count(n, norm_sq) for norm_sq in norms]
+    table = dict(lattice.theta_series([((1, 0),) * n], n_max))
+    (shells,) = table.values()
     kraw = krawtchouk_table(n)
-    table: dict[ThetaKey, list[int]] = {}
     passes: dict[tuple[int, ...], bool] = {}  # (|F|, N, *w) -> the row keeps the theorem
     verdicts: dict[tuple, int | None] = {}
     for label, counts in members:
@@ -152,12 +180,12 @@ def theorem_checks(members, n: int, n_max: int) -> Iterator[tuple[str, int | Non
                 verdicts.clear()
                 passes.clear()
             order = sum(count for _key, count in counts)
-            for key, _count in counts:
-                if key not in table:
-                    table[key] = [lattice.theta_counts(key, norm_sq) for norm_sq in norms]
+            new_keys = [key for key, _count in counts if key not in table]
+            if new_keys:
+                table.update(lattice.theta_series(new_keys, n_max))
             terms = [(n - len(key), count, table[key]) for key, count in counts]
             verdicts[counts] = None
-            for norm_sq in norms:
+            for norm_sq in range(n_max + 1):
                 weights = [0] * (n + 1)
                 for x, count, series in terms:
                     weights[x] += count * series[norm_sq]
@@ -195,14 +223,18 @@ def compare_spectra(
     """(mode label, first difference or None) over N = 0..n_max, the
     difference (N, left value, right value) at the least N whose values
     differ.  The label is 'f', 'e', 'o' or 'p<k>' (see row_value); the
-    dimensions, the mode and n_max are checked before any row."""
+    dimensions, the mode and n_max are checked before any row.  Rows come in
+    blocks N = 0, 1, 2-3, 4-7, ..., so a pair that differs early stays cheap."""
     if left.dim != right.dim:
         raise ValueError(f"dimension mismatch: {left.dim} vs {right.dim}")
     label = _normalize_mode(mode, left.dim)
     _check_n_max(n_max)
-    for norm_sq in range(n_max + 1):
-        a = row_value(multiplicity_row(left, norm_sq), label)
-        b = row_value(multiplicity_row(right, norm_sq), label)
-        if a != b:
-            return label, (norm_sq, a, b)
+    start = top = 0
+    while start <= n_max:
+        norms = tuple(range(start, top + 1))
+        for norm_sq, *rows in zip(norms, *multiplicity_row((left, right), norms)):
+            a, b = (row_value(row, label) for row in rows)
+            if a != b:
+                return label, (norm_sq, a, b)
+        start, top = top + 1, min(2 * top + 1, n_max)
     return label, None

@@ -20,8 +20,13 @@ Also here, because only tests compare against them:
 * ``binomial`` and ``krawtchouk``, K_p^n(x) by its defining alternating sum,
   apart from ``bieberbach.krawtchouk_table``, which reads it off traces;
 * ``recursive_theta_counts``, one coefficient of a theta key's product by
-  recursion over the key's prefixes, memoised per (prefix, N), apart from
-  ``lattice.theta_series``, which tables whole series;
+  recursion over the key's suffixes, memoised per (suffix, N), apart from
+  ``lattice.theta_series``, which walks whole series down the keys' prefixes;
+* ``catalog_names``, the catalog's names in their fixed order;
+* the canonical labelling of a family graph (``canonical_vertex_order``,
+  ``canonical_edges``), its inverse ``array_of``, and ``graphs_isomorphic``,
+  which decides isomorphism by them: the package never asks, since a
+  family graph fixes its own labels;
 * the paper's closed forms for the (j, h) family of ``families.z2_group``:
   ``z2_closed_forms`` (d_p at N = 1 and 2) and ``z2_betti_closed_form``.
 """
@@ -33,9 +38,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from flatspec import bieberbach, lattice, spectra
+from flatspec import bieberbach, families, spectra
 from flatspec.arith import format_quarter
 from flatspec.bieberbach import HolonomyExpansionError, IsometryElement, SignedPermutation
+from flatspec.families import GhwArray
+from flatspec.graphs import GhwGraph
 from flatspec.lattice import fixed_vectors, shell_vectors
 
 # (re, im) of the unit e^(-2*pi*i*q/4) for q = 0, 1, 2, 3
@@ -62,12 +69,13 @@ def krawtchouk(n: int, p: int, x: int) -> int:
 
 @lru_cache(maxsize=1 << 16)
 def recursive_theta_counts(key: tuple[tuple[int, int], ...], norm_sq: int) -> int:
-    """lattice.theta_counts by recursion: the q^N coefficient of the product
-    over the pairs (l, c) of theta(q^l) for c = 0 and theta(-q^l) for c = 2,
-    summing the prefix's coefficient at N - l*m^2 over every m."""
+    """One coefficient of lattice.theta_series by recursion: the q^N
+    coefficient of the product over the pairs (l, c) of theta(q^l) for c = 0
+    and theta(-q^l) for c = 2, summing the coefficient of the key past its
+    first pair at N - l*m^2 over every m."""
     if not key:
         return 1 if norm_sq == 0 else 0
-    (length, c), rest = key[-1], key[:-1]
+    (length, c), rest = key[0], key[1:]
     if c not in (0, 2):
         raise ValueError(f"theta key pairs need c in (0, 2), got {(length, c)}")
     total = recursive_theta_counts(rest, norm_sq)
@@ -75,6 +83,11 @@ def recursive_theta_counts(key: tuple[tuple[int, int], ...], norm_sq: int) -> in
         sub = recursive_theta_counts(rest, norm_sq - length * m * m)
         total += -2 * sub if c and m % 2 else 2 * sub
     return total
+
+
+def catalog_names() -> list[str]:
+    """The names families.catalog knows, in their fixed order."""
+    return list(families._CATALOG)
 
 
 def fraction_parse_quarter(value) -> int:
@@ -239,11 +252,14 @@ def reference_row(group, sums) -> tuple[int, ...]:
 def row_scan_theorem_check(group, n_max: int):
     """The least N <= n_max at which multiplicity_row, summed over the
     signature's own traces, breaks d_f = (2^n/|F|) r_n(N) or d_e = d_o, or
-    None if no N does."""
+    None if no N does; r_n(N) by recursive_theta_counts."""
     scale = 2**group.dim // group.order
-    for norm_sq in range(n_max + 1):
-        row = spectra.multiplicity_row(group, norm_sq)
-        if sum(row) != scale * lattice.shell_count(group.dim, norm_sq) or sum(row[0::2]) != sum(row[1::2]):
+    torus_key = ((1, 0),) * group.dim
+    norms = tuple(range(n_max + 1))
+    (rows,) = spectra.multiplicity_row((group,), norms)
+    for norm_sq, row in zip(norms, rows):
+        shell = recursive_theta_counts(torus_key, norm_sq)
+        if sum(row) != scale * shell or sum(row[0::2]) != sum(row[1::2]):
             return norm_sq
     return None
 
@@ -344,3 +360,73 @@ def z2_betti_closed_form(j: int, h: int, n: int, p: int) -> int:
     """Betti numbers of the (j, h) family member via the binomial double sum."""
     length = _check_z2_parameters(j, h, n)
     return sum(binomial(j + h, 2 * i) * binomial(j + length, p - 2 * i) for i in range(p // 2 + 1))
+
+
+# family graphs -----------------------------------------------------------------
+
+
+class GraphShapeError(ValueError):
+    """The graph is not of the array family's shape."""
+
+
+def array_of(graph: GhwGraph) -> GhwArray:
+    """Inverse of graph_of; raises if the edge set violates the array shape."""
+    rows = [
+        [2 if (r + 1, c + 1) in graph.edges else 0 for c in range(graph.n)]
+        for r in range(graph.n)
+    ]
+    try:
+        return GhwArray(graph.n, tuple(tuple(row) for row in rows))
+    except ValueError as exc:
+        raise GraphShapeError(str(exc)) from exc
+
+
+def canonical_vertex_order(graph: GhwGraph) -> tuple[int, ...]:
+    """Recover the forced labeling: result[k] is the vertex playing v_{k+1}.
+
+    v_n is the unique self-loop; from each identified v_i the unique arrow
+    into a not-yet-identified vertex leads to v_{i-1}.  Any failure of
+    uniqueness means the graph is not of the family shape.
+    """
+    return _canonical_labeling(graph)[0]
+
+
+def canonical_edges(graph: GhwGraph) -> frozenset[tuple[int, int]]:
+    """Edge set after the forced relabeling."""
+    return _canonical_labeling(graph)[1]
+
+
+def _canonical_labeling(graph: GhwGraph):
+    """(canonical_vertex_order, canonical_edges), shape-checked once."""
+    n = graph.n
+    out: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    for i, j in graph.edges:
+        out[i].add(j)
+    loops = [v for v in range(1, n + 1) if (v, v) in graph.edges]
+    if len(loops) != 1:
+        raise GraphShapeError(f"expected exactly one self-loop, found {len(loops)}")
+    order = [0] * n
+    order[n - 1] = loops[0]
+    identified = {loops[0]}
+    current = loops[0]
+    for position in range(n - 2, -1, -1):
+        candidates = out[current] - identified
+        if len(candidates) != 1:
+            raise GraphShapeError(
+                f"vertex {current} has {len(candidates)} arrows into unidentified "
+                "vertices; expected exactly one"
+            )
+        (current,) = candidates
+        order[position] = current
+        identified.add(current)
+    relabel = {vertex: position + 1 for position, vertex in enumerate(order)}
+    relabeled = frozenset((relabel[i], relabel[j]) for i, j in graph.edges)
+    array_of(GhwGraph(n, relabeled))  # full shape check, raises GraphShapeError
+    return tuple(order), relabeled
+
+
+def graphs_isomorphic(left: GhwGraph, right: GhwGraph) -> bool:
+    """Directed-graph isomorphism, decided via canonical labelings."""
+    if left.n != right.n:
+        return False
+    return canonical_edges(left) == canonical_edges(right)

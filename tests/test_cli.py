@@ -372,7 +372,8 @@ def test_the_k7_theorem_sweep_within_budget(capsys):
 def test_the_theorem_sweep_prints_the_group_paths_lines(capsys, dim, n_max):
     # the sweep reads its members off their arrays; the group path builds
     # each one and scans it with theorem_check
-    verdicts = [(g.label(), spectra.theorem_check(g, n_max)) for g in families.kn_family(dim)]
+    members = list(families.kn_family(dim))
+    verdicts = list(zip([g.label() for g in members], spectra.theorem_check(members, n_max)))
     passed = sum(failing is None for _label, failing in verdicts)
     lines = [f"{label}: {'pass' if failing is None else 'FAIL'} (N <= {n_max})" for label, failing in verdicts]
     lines.append(f"{passed}/{len(verdicts)} groups satisfy d_f = 2^(n-k)|shell| and d_e = d_o")

@@ -4,17 +4,16 @@ import itertools
 
 import pytest
 
-from flatspec.families import GhwArray, kn_arrays
-from flatspec.graphs import (
-    GhwGraph,
+from oracles import (
     GraphShapeError,
     array_of,
     canonical_edges,
     canonical_vertex_order,
-    graph_of,
     graphs_isomorphic,
-    to_dot,
 )
+
+from flatspec.families import GhwArray, kn_arrays
+from flatspec.graphs import GhwGraph, graph_of, to_dot
 
 
 def brute_force_isomorphic(left: GhwGraph, right: GhwGraph) -> bool:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     abelian_candidates,
+    catalog_names,
     expand_by_compose,
     holonomy_description_by_search,
     pairwise_group_check,
@@ -34,7 +35,6 @@ from flatspec.bieberbach import (
 from flatspec.families import (
     GhwArray,
     catalog,
-    catalog_names,
     free_parameter_count,
     kn_family,
     kn_group_from_array,
@@ -326,7 +326,8 @@ def test_group_hash_matches_equality():
 
 
 def test_row_checks_the_norm_once_and_scans_no_membership(monkeypatch):
-    expected = spectra.multiplicity_row(catalog("hw3/M1"), 5)
+    # once as asked and once as the top of the one theta walk, for any number of keys
+    expected = spectra.multiplicity_row((catalog("hw3/M1"),), (5,))
     calls = _count_calls(monkeypatch, lattice, "check_norm")
     monkeypatch.setattr(
         spectra,
@@ -334,8 +335,8 @@ def test_row_checks_the_norm_once_and_scans_no_membership(monkeypatch):
         lambda *args: pytest.fail("multiplicity_row went through character_sum"),
     )
     probe = expand_holonomy(catalog("hw3/M1").generators, 3, name="row-probe")
-    assert spectra.multiplicity_row(probe, 5) == expected
-    assert calls[0] == 1
+    assert spectra.multiplicity_row((probe,), (5,)) == expected
+    assert calls[0] == 2
 
 
 def _half_element(n, neg, trans):

@@ -64,9 +64,6 @@ READ_OUTSIDE_SRC = {
     "lattice.fixed_vectors": "wrapped by the perfbench tracer",
     "lattice.Shell.count": "read by the perfbench tracer's vector counter",
     "families.hw_groups": "wrapped by the perfbench tracer",
-    "families.catalog_names": "public API, read only by tests",
-    "graphs.graphs_isomorphic": "public API, read only by tests",
-    "graphs.canonical_vertex_order": "public API, read only by tests",
 }
 
 

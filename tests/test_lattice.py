@@ -17,7 +17,7 @@ from flatspec.lattice import (
     ShellCapExceeded,
     fixed_vectors,
     shell_vectors,
-    theta_counts,
+    theta_series,
 )
 
 
@@ -157,7 +157,8 @@ def test_fixed_vectors_agree_with_brute_filter(b, norm_sq):
     brute = tuple(v for v in shell.vectors if b.apply(v) == v)
     assert fixed_vectors(shell, b) == brute
     # one integer per positive cycle: the theta series counts the same set
-    assert theta_counts(IsometryElement(b, (0,) * b.dim).theta_key, norm_sq) == len(brute)
+    ((_key, series),) = theta_series([IsometryElement(b, (0,) * b.dim).theta_key], norm_sq)
+    assert series[norm_sq] == len(brute)
 
 
 def fixed_space_dim(b: SignedPermutation) -> int:

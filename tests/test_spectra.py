@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     binomial,
+    catalog_names,
     enumerated_character_sum,
     krawtchouk,
     row_scan_theorem_check,
@@ -29,7 +30,6 @@ from flatspec.bieberbach import (
 )
 from flatspec.families import (
     catalog,
-    catalog_names,
     hw_groups,
     kn_family,
     torus,
@@ -37,7 +37,7 @@ from flatspec.families import (
     z2_group,
     z2_parameters,
 )
-from flatspec.lattice import ShellCapExceeded, shell_count, shell_vectors
+from flatspec.lattice import ShellCapExceeded, shell_vectors
 from flatspec.spectra import (
     betti_numbers,
     character_sum,
@@ -125,7 +125,7 @@ def test_trace_of_order_four_block_matrix():
     b = catalog("dim6/z4_Mp").holonomy[1].linear
     assert trace_p_oracle(b, 2) == -1
     assert b.exterior_traces()[2] == -1
-    assert betti_numbers(catalog("dim6/z4_Mp"))[2] == 3
+    assert betti_numbers([catalog("dim6/z4_Mp")])[0][2] == 3
 
 
 def test_trace_oracle_examples():
@@ -177,9 +177,9 @@ def test_character_sums_of_the_dimension_three_trio():
         "hw3/M3": ([-2, 0, -4], [0, 0, -8]),
     }
     for name, (at_one, at_five) in expected.items():
-        group = catalog(name)
-        assert [character_sum(e, 1) for e in group.holonomy[1:]] == at_one
-        assert [character_sum(e, 5) for e in group.holonomy[1:]] == at_five
+        sums = character_sum(catalog(name).holonomy[1:], 5)
+        assert [series[1] for series in sums] == at_one
+        assert [series[5] for series in sums] == at_five
 
 
 @pytest.mark.parametrize("n,j,h", [(3, 1, 0), (3, 0, 2), (4, 1, 1), (5, 0, 2), (6, 2, 1)])
@@ -187,22 +187,22 @@ def test_character_sum_closed_form_for_z2_generators(n, j, h):
     group = z2_group(n, j, h)
     length = n - 2 * j - h
     gamma = group.holonomy[1]
-    assert character_sum(gamma, 1) == 2 * (length - 2)
+    assert character_sum([gamma], 1)[0][1] == 2 * (length - 2)
 
 
 def test_character_sum_needs_no_group():
     # e(gamma, N) depends on gamma alone: a coset that belongs to no built
     # group, with a 2-cycle, a negated axis and quarter translations
     element = IsometryElement(SignedPermutation((1, 0, 2, 3), (1, -1, -1, 1)), (1, 3, 2, 1))
-    for norm_sq in range(13):
-        assert character_sum(element, norm_sq) == enumerated_character_sum(element, norm_sq)
+    (series,) = character_sum([element], 12)
+    assert series == [enumerated_character_sum(element, norm_sq) for norm_sq in range(13)]
 
 
 def test_character_sum_quarter_translation_is_real():
     # +v and -v contributions are conjugate, so the sum is one real integer
     group = catalog("dim6/z4_M")
     gamma = group.holonomy[1]
-    assert type(character_sum(gamma, 1)) is int
+    assert type(character_sum([gamma], 1)[0][1]) is int
 
 
 def test_odd_c_folds_to_four_times_the_length():
@@ -211,26 +211,33 @@ def test_odd_c_folds_to_four_times_the_length():
     # odd c to (1, 2) without the 4l fold would give -2 at N = 1
     element = IsometryElement(SignedPermutation.identity(1), (1,))
     assert element.theta_key == ((4, 2),)
-    assert [lattice.theta_counts(element.theta_key, n) for n in (0, 1, 4, 16)] == [1, 0, -2, 2]
+    ((_key, series),) = lattice.theta_series([element.theta_key], 16)
+    assert [series[n] for n in (0, 1, 4, 16)] == [1, 0, -2, 2]
 
 
 # multiplicities --------------------------------------------------------------
 
 
+def row_at(group, norm_sq):
+    """The row of one group at one N."""
+    ((row,),) = multiplicity_row((group,), (norm_sq,))
+    return row
+
+
 def test_d_p_examples():
-    assert multiplicity_row(catalog("dim3/m10"), 1)[2] == 10
-    assert multiplicity_row(torus(3), 1)[1] == 18
-    assert multiplicity_row(catalog("hw3/M1"), 5)[1] == 18
+    assert row_at(catalog("dim3/m10"), 1)[2] == 10
+    assert row_at(torus(3), 1)[1] == 18
+    assert row_at(catalog("hw3/M1"), 5)[1] == 18
 
 
 def test_multiplicity_range_error():
     # a row holds d_0..d_n and nothing beyond
-    assert len(multiplicity_row(torus(2), 1)) == 3
+    assert len(row_at(torus(2), 1)) == 3
 
 
 def test_aggregate_multiplicities():
     def value(name, norm_sq, mode):
-        return row_value(multiplicity_row(catalog(name), norm_sq), mode)
+        return row_value(row_at(catalog(name), norm_sq), mode)
 
     for name in ("dim3/m10", "dim3/m02", "dim3/m01"):
         assert value(name, 1, "f") == 24
@@ -254,8 +261,7 @@ def test_full_dimension_three_tables():
         "dim3/m01": (4, 16, 20, 8),
     }
     for name in expected_one:
-        assert multiplicity_row(catalog(name), 1) == expected_one[name]
-        assert multiplicity_row(catalog(name), 2) == expected_two[name]
+        assert multiplicity_row((catalog(name),), (1, 2)) == ((expected_one[name], expected_two[name]),)
 
 
 def test_full_dimension_four_tables():
@@ -274,8 +280,7 @@ def test_full_dimension_four_tables():
         "dim4/m01": (10, 44, 72, 52, 14),
     }
     for name in expected_one:
-        assert multiplicity_row(catalog(name), 1) == expected_one[name]
-        assert multiplicity_row(catalog(name), 2) == expected_two[name]
+        assert multiplicity_row((catalog(name),), (1, 2)) == ((expected_one[name], expected_two[name]),)
 
 
 def test_hw_trio_tables():
@@ -284,13 +289,12 @@ def test_hw_trio_tables():
         "hw3/M2": ((1, 5, 5, 1), (6, 18, 18, 6)),
         "hw3/M3": ((0, 4, 6, 2), (4, 16, 20, 8)),
     }
-    for name, (at_one, at_five) in expected.items():
-        assert multiplicity_row(catalog(name), 1) == at_one
-        assert multiplicity_row(catalog(name), 5) == at_five
+    groups = tuple(map(catalog, expected))
+    assert multiplicity_row(groups, (1, 5)) == tuple(expected.values())
 
 
 def test_row_value():
-    row = multiplicity_row(catalog("hw3/M1"), 1)
+    row = row_at(catalog("hw3/M1"), 1)
     assert row == (0, 6, 6, 0)
     assert row_value(row, "f") == sum(row) == 12
     assert row_value(row, "f") == row_value(row, "e") + row_value(row, "o")
@@ -301,20 +305,18 @@ def test_row_value():
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_torus_multiplicities_factor_through_binomials(n):
-    t = torus(n)
-    for norm_sq in (0, 1, 2, 4):
+    norms = (0, 1, 2, 4)
+    (rows,) = multiplicity_row((torus(n),), norms)
+    for norm_sq, row in zip(norms, rows):
         size = shell_vectors(n, norm_sq).count
-        assert multiplicity_row(t, norm_sq) == tuple(
-            binomial(n, p) * size for p in range(n + 1)
-        )
+        assert row == tuple(binomial(n, p) * size for p in range(n + 1))
 
 
 def test_hodge_duality_on_orientable_groups():
     for name in ("hw3/M1", "dim6/z4z2_M", "dim6/z4_Mp"):
         group = catalog(name)
         assert is_orientable(group)
-        for norm_sq in range(6):
-            row = multiplicity_row(group, norm_sq)
+        for row in multiplicity_row((group,), tuple(range(6)))[0]:
             assert row == row[::-1]
 
 
@@ -322,16 +324,18 @@ def test_hodge_duality_on_orientable_groups():
 
 
 def test_betti_sequences_of_the_dimension_six_examples():
-    assert betti_numbers(catalog("dim6/z4z2_M")) == (1, 2, 3, 4, 3, 2, 1)
-    assert betti_numbers(catalog("dim6/z4z2_Mp")) == (1, 1, 1, 2, 1, 1, 1)
-    assert betti_numbers(catalog("dim6/z4_M")) == (1, 2, 5, 8, 5, 2, 1)
-    assert betti_numbers(catalog("dim6/z4_Mp")) == (1, 2, 3, 4, 3, 2, 1)
+    names = ("dim6/z4z2_M", "dim6/z4z2_Mp", "dim6/z4_M", "dim6/z4_Mp")
+    assert betti_numbers(map(catalog, names)) == (
+        (1, 2, 3, 4, 3, 2, 1),
+        (1, 1, 1, 2, 1, 1, 1),
+        (1, 2, 5, 8, 5, 2, 1),
+        (1, 2, 3, 4, 3, 2, 1),
+    )
 
 
 def test_hw_groups_are_rational_homology_spheres():
     for n in (3, 5):
-        for group in hw_groups(n):
-            b = betti_numbers(group)
+        for b in betti_numbers(hw_groups(n)):
             assert b[0] == b[n] == 1
             assert all(b[p] == 0 for p in range(1, n))
 
@@ -339,8 +343,7 @@ def test_hw_groups_are_rational_homology_spheres():
 def test_z2_betti_closed_form_cross_check():
     for n in (3, 4, 5):
         for j, h in z2_parameters(n):
-            group = z2_group(n, j, h)
-            betti = betti_numbers(group)
+            (betti,) = betti_numbers([z2_group(n, j, h)])
             for p in range(n + 1):
                 assert betti[p] == z2_betti_closed_form(j, h, n, p)
 
@@ -350,7 +353,7 @@ def test_z2_first_betti_number_is_free_rank():
     for n in (3, 4, 6):
         for j, h in z2_parameters(n):
             length = n - 2 * j - h
-            assert betti_numbers(z2_group(n, j, h))[1] == j + length
+            assert betti_numbers([z2_group(n, j, h)])[0][1] == j + length
 
 
 # theorem check ----------------------------------------------------------------
@@ -363,8 +366,8 @@ def test_theorem_check_examples():
         (next(kn_family(4)), 1, 16, 2 ** (4 - 3) * 8),
         (torus(3), 2, 96, 2**3 * shell_vectors(3, 2).count),
     ):
-        assert theorem_check(group, n_max) is None
-        assert row_value(multiplicity_row(group, n_max), "f") == d_f == expected_f
+        assert theorem_check([group], n_max) == [None]
+        assert row_value(row_at(group, n_max), "f") == d_f == expected_f
 
 
 def test_theorem_check_names_the_least_failing_norm(monkeypatch):
@@ -384,9 +387,9 @@ def test_theorem_check_names_the_least_failing_norm(monkeypatch):
     group = next(kn_family(4))
     for break_f in (True, False):
         monkeypatch.setattr(spectra, "_certified_row", sabotage(break_f))
-        assert theorem_check(group, 1) is None
-        assert theorem_check(group, 2) == 2
-        assert theorem_check(group, 5) == 2
+        assert theorem_check([group], 1) == [None]
+        assert theorem_check([group], 2) == [2]
+        assert theorem_check([group], 5) == [2]
 
 
 def _z2k_groups():
@@ -406,8 +409,8 @@ def test_z2k_traces_are_krawtchouk_values_of_the_key_length():
     for group in groups:
         n = group.dim
         columns = [tuple(krawtchouk(n, p, x) for p in range(n + 1)) for x in range(n + 1)]
-        for key, traces in group.signature:
-            assert traces == tuple(traces[0] * k for k in columns[n - len(key)])
+        for (key, traces), _count in group.signature:
+            assert traces == columns[n - len(key)]
         for element in group.holonomy:
             assert element.linear.exterior_traces() == columns[n - len(element.theta_key)]
 
@@ -416,28 +419,42 @@ def test_z2k_traces_are_krawtchouk_values_of_the_key_length():
 def test_theorem_check_matches_the_row_scan(monkeypatch, n_max):
     groups = _z2k_groups()
     for group in groups:
-        assert theorem_check(group, n_max) == row_scan_theorem_check(group, n_max) is None
-    # both name the same least failing N when r_n(N) is off from N = 3 on
-    true_count = lattice.shell_count
-    monkeypatch.setattr(lattice, "shell_count", lambda n, N: true_count(n, N) + (N >= 3))
+        assert theorem_check([group], n_max) == [row_scan_theorem_check(group, n_max)] == [None]
+    # both name the same least failing N when d_0 is one too many from N = 3 on
+    true_row = spectra._certified_row
+
+    def sabotaged(totals, order, label, norm_sq):
+        d = true_row(totals, order, label, norm_sq)
+        return d if norm_sq < 3 else (d[0] + 1,) + d[1:]
+
+    monkeypatch.setattr(spectra, "_certified_row", sabotaged)
+    multiplicity_row.cache_clear()
     for group in groups:
         expected = 3 if n_max >= 3 else None
-        assert theorem_check(group, n_max) == row_scan_theorem_check(group, n_max) == expected
+        assert theorem_check([group], n_max) == [row_scan_theorem_check(group, n_max)] == [expected]
+    multiplicity_row.cache_clear()
 
 
 def test_theorem_check_rejects_non_elementary_holonomy():
     with pytest.raises(ValueError):
-        theorem_check(catalog("dim6/z4_M"), 1)
+        theorem_check([catalog("dim6/z4_M")], 1)
+
+
+def test_theorem_check_takes_groups_of_one_dimension():
+    with pytest.raises(ValueError, match=r"one dimension, got \[3, 4\]"):
+        theorem_check([catalog("hw3/M1"), catalog("dim4/m11")], 1)
+    assert theorem_check([], 3) == []
+    assert theorem_check([catalog("hw3/M1"), catalog("dim3/m10"), catalog("hw3/M1")], 3) == [None] * 3
 
 
 def test_negative_nmax_is_rejected():
     # N <= -1 holds no case at all, so any verdict would be vacuous
     m1 = catalog("hw3/M1")
     with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
-        theorem_check(m1, -1)
+        theorem_check([m1], -1)
     with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
         compare_spectra(m1, catalog("dim3/m10"), "f", -1)
-    assert theorem_check(m1, 0) is None
+    assert theorem_check([m1], 0) == [None]
     assert compare_spectra(m1, catalog("hw3/M2"), "f", 0) == ("f", None)
 
 
@@ -487,10 +504,11 @@ def test_every_cap_check_gives_the_shell_message(monkeypatch):
     # the two spectra agree in mode f up to N = 4, so the scan reaches N = 5
     calls = (
         lambda: shell_vectors(3, 5),
-        lambda: shell_count(3, 5),
-        lambda: character_sum(m1.holonomy[1], 5),
+        lambda: lattice.theta_series([((1, 0),) * 3], 5),
+        lambda: character_sum(m1.holonomy[1:], 5),
+        lambda: multiplicity_row((m1,), (5,)),
         lambda: compare_spectra(m1, m2, "f", 5),
-        lambda: theorem_check(m1, 5),
+        lambda: theorem_check([m1], 5),
     )
     monkeypatch.setattr(lattice, "SHELL_CAP", 4)
     for call in calls:
@@ -501,7 +519,7 @@ def test_every_cap_check_gives_the_shell_message(monkeypatch):
     for call in calls:
         call()
     with pytest.raises(ValueError):
-        character_sum(m1.holonomy[1], -1)
+        character_sum(m1.holonomy[1:], -1)
 
 
 def _functions(module):
@@ -540,11 +558,10 @@ def test_every_cache_is_bounded():
     # traces and cycles have none
     assert set(maxsizes) == {
         "families.catalog",
-        "lattice.theta_series",
         "bieberbach.krawtchouk_table",
         "spectra.multiplicity_row",
     }
-    # catalog's keys are catalog_names(), so the registry bounds it
+    # catalog's keys are the registry's names, so the registry bounds it
     assert [name for name, size in maxsizes.items() if size is None] == ["families.catalog"]
 
 
@@ -584,9 +601,7 @@ def test_z2_closed_forms_parameter_validation():
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_z2_closed_forms_match_engine(n):
     for j, h in z2_parameters(n):
-        group = z2_group(n, j, h)
-        row_one = multiplicity_row(group, 1)
-        row_two = multiplicity_row(group, 2)
+        ((row_one, row_two),) = multiplicity_row((z2_group(n, j, h),), (1, 2))
         for p in range(n + 1):
             forms = z2_closed_forms(j, h, n, p)
             assert forms.d_p_at_1 == row_one[p]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     binomial,
+    catalog_names,
     enumerated_character_sums,
     recursive_theta_counts,
     reference_row,
@@ -29,7 +30,6 @@ from flatspec.bieberbach import (
 from flatspec.families import (
     GhwArray,
     catalog,
-    catalog_names,
     free_parameter_count,
     kn_family,
     kn_group_from_array,
@@ -38,15 +38,19 @@ from flatspec.families import (
     z2_group,
     z2_parameters,
 )
-from flatspec.lattice import (
-    SHELL_CAP,
-    fixed_vectors,
-    shell_count,
-    shell_vectors,
-    theta_counts,
-    theta_series,
-)
+from flatspec.lattice import SHELL_CAP, fixed_vectors, shell_vectors, theta_series
 from flatspec.spectra import character_sum, multiplicity_row
+
+
+def series_of(key, top):
+    """The coefficients 0..top of one theta key, by the walk."""
+    ((_key, series),) = theta_series([key], top)
+    return series
+
+
+def shell_count(n, norm_sq):
+    """r_n(N), the torus key's coefficient."""
+    return series_of(((1, 0),) * n, norm_sq)[norm_sq]
 
 
 def _kn_member(n, bits):
@@ -72,8 +76,8 @@ groups = st.one_of(catalog_groups, kn_members, z2_members, quarter_groups)
 @given(groups, st.integers(0, 12))
 def test_character_sums_and_rows_match_enumeration(group, norm_sq):
     sums = enumerated_character_sums(group, norm_sq)
-    assert [character_sum(element, norm_sq) for element in group.holonomy] == sums
-    assert multiplicity_row(group, norm_sq) == reference_row(group, sums)
+    assert [series[norm_sq] for series in character_sum(group.holonomy, norm_sq)] == sums
+    assert multiplicity_row((group,), (norm_sq,)) == ((reference_row(group, sums),),)
 
 
 @settings(deadline=None, max_examples=25)
@@ -100,7 +104,7 @@ def test_theta_key_counts_the_fixed_shell(element, norm_sq):
         counts[sum(q * x for q, x in zip(element.translation, v)) % 4] += 1
     # v and -v pair i^-1 with i^1, so the sum is real: count_0 - count_2
     assert counts[1] == counts[3]
-    assert theta_counts(element.theta_key, norm_sq) == counts[0] - counts[2]
+    assert series_of(element.theta_key, norm_sq)[norm_sq] == counts[0] - counts[2]
     assert coset_is_torsion_free(element) == reference_torsion_free(element)
 
 
@@ -108,14 +112,14 @@ def test_theta_key_counts_the_fixed_shell(element, norm_sq):
 # T^3 and the hyperoctahedral B_3 and B_4
 @pytest.mark.parametrize("label", list(CASES))
 def test_signature_sums_the_traces_of_each_key(label):
+    # each (theta key, one coset's traces) with the number of cosets that have both
     group = CASES[label]
     expected = {}
     for element in group.holonomy:
-        traces = [trace_p_oracle(element.linear, p) for p in range(group.dim + 1)]
-        known = expected.setdefault(element.theta_key, [0] * (group.dim + 1))
-        known[:] = [a + b for a, b in zip(known, traces)]
+        traces = tuple(trace_p_oracle(element.linear, p) for p in range(group.dim + 1))
+        expected[element.theta_key, traces] = expected.get((element.theta_key, traces), 0) + 1
     signature = group.signature
-    assert {key: list(traces) for key, traces in signature} == expected
+    assert dict(signature) == expected
     assert len(signature) == len(expected)
     assert group.signature is signature
 
@@ -127,29 +131,27 @@ def test_only_the_identity_key_weighs_on_d_f(label):
     # sum_p tr_p(B) = det(I + B), which is 0 for an involution B != I
     group = CASES[label]
     identity_key = ((1, 0),) * group.dim
-    for key, traces in group.signature:
+    for (key, traces), _count in group.signature:
         assert sum(traces) == (2**group.dim if key == identity_key else 0), key
 
 
 def test_theta_counts_of_small_products():
-    assert theta_counts((), 0) == 1
-    assert theta_counts((), 3) == 0
+    assert series_of((), 3) == [1, 0, 0, 0]
     # theta(q^2) and theta(-q^2) at N = 2: m = +-1, with sign -1 for c = 2
-    assert theta_counts(((2, 0),), 2) == 2
-    assert theta_counts(((2, 2),), 2) == -2
+    assert series_of(((2, 0),), 2)[2] == 2
+    assert series_of(((2, 2),), 2)[2] == -2
     # theta(q) theta(-q^2) at N = 3: (m_1, m_2) = (+-1, +-1), each of sign -1
-    assert theta_counts(((1, 0), (2, 2)), 3) == -4
+    assert series_of(((1, 0), (2, 2)), 3)[3] == -4
     with pytest.raises(ValueError, match="c in"):
-        theta_counts(((1, 1),), 1)
+        series_of(((1, 1),), 1)
 
 
 def test_theta_counts_match_the_recursion_on_every_catalog_and_k5_key():
     groups = [*map(catalog, catalog_names()), *kn_family(5)]
     keys = {key for group in groups for key, _count in group.key_counts}
     assert len(keys) == 24
-    for key in keys:
-        expected = [recursive_theta_counts(key, norm_sq) for norm_sq in range(61)]
-        assert [theta_counts(key, norm_sq) for norm_sq in range(61)] == expected, key
+    for key, series in theta_series(keys, 60):
+        assert series == [recursive_theta_counts(key, norm_sq) for norm_sq in range(61)], key
 
 
 def _random_keys(seed: int, count: int):
@@ -160,26 +162,28 @@ def _random_keys(seed: int, count: int):
 
 
 def test_theta_counts_match_the_recursion_on_random_keys():
-    for key in _random_keys(300, 300):
-        expected = [recursive_theta_counts(key, norm_sq) for norm_sq in range(201)]
-        assert [theta_counts(key, norm_sq) for norm_sq in range(201)] == expected, key
+    keys = list(_random_keys(300, 300))
+    walked = dict(theta_series(keys, 200))
+    assert len(walked) == len(set(keys))
+    for key in keys:
+        assert walked[key] == [recursive_theta_counts(key, norm_sq) for norm_sq in range(201)], key
 
 
 def test_theta_counts_match_the_recursion_where_the_table_grows_and_at_the_cap():
-    # N = 2^k - 1 and 2^k read tables of different tops; above 8192 the top
-    # is clamped to SHELL_CAP
+    # every top reads the same coefficients: N = 2^k - 1 and 2^k, up to SHELL_CAP
     norms = sorted({v for k in range(14) for v in (2**k - 1, 2**k)} | {8193, 9001, SHELL_CAP})
-    theta_series.cache_clear()
-    for key in [((1, 0),) * 8, ((1, 2),) * 3 + ((2, 0), (4, 2)), *_random_keys(301, 2)]:
-        expected = [recursive_theta_counts(key, norm_sq) for norm_sq in norms]
-        assert [theta_counts(key, norm_sq) for norm_sq in norms] == expected, key
+    keys = [((1, 0),) * 8, ((1, 2),) * 3 + ((2, 0), (4, 2)), *_random_keys(301, 2)]
+    for top in (norms[len(norms) // 2], SHELL_CAP):
+        for key, series in theta_series(keys, top):
+            expected = [recursive_theta_counts(key, norm_sq) for norm_sq in norms if norm_sq <= top]
+            assert [series[norm_sq] for norm_sq in norms if norm_sq <= top] == expected, key
 
 
 @pytest.mark.parametrize("key", [((1, 1),), ((1, 0), (2, 3)), ((1, 3), (1, 0)), ((4, 1), (1, 2), (2, 5))])
 def test_a_bad_theta_key_pair_raises_as_in_the_recursion(key):
     for norm_sq in (0, 5, 200):
         with pytest.raises(ValueError) as tabled:
-            theta_counts(key, norm_sq)
+            series_of(key, norm_sq)
         with pytest.raises(ValueError) as recursive:
             recursive_theta_counts(key, norm_sq)
         assert str(tabled.value) == str(recursive.value)
@@ -199,8 +203,8 @@ def test_euler_characteristic_of_every_row_vanishes():
     # Hodge theory pairs d_p(N) between degrees for N > 0; at N = 0 the
     # alternating sum is the Euler characteristic, 0 for a flat manifold.
     for group in _euler_groups():
-        for norm_sq in range(31):
-            row = multiplicity_row(group, norm_sq)
+        (rows,) = multiplicity_row((group,), tuple(range(31)))
+        for norm_sq, row in enumerate(rows):
             assert sum((-1) ** p * d for p, d in enumerate(row)) == 0, (group.label(), norm_sq)
 
 
@@ -218,25 +222,24 @@ def jacobi_r8(n):
 
 @pytest.mark.parametrize("n,jacobi", [(4, jacobi_r4), (8, jacobi_r8)])
 def test_torus_rows_follow_jacobi(n, jacobi):
-    group = torus(n)
-    for norm_sq in range(1001):
+    shells = series_of(((1, 0),) * n, 1000)
+    (rows,) = multiplicity_row((torus(n),), tuple(range(1001)))
+    for norm_sq, row in enumerate(rows):
         size = jacobi(norm_sq)
-        assert shell_count(n, norm_sq) == size
-        assert multiplicity_row(group, norm_sq) == tuple(
-            binomial(n, p) * size for p in range(n + 1)
-        )
+        assert shells[norm_sq] == size
+        assert row == tuple(binomial(n, p) * size for p in range(n + 1))
 
 
 def test_torus_row_far_out_in_dimension_eight():
     size = jacobi_r8(2000)
-    assert multiplicity_row(torus(8), 2000) == tuple(binomial(8, p) * size for p in range(9))
+    assert multiplicity_row((torus(8),), (2000,)) == ((tuple(binomial(8, p) * size for p in range(9)),),)
 
 
 def test_torus_row_at_the_shell_cap_in_dimension_eight():
     # the largest row the cap admits, within its stated cost
-    theta_series.cache_clear()
+    multiplicity_row.cache_clear()
     start = time.perf_counter()
-    row = multiplicity_row(torus(8), SHELL_CAP)
+    ((row,),) = multiplicity_row((torus(8),), (SHELL_CAP,))
     elapsed = time.perf_counter() - start
     size = jacobi_r8(SHELL_CAP)
     assert row == tuple(binomial(8, p) * size for p in range(9))
@@ -245,17 +248,16 @@ def test_torus_row_at_the_shell_cap_in_dimension_eight():
 
 def test_torus_row_at_the_shell_cap_in_dimension_sixty_four():
     # the costliest torus row the caps admit, within bieberbach.DIM_CAP's stated cost
-    theta_series.cache_clear()
     multiplicity_row.cache_clear()
     start = time.perf_counter()
-    row = multiplicity_row(torus(DIM_CAP), SHELL_CAP)
+    ((row,),) = multiplicity_row((torus(DIM_CAP),), (SHELL_CAP,))
     elapsed = time.perf_counter() - start
-    assert row == tuple(binomial(DIM_CAP, p) * shell_count(DIM_CAP, SHELL_CAP) for p in range(DIM_CAP + 1))
+    size = shell_count(DIM_CAP, SHELL_CAP)
+    assert row == tuple(binomial(DIM_CAP, p) * size for p in range(DIM_CAP + 1))
     assert elapsed < 20.0, f"multiplicity_row(torus({DIM_CAP}), {SHELL_CAP}) took {elapsed:.2f} s"
 
 
 def test_compare_to_the_shell_cap_in_dimension_sixteen(capsys):
-    theta_series.cache_clear()
     multiplicity_row.cache_clear()
     start = time.perf_counter()
     code = cli.main(["compare", "torus:16", "torus:16", "--nmax", "10000"])
