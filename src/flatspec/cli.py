@@ -290,7 +290,9 @@ def cmd_family(args) -> int:
             print(json.dumps(group.to_json(), sort_keys=True))
         return 0
     if args.kind == "kn":
-        checks = spectra.theorem_checks(families.kn_histograms(args.dim), args.dim, n_max)
+        coset_keys = families.kn_coset_keys(args.dim)
+        members = ((families.kn_name(args.dim, bits), bytes(sorted(keys))) for bits, keys in coset_keys)
+        checks = spectra.theorem_checks(members, families.kn_byte_keys(args.dim), args.dim, n_max)
     else:
         members = list(families.family_members(args.kind, args.dim))
         checks = zip([group.label() for group in members], spectra.theorem_check(members, n_max))

@@ -19,7 +19,6 @@ Translations are written in quarter units throughout (2 is 1/2, 1 is 1/4).
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import lru_cache, partial
 
@@ -42,7 +41,7 @@ from .bieberbach import (
 #: largest n for which the full Z2^(n-1) array family may be enumerated.
 #: A K_8 member takes 0.26-0.32 ms to build and 0.15-0.18 ms to check to
 #: N = 2, so 14-18 minutes for all 2^21; ``family kn --verify-theorem 2``
-#: builds none: all of K_8 in 85-115 s, 44 MiB peak RSS (CPython 3.11, VM).
+#: builds none: all of K_8 in 76-85 s, 33 MiB peak RSS (CPython 3.11, VM).
 KN_CAP = 8
 
 #: the built-in families, in the order the CLI offers them
@@ -270,26 +269,10 @@ def kn_coset_keys(n: int) -> Iterator[tuple[tuple[int, ...], bytes]]:
     return zip(itertools.product((0, 1), repeat=free_parameter_count(n)), keys)
 
 
-def kn_histograms(n: int) -> Iterator[tuple[str, tuple]]:
-    """(name, ((theta key, count), ...)) of every member, in kn_arrays order,
-    building no object; n is checked at the call.  Coset byte 16 x + b has
-    the key mask_key(n, x, b), as in BieberbachGroup.key_counts.  Sorted
-    coset keys are decoded once and shared (the memo is cleared at 2^14)."""
-    members = kn_coset_keys(n)
-    decoded: dict[bytes, tuple] = {}
-    keys = {16 * x + b: mask_key(n, x, b) for x in range(n) for b in range(n + 1 - x)}
-    # shared: K_8's histograms are mostly distinct, and took 250 MiB unshared
-    pairs = {(byte, c): (key, c) for byte, key in keys.items() for c in range(1 << n - 1)}
-
-    def histogram(bits, cosets):
-        cosets = bytes(sorted(cosets))
-        if cosets not in decoded:
-            if len(decoded) >= 1 << 14:
-                decoded.clear()
-            decoded[cosets] = tuple(map(pairs.__getitem__, Counter(cosets).items()))
-        return kn_name(n, bits), decoded[cosets]
-
-    return itertools.starmap(histogram, members)
+def kn_byte_keys(n: int) -> dict[int, tuple]:
+    """The theta key of each coset byte 16 x + b of kn_coset_keys(n):
+    mask_key(n, x, b), as in BieberbachGroup.key_counts."""
+    return {16 * x + b: mask_key(n, x, b) for x in range(n) for b in range(n + 1 - x)}
 
 
 def kn_family_size(n: int) -> int:

@@ -43,12 +43,13 @@ group with holonomy Z_2^k is an involution, whose cycles are axes kept or
 negated and 2-cycles of sign product +1.  The kept axes and the 2-cycles
 make its theta key, so B has the eigenvalue -1 x = n - len(key) times and
 its traces are K_p^n(x) (``bieberbach.krawtchouk_table``).  So
-``theorem_checks`` reads such a group as its ``key_counts``, a K_n
-member's straight off its array with no group built.
+``theorem_checks`` reads such a group as its cosets' codes, sorted, with
+their theta keys: a group's own keys, or a K_n member's bytes off its array.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache
 from operator import add, mul
@@ -141,7 +142,8 @@ def _check_n_max(n_max: int) -> None:
 def theorem_check(groups, n_max: int) -> list[int | None]:
     """For each group, of one dimension n, the least N <= n_max at which it
     breaks d_f = 2^(n-k) r_n(N) or d_e = d_o, or None if no N does: one
-    theorem_checks scan over the groups' key_counts, sharing one key table.
+    theorem_checks scan, each group's cosets coded by their theta keys (its
+    key_counts, one key a coset, sorted), so a code is its own key.
     Requires holonomy Z_2^k; n_max and every group are checked first."""
     _check_n_max(n_max)
     groups = list(groups)
@@ -154,50 +156,53 @@ def theorem_check(groups, n_max: int) -> list[int | None]:
     dims = {group.dim for group in groups}
     if len(dims) > 1:
         raise ValueError(f"theorem_check needs one dimension, got {sorted(dims)}")
-    checks = theorem_checks(((g.label(), g.key_counts) for g in groups), max(dims, default=1), n_max)
-    return [failing for _label, failing in checks]
+    members = [(g.label(), tuple(sorted(k for k, count in g.key_counts for _ in range(count)))) for g in groups]
+    keys = {key: key for _label, cosets in members for key in cosets}
+    return [failing for _label, failing in theorem_checks(members, keys, max(dims, default=1), n_max)]
 
 
-def theorem_checks(members, n: int, n_max: int) -> Iterator[tuple[str, int | None]]:
-    """(label, what theorem_check returns) for each (label, ((theta key,
-    count), ...)) of a group with holonomy Z_2^k in dimension n.  Its cosets
-    are involutions, so a coset's traces are K_p^n(x), x = n - len(key), and
-    d_p(N) = (1/|F|) sum_x K_p^n(x) w_x(N), w_x(N) summing count * e(key, N)
-    over the keys with that x.  One table holds each key's series to n_max,
-    seeded with the torus key's r_n(N) and filled by one walk over each new
-    member's new keys (K_n has at most (n+1)(n+2)/2 keys); a distinct member
-    is scanned, and a distinct row (|F|, N, w) certified, once (memos
-    cleared at 2^16); n_max is checked first."""
+def theorem_checks(members, keys, n: int, n_max: int) -> Iterator[tuple[str, int | None]]:
+    """(label, what theorem_check returns) for each (label, cosets) of a
+    group with holonomy Z_2^k in dimension n, cosets one code per coset,
+    sorted, and keys[code] its theta key.  The cosets are involutions, so
+    traces are K_p^n(x), x = n - len(key), and d_p(N) = (1/|F|) sum_x
+    K_p^n(x) w_x(N) over the x that occur, w_x(N) summing e(key, N) over the
+    cosets with that x.  One walk tables every key's series and r_n(N) to
+    n_max before the first member; a distinct cosets is scanned, and a
+    distinct row (|F|, N, w) certified, once (memos cleared at 2^16); n_max
+    is checked first."""
     _check_n_max(n_max)
-    table = dict(lattice.theta_series([((1, 0),) * n], n_max))
-    (shells,) = table.values()
+    torus = ((1, 0),) * n
+    table = dict(lattice.theta_series([torus, *keys.values()], n_max))
+    shells = table[torus]
+    by_code = {code: (n - len(key), table[key]) for code, key in keys.items()}
     kraw = krawtchouk_table(n)
     passes: dict[tuple[int, ...], bool] = {}  # (|F|, N, *w) -> the row keeps the theorem
-    verdicts: dict[tuple, int | None] = {}
-    for label, counts in members:
-        if counts not in verdicts:
+    verdicts: dict[bytes | tuple, int | None] = {}
+    for label, cosets in members:
+        if cosets not in verdicts:
             if max(len(verdicts), len(passes)) >= 1 << 16:
                 verdicts.clear()
                 passes.clear()
-            order = sum(count for _key, count in counts)
-            new_keys = [key for key, _count in counts if key not in table]
-            if new_keys:
-                table.update(lattice.theta_series(new_keys, n_max))
-            terms = [(n - len(key), count, table[key]) for key, count in counts]
-            verdicts[counts] = None
+            order = len(cosets)
+            terms = [(*by_code[code], count) for code, count in Counter(cosets).items()]
+            xs = sorted({x for x, _series, _count in terms})
+            columns = [[k_p[x] for x in xs] for k_p in kraw]
+            verdicts[cosets] = None
             for norm_sq in range(n_max + 1):
                 weights = [0] * (n + 1)
-                for x, count, series in terms:
+                for x, series, count in terms:
                     weights[x] += count * series[norm_sq]
                 row_key = (order, norm_sq, *weights)
                 if row_key not in passes:
-                    row = _certified_row([sum(map(mul, k_p, weights)) for k_p in kraw], order, label, norm_sq)
+                    present = [weights[x] for x in xs]
+                    row = _certified_row([sum(map(mul, k_p, present)) for k_p in columns], order, label, norm_sq)
                     f, e, o = (row_value(row, mode) for mode in "feo")
                     passes[row_key] = f == (1 << n) // order * shells[norm_sq] and e == o
                 if not passes[row_key]:
-                    verdicts[counts] = norm_sq
+                    verdicts[cosets] = norm_sq
                     break
-        yield label, verdicts[counts]
+        yield label, verdicts[cosets]
 
 
 def _normalize_mode(mode, dim: int) -> str:

@@ -349,6 +349,8 @@ SWEEP_STDOUT = {
     ("hw-catalog", 5, 0): "5a42d11d24154326",
     ("hw-catalog", 5, 2): "bdf7f7290f8ac494",
     ("hw-catalog", 5, 5): "3f27db89bd3b9bae",
+    ("hw-catalog", 7, 5): "f1d3a23f080a990c",
+    ("z2", 16, 5): "f81b6fb113d41626",
 }
 
 
@@ -364,7 +366,18 @@ def test_the_k7_theorem_sweep_within_budget(capsys):
     code, out = run(capsys, "family", "kn", "--dim", "7", "--verify-theorem", "2")
     elapsed = time.perf_counter() - start
     assert code == 0 and out.splitlines()[-1].startswith("32768/32768 ")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "3ce7d37d4129252c"
     assert elapsed < 2.0, f"the K_7 sweep took {elapsed:.2f} s"
+
+
+def test_the_z2_theorem_sweep_at_the_dimension_cap_within_budget(capsys):
+    # 1055 members to N = 10: each row's Krawtchouk sum runs over the two x
+    # a member's cosets take, not over all 65
+    start = time.perf_counter()
+    code, out = run(capsys, "family", "z2", "--dim", "64", "--verify-theorem", "10")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and out.splitlines()[-1].startswith("1055/1055 ")
+    assert elapsed < 2.0, f"the dim-64 z2 sweep took {elapsed:.2f} s"
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])

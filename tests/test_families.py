@@ -2,6 +2,7 @@
 
 import itertools
 import time
+from collections import Counter
 
 import pytest
 from oracles import canonical_key, catalog_names
@@ -25,12 +26,13 @@ from flatspec.families import (
     hw_groups,
     kn_array,
     kn_arrays,
+    kn_byte_keys,
     kn_coset_keys,
     kn_family,
     kn_family_size,
     kn_group_from_array,
-    kn_histograms,
     kn_masks,
+    kn_name,
     torus,
     z2_family,
     z2_group,
@@ -220,33 +222,45 @@ def test_kn_array_equals_the_checked_array(n):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_members_from_bits_match_the_built_groups(n):
     # the theorem sweep reads each member off its bits; the group path
-    # builds it: the mask pairs, and the theta keys with the number of
-    # cosets holding each (key_counts), agree as multisets
+    # builds it: the mask pairs, and the theta keys of the cosets (the coset
+    # bytes decoded through kn_byte_keys, against key_counts), agree as
+    # multisets
     bit_vectors = itertools.product((0, 1), repeat=free_parameter_count(n))
-    members = list(kn_histograms(n))
+    members = list(kn_coset_keys(n))
+    byte_keys = kn_byte_keys(n)
     assert len(members) == kn_family_size(n)
-    for index, (bits, (name, counts)) in enumerate(zip(bit_vectors, members)):
+    for index, (bits, (member_bits, cosets)) in enumerate(zip(bit_vectors, members)):
         group = kn_group_from_array(kn_array(n, index))
-        assert name == group.name
+        assert member_bits == bits and kn_name(n, bits) == group.name
         assert sorted(kn_masks(n, bits)) == sorted(g.half_masks for g in group.generators)
-        assert sorted(counts) == sorted(group.key_counts)
+        assert Counter(map(byte_keys.__getitem__, cosets)) == Counter(dict(group.key_counts))
+
+
+def _theorem_check_members(groups):
+    """(label, cosets) and the code table, as theorem_check feeds its scan."""
+    members = [(g.label(), tuple(sorted(k for k, count in g.key_counts for _ in range(count)))) for g in groups]
+    return members, {key: key for _label, cosets in members for key in cosets}
 
 
 def test_the_sweep_rows_are_the_group_rows(monkeypatch):
     # every row the theorem scan certifies, recorded at the one
     # certification under the first member that needs it, against
     # multiplicity_row of the built group: a row depends on (|F|, N, w)
-    # alone, w_x(N) summing count * e(key, N) over the keys with
-    # n - len(key) = x, so each distinct row is certified once and every
-    # member resolves to it.  K_5 is read off its arrays, as the sweep reads
-    # it; the z2 members with swap blocks are no mask groups
+    # alone, w_x(N) summing e(key, N) over the cosets with n - len(key) = x,
+    # so each distinct row is certified once and every member resolves to
+    # it.  K_5 is fed as sorted coset bytes, as the sweep feeds it; the z2
+    # members with swap blocks, which are no mask groups, as theorem_check
+    # feeds them
     from flatspec import lattice, spectra
 
-    inputs = [("kn", 5, list(zip(kn_family(5), (counts for _name, counts in kn_histograms(5)))))]
+    groups = list(kn_family(5))
+    members = [(kn_name(5, bits), bytes(sorted(cosets))) for bits, cosets in kn_coset_keys(5)]
+    inputs = [("kn", 5, groups, members, kn_byte_keys(5))]
     for n in range(4, 9):
-        inputs.append(("z2", n, [(g, g.key_counts) for g in z2_family(n) if g.generators[0].half_masks is None]))
+        groups = [g for g in z2_family(n) if g.generators[0].half_masks is None]
+        inputs.append(("z2", n, groups, *_theorem_check_members(groups)))
     certify = spectra._certified_row
-    for kind, n, members in inputs:
+    for kind, n, groups, members, keys in inputs:
         rows = {}
 
         def recorded(totals, order, label, norm_sq):
@@ -254,24 +268,60 @@ def test_the_sweep_rows_are_the_group_rows(monkeypatch):
             return rows[label, norm_sq]
 
         monkeypatch.setattr(spectra, "_certified_row", recorded)
-        checks = list(spectra.theorem_checks(((g.label(), counts) for g, counts in members), n, 12))
+        checks = list(spectra.theorem_checks(members, keys, n, 12))
         monkeypatch.undo()
-        assert checks == [(g.label(), None) for g, _counts in members]
+        assert checks == [(g.label(), None) for g in groups]
         first = {}
         norms = tuple(range(13))
-        series = dict(lattice.theta_series({key for _group, counts in members for key, _count in counts}, 12))
-        group_rows = spectra.multiplicity_row(tuple(group for group, _counts in members), norms)
-        for (group, counts), by_norm in zip(members, group_rows):
+        series = dict(lattice.theta_series(keys.values(), 12))
+        group_rows = spectra.multiplicity_row(tuple(groups), norms)
+        for group, (member_label, cosets), by_norm in zip(groups, members, group_rows):
+            assert member_label == group.label()
             for norm_sq, row in zip(norms, by_norm):
                 weights = [0] * (n + 1)
-                for key, count in counts:
-                    weights[n - len(key)] += count * series[key][norm_sq]
+                for code in cosets:
+                    weights[n - len(keys[code])] += series[keys[code]][norm_sq]
                 label = first.setdefault((group.order, norm_sq, tuple(weights)), group.label())
                 assert rows[label, norm_sq] == row
         assert len(rows) == len(first) <= len(members) * 13
         if kind == "kn":  # its members share rows
             assert len(members) == 64 and len(rows) < 64 * 13
-    assert sum(len(members) for _kind, _n, members in inputs[1:]) == 33
+    assert sum(len(members) for *_rest, members, _keys in inputs[1:]) == 33
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n_max", [2, 5])
+def test_the_two_feeders_agree_under_sabotage(monkeypatch, capsys, n, n_max):
+    # the cli sweep feeds the scan sorted coset bytes, theorem_check the
+    # built groups' theta keys: with d_0 one too many from N = 3 on, both
+    # name the same least failing N for every member
+    from flatspec import cli, spectra
+
+    true_row, scan = spectra._certified_row, spectra.theorem_checks
+
+    def sabotaged(totals, order, label, norm_sq):
+        d = true_row(totals, order, label, norm_sq)
+        return d if norm_sq < 3 else (d[0] + 1,) + d[1:]
+
+    swept = []
+
+    def recorded(*args):
+        for label, failing in scan(*args):
+            swept.append((label, failing))
+            yield label, failing
+
+    monkeypatch.setattr(spectra, "_certified_row", sabotaged)
+    monkeypatch.setattr(spectra, "theorem_checks", recorded)
+    spectra.multiplicity_row.cache_clear()
+    code = cli.main(["family", "kn", "--dim", str(n), "--verify-theorem", str(n_max)])
+    capsys.readouterr()
+    monkeypatch.setattr(spectra, "theorem_checks", scan)
+    groups = list(kn_family(n))
+    expected = 3 if n_max >= 3 else None
+    assert code == (2 if expected else 0)
+    assert swept == list(zip([g.label() for g in groups], spectra.theorem_check(groups, n_max)))
+    assert [failing for _label, failing in swept] == [expected] * len(groups)
+    spectra.multiplicity_row.cache_clear()
 
 
 @pytest.mark.parametrize("n", range(2, 7))
