@@ -54,10 +54,9 @@ from .arith import (
 #:
 #: * 16 adjacent transpositions in dim 17 walk to the cap in 3.1-3.8 s;
 #: * 16 independent mask generators plus their product with another
-#:   translation, an inconsistent span, walk to the conflict in 7.0-9.0 s
-#:   in dim 17 and 15-19.5 s in dim 64;
-#: * 17 independent mask generators, a consistent span over the cap, are
-#:   refused off the basis in under 1 ms.
+#:   translation, an inconsistent span, and 17 independent ones, a
+#:   consistent span over the cap, are refused off the basis in under 1 ms,
+#:   in dim 17 as in dim 64 (a walk to the conflict took 6-9 s and 13-19.5 s).
 #:
 #: (CPython 3.11, Xeon VM, 3 runs each.)
 HOLONOMY_CAP = 2**16
@@ -475,10 +474,11 @@ def expand_holonomy(generators, dim: int, name: str | None = None) -> Bieberbach
     is the XOR of (negation mask, half-translation mask) pairs, because a
     diagonal B is its own inverse and -1/2 = 1/2 mod 1.  The group is then
     the GF(2) span of the generators' pairs, and it keeps an echelon basis
-    of them, built in O(g^2) XORs; its representatives are walked only when
-    read.  A consistent span of rank r meets no conflict, so its only
-    possible error is the cap, raised at once when 2^r > HOLONOMY_CAP.  An
-    inconsistent span walks, to name the conflict the walk meets first.
+    of them, built in O(g^2) XORs with no walk; its representatives are
+    walked only when read.  An inconsistent span raises while the basis is
+    built, naming the first generator the earlier ones contradict (see
+    _mask_basis), so before the cap; a consistent span of rank r raises the
+    cap error at once when 2^r > HOLONOMY_CAP.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
@@ -488,29 +488,32 @@ def expand_holonomy(generators, dim: int, name: str | None = None) -> Bieberbach
     for g in gens:
         if g.dim != dim:
             raise ValueError(f"generator dimension {g.dim} != {dim}")
-    masks = [g.half_masks for g in gens]
-    basis = None if None in masks else _mask_basis(masks)
-    if basis is None:
-        holonomy = tuple(_walk(gens, dim))  # an inconsistent mask span raises here
+    if any(g.half_masks is None for g in gens):
+        holonomy = tuple(_walk(gens, dim))
         return BieberbachGroup._trusted(dim=dim, holonomy=holonomy, generators=gens, name=name)
+    basis = _mask_basis(gens)
     _check_cap((1 << len(basis)) - 1)  # the size before the walk's last coset
     return BieberbachGroup._trusted(dim=dim, generators=gens, name=name, _basis=basis)
 
 
-def _mask_basis(masks) -> tuple[tuple[int, int], ...] | None:
-    """A basis of the span of the (negation, half-translation) pairs, with
-    distinct leading negation bits, or None if some negation mask is
-    reached with two translations (the identity's being 0)."""
+def _mask_basis(gens) -> tuple[tuple[int, int], ...]:
+    """A basis of the span of the generators' half_masks pairs, with
+    distinct leading negation bits.  Raises HolonomyExpansionError for the
+    first generator whose negation mask the earlier ones' span reaches with
+    another translation (the identity's being 0), naming its linear part
+    with the span's translation and its own."""
     basis: list[tuple[int, int]] = []  # descending, so each XOR clears a lead
-    for neg, trans in masks:
+    for gen in gens:
+        neg, trans = gen.half_masks
         for b_neg, b_trans in basis:
             if neg ^ b_neg < neg:
                 neg, trans = neg ^ b_neg, trans ^ b_trans
         if neg:
             basis.append((neg, trans))
             basis.sort(reverse=True)
-        elif trans:
-            return None
+        elif trans:  # the span's element with this linear part differs on trans
+            shifted = tuple((q + 2 * (trans >> j & 1)) % 4 for j, q in enumerate(gen.translation))
+            raise _inconsistent(IsometryElement._trusted(linear=gen.linear, translation=shifted), gen)
     return tuple(basis)
 
 
@@ -542,12 +545,6 @@ def _walk(gens, dim: int):
                 yield prod
             elif known.translation != prod.translation:
                 raise _inconsistent(known, prod)
-
-
-def diagonal_element(signs, translation) -> IsometryElement:
-    """diag(signs) L_translation (quarter units), with the checks of the
-    public constructors."""
-    return IsometryElement(SignedPermutation.diagonal(signs), translation)
 
 
 def _check_cap(size: int) -> None:

@@ -200,11 +200,10 @@ def cmd_spectrum(args) -> int:
         print(_csv_text(["group", "N"] + columns, data), end="")
         return 0
     blocks = []
-    for norm_sq in norms:
+    for i, norm_sq in enumerate(norms):  # rows is N-major: block i is its i-th run of len(groups)
         data = [
             [label] + [str(v) for v in row] + [str(spectra.row_value(row, "f"))]
-            for label, n, row in rows
-            if n == norm_sq
+            for label, _n, row in rows[i * len(groups) : (i + 1) * len(groups)]
         ]
         blocks.append(f"N={norm_sq}\n" + _format_table(["group"] + columns, data))
         if args.char_sums:

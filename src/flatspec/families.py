@@ -3,15 +3,16 @@ named groups and family kinds.
 
 * the one-generator family with holonomy Z2 (parameters j, h: j swap
   blocks, h sign flips, translation e_n/2);
-* diagonal-type groups from explicit sign columns and half-integer
-  translations: the Hantzsche-Wendt groups, the dimension-3 Z2^2 trio and
-  every member of the array family;
 * the {0, 1/2}-array family with holonomy Z2^(n-1) and first Betti
   number one, parameterized by the free strict upper triangle;
-* a named catalog of fixed example groups (dimensions 3 to 7), embedded
-  verbatim rather than re-derived;
+* a named catalog of fixed example groups (dimensions 3 to 7): the
+  Hantzsche-Wendt groups, the dimension-3 Z2^2 trio and the dimension-6 Z4
+  examples, embedded verbatim rather than re-derived;
 * ``family_members`` and ``family_size``, the one place that decides what
   each kind holds, and its count, read off the members' parameters.
+
+As in the paper, each catalog group and Z2 member is its generators: one
+checked builder, ``_generated_group``, makes it from their rows.
 
 Translations are written in quarter units throughout (2 is 1/2, 1 is 1/4).
 """
@@ -30,7 +31,6 @@ from .bieberbach import (
     IsometryElement,
     Record,
     SignedPermutation,
-    diagonal_element,
     expand_holonomy,
     is_orientable,
     is_torsion_free,
@@ -57,19 +57,27 @@ def require_torsion_free(group: BieberbachGroup) -> BieberbachGroup:
     return group
 
 
+def _generated_group(rows, name: str) -> BieberbachGroup:
+    """The group generated by (0-based perm, signs, translation) rows, with
+    the public constructors' checks: every catalog group and Z2 member."""
+    generators = [IsometryElement(SignedPermutation(perm, signs), t) for perm, signs, t in rows]
+    return require_torsion_free(expand_holonomy(generators, len(rows[0][0]), name=name))
+
+
 # ---------------------------------------------------------------------------
 # the Z2 family
 
 
-def z2_linear(n: int, j: int, h: int) -> SignedPermutation:
-    """diag(J,...,J, -1,...,-1, 1,...,1) with j swap blocks and h sign flips."""
+def z2_linear(n: int, j: int, h: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(perm, signs) of diag(J,...,J, -1,...,-1, 1,...,1) with j swap blocks
+    and h sign flips."""
     perm = list(range(n))
     signs = [1] * n
     for k in range(j):
         perm[2 * k], perm[2 * k + 1] = 2 * k + 1, 2 * k
     for i in range(2 * j, 2 * j + h):
         signs[i] = -1
-    return SignedPermutation(tuple(perm), tuple(signs))
+    return tuple(perm), tuple(signs)
 
 
 def _require_z2_dim(n: int) -> None:
@@ -95,9 +103,7 @@ def z2_group(n: int, j: int, h: int, name: str | None = None) -> BieberbachGroup
     if (j, h) not in z2_parameters(n):
         raise ValueError(f"invalid parameters j={j}, h={h} for n={n}")
     translation = tuple(2 if i == n - 1 else 0 for i in range(n))
-    generator = IsometryElement(z2_linear(n, j, h), translation)
-    group = expand_holonomy([generator], n, name=name or f"M[{j},{h}]")
-    return require_torsion_free(group)
+    return _generated_group([(*z2_linear(n, j, h), translation)], name or f"M[{j},{h}]")
 
 
 def z2_family(n: int) -> list[BieberbachGroup]:
@@ -106,33 +112,15 @@ def z2_family(n: int) -> list[BieberbachGroup]:
 
 
 # ---------------------------------------------------------------------------
-# diagonal-type groups
-
-
-def diagonal_group(sign_columns, translations, name: str | None = None) -> BieberbachGroup:
-    """Group generated by diagonal sign matrices with the given translations
-    (quarter units).
-
-    Raises GroupValidationError carrying the full report if the group has
-    torsion.  Builds the Hantzsche-Wendt groups and the dimension-3 Z2^2 trio.
-    """
-    columns = [tuple(col) for col in sign_columns]
-    shifts = [tuple(trans) for trans in translations]
-    if len(columns) != len(shifts):
-        raise ValueError("need exactly one translation per sign column")
-    if not columns:
-        raise ValueError("need at least one generator column")
-    n = len(columns[0])
-    generators = [diagonal_element(col, trans) for col, trans in zip(columns, shifts)]
-    return require_torsion_free(expand_holonomy(generators, n, name=name))
+# Hantzsche-Wendt groups
 
 
 def _hw_sample(translations, name: str) -> BieberbachGroup:
     """A Hantzsche-Wendt group: generator i fixes e_i, negates every other
     axis and translates by row i."""
     n = len(translations[0])
-    columns = [tuple(1 if k == i else -1 for k in range(n)) for i in range(n - 1)]
-    return diagonal_group(columns, translations, name=name)
+    signs = [tuple(1 if k == i else -1 for k in range(n)) for i in range(n - 1)]
+    return _generated_group([(tuple(range(n)), *row) for row in zip(signs, translations)], name)
 
 
 def hw_groups(n: int) -> tuple[BieberbachGroup, ...]:
@@ -317,12 +305,6 @@ def torus(n: int) -> BieberbachGroup:
     return expand_holonomy([], n, name=f"T^{n}")
 
 
-def _generated_group(rows, name: str) -> BieberbachGroup:
-    """The group generated by (0-based perm, signs, translation) rows."""
-    generators = [IsometryElement(SignedPermutation(perm, signs), t) for perm, signs, t in rows]
-    return require_torsion_free(expand_holonomy(generators, len(rows[0][0]), name=name))
-
-
 # The first generator of each dimension-6 group carries rotation blocks
 # (e_a -> -e_b, e_b -> e_a) on the axis pairs it swaps; the Z4 examples keep
 # only that generator.
@@ -336,9 +318,9 @@ _Z4Z2_MP = (
 )
 
 # name -> builder called with the name, in the order in which hw-catalog and
-# the unknown-name message list them.  The builders look up expand_holonomy
-# and the checks at each call, so a wrapper installed on a module attribute
-# sees every build.
+# the unknown-name message list them.  Every builder ends in
+# _generated_group, which looks up expand_holonomy and the checks at each
+# call, so a wrapper installed on a module attribute sees every build.
 # The hw<n>/H* rows are Hantzsche-Wendt translations (see _hw_sample): the
 # first per dimension is the classical chain b_i = (e_i + e_{i+1})/2, the
 # others were found by search over {0, 1/2} translations.
@@ -351,9 +333,9 @@ _CATALOG = {
     "dim4/m03": partial(z2_group, 4, 0, 3),
     "dim4/m02": partial(z2_group, 4, 0, 2),
     "dim4/m01": partial(z2_group, 4, 0, 1),
-    "hw3/M1": partial(diagonal_group, [(-1, -1, 1), (-1, 1, -1)], [(2, 0, 2), (0, 2, 0)]),
-    "hw3/M2": partial(diagonal_group, [(-1, -1, 1), (1, -1, 1)], [(0, 2, 2), (0, 0, 2)]),
-    "hw3/M3": partial(diagonal_group, [(-1, -1, 1), (1, -1, 1)], [(0, 2, 2), (2, 0, 0)]),
+    "hw3/M1": partial(_generated_group, (((0, 1, 2), (-1, -1, 1), (2, 0, 2)), ((0, 1, 2), (-1, 1, -1), (0, 2, 0)))),
+    "hw3/M2": partial(_generated_group, (((0, 1, 2), (-1, -1, 1), (0, 2, 2)), ((0, 1, 2), (1, -1, 1), (0, 0, 2)))),
+    "hw3/M3": partial(_generated_group, (((0, 1, 2), (-1, -1, 1), (0, 2, 2)), ((0, 1, 2), (1, -1, 1), (2, 0, 0)))),
     "dim6/z4z2_M": partial(_generated_group, _Z4Z2_M),
     "dim6/z4z2_Mp": partial(_generated_group, _Z4Z2_MP),
     "dim6/z4_M": partial(_generated_group, _Z4Z2_M[:1]),

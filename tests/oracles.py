@@ -23,6 +23,9 @@ Also here, because only tests compare against them:
   recursion over the key's suffixes, memoised per (suffix, N), apart from
   ``lattice.theta_series``, which walks whole series down the keys' prefixes;
 * ``catalog_names``, the catalog's names in their fixed order;
+* ``first_mask_conflict``, the conflict of an inconsistent span of mask
+  generators by composing every subset of the earlier generators, apart
+  from the echelon basis that ``bieberbach.expand_holonomy`` reads it off;
 * the canonical labelling of a family graph (``canonical_vertex_order``,
   ``canonical_edges``), its inverse ``array_of``, and ``graphs_isomorphic``,
   which decides isomorphism by them: the package never asks, since a
@@ -172,15 +175,33 @@ def expand_by_compose(generators, dim: int) -> tuple[IsometryElement, ...]:
                 reps[prod.linear] = prod
                 queue.append(prod)
             elif known.translation != prod.translation:
-                known_t, prod_t = (
-                    "(" + ", ".join(str(format_quarter(q)) for q in e.translation) + ")"
-                    for e in (known, prod)
-                )
-                raise HolonomyExpansionError(
-                    f"inconsistent cocycle: linear part {prod.linear} carries "
-                    f"translations {known_t} and {prod_t} mod 1"
-                )
+                raise _inconsistent_cocycle(known, prod)
     return tuple(reps.values())
+
+
+def _inconsistent_cocycle(known, prod) -> HolonomyExpansionError:
+    known_t, prod_t = ("(" + ", ".join(str(format_quarter(q)) for q in e.translation) + ")" for e in (known, prod))
+    return HolonomyExpansionError(
+        f"inconsistent cocycle: linear part {prod.linear} carries translations {known_t} and {prod_t} mod 1"
+    )
+
+
+def first_mask_conflict(generators) -> HolonomyExpansionError | None:
+    """The error expand_holonomy raises for diagonal generators with
+    translations in (1/2)Z^n whose span is inconsistent, or None for a
+    consistent span: the first generator that the product of some subset of
+    the earlier ones, each subset composed in turn, gives its linear part
+    with another translation.  The earlier ones are consistent, so every
+    such product carries one translation."""
+    for i, gen in enumerate(generators):
+        for size in range(i + 1):
+            for subset in combinations(generators[:i], size):
+                prod = IsometryElement.identity(gen.dim)
+                for elem in subset:
+                    prod = prod.compose(elem)
+                if prod.linear == gen.linear and prod.translation != gen.translation:
+                    return _inconsistent_cocycle(prod, gen)
+    return None
 
 
 def sorting_parity(values) -> int:

@@ -119,15 +119,16 @@ def test_public_constructors_still_check():
         IsometryElement(SignedPermutation.identity(2), (0, True))
     with pytest.raises(ValueError):
         IsometryElement(SignedPermutation.identity(2), (0,))
-    # diagonal_element keeps the int form, and a bool must still raise
-    assert bieberbach.diagonal_element((1, -1), (0, 1)).translation == (0, 1)
+    # a diagonal element keeps the int form, and a bool must still raise
+    diagonal = SignedPermutation.diagonal((1, -1))
+    assert IsometryElement(diagonal, (0, 1)).translation == (0, 1)
     with pytest.raises(TypeError):
-        bieberbach.diagonal_element((1, -1), (0, True))
+        IsometryElement(diagonal, (0, True))
     with pytest.raises(ValueError):
-        bieberbach.diagonal_element((1, 2), (0, 0))
-    # it hands out checked elements, from lists as from tuples
-    assert bieberbach.diagonal_element((1, -1), (4, 6)) == iso((1, -1), (0, 2))
-    assert bieberbach.diagonal_element([1, -1], [0, 2]) == bieberbach.diagonal_element((1, -1), (0, 2))
+        IsometryElement(SignedPermutation.diagonal((1, 2)), (0, 0))
+    # the constructors hand out checked elements, from lists as from tuples
+    assert IsometryElement(diagonal, (4, 6)) == iso((1, -1), (0, 2))
+    assert IsometryElement(SignedPermutation.diagonal([1, -1]), [0, 2]) == IsometryElement(diagonal, (0, 2))
 
 
 def test_apply_uses_column_convention():

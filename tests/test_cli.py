@@ -118,6 +118,23 @@ def test_spectrum_goldens(capsys):
     assert_golden(capsys, "spectrum_torus3.txt", "spectrum", "torus:3", "--norms", "1")
 
 
+def test_spectrum_repeated_norm_prints_one_block_per_listed_norm(capsys):
+    argv = ("spectrum", "dim3/m10", "dim3/m02", "--norms", "1,0,1")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    blocks = out.rstrip("\n").split("\n\n")
+    assert [block.splitlines()[0] for block in blocks] == ["N=1", "N=0", "N=1"]
+    for block in blocks:
+        assert [line.split()[0] for line in block.splitlines()[2:]] == ["dim3/m10", "dim3/m02"]
+    assert blocks[0] == blocks[2]
+    code, out = run(capsys, *argv, "--json")
+    assert [(r["group"], r["N"]) for r in json.loads(out)["rows"]] == [
+        ("dim3/m10", 1), ("dim3/m02", 1), ("dim3/m10", 0), ("dim3/m02", 0), ("dim3/m10", 1), ("dim3/m02", 1)
+    ]
+    code, out = run(capsys, *argv, "--csv")
+    assert len(out.splitlines()) == 1 + 6
+
+
 def test_spectrum_json_contains_parity_split(capsys):
     code, out = run(capsys, "spectrum", "hw3/M1", "--norms", "1", "--json")
     assert code == 0
@@ -359,6 +376,30 @@ def test_every_sweep_prints_its_recorded_stdout(capsys, kind, dim, n_max):
     code, out = run(capsys, "family", kind, "--dim", str(dim), "--verify-theorem", str(n_max))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == SWEEP_STDOUT[kind, dim, n_max]
+
+
+# sha256 prefixes of the stdout of every z2 listing for n = 2..8 and of the
+# three hw-catalog listings, recorded before the catalog and the z2 members
+# were built through one generator-row builder; each run exits 0
+LISTING_STDOUT = {
+    ("z2", 2): "2e9083ec6a65fa8c",
+    ("z2", 3): "42098b6f9ac11515",
+    ("z2", 4): "e7caad48587016ec",
+    ("z2", 5): "0ecf0a80ab0ab6f7",
+    ("z2", 6): "6c9f6c734dd2bc49",
+    ("z2", 7): "8511e4a8508d356b",
+    ("z2", 8): "6a756d6c527dbfa1",
+    ("hw-catalog", 3): "ca24b5a91bc6fbef",
+    ("hw-catalog", 5): "ad987b0d419cec21",
+    ("hw-catalog", 7): "0b7c40860087124b",
+}
+
+
+@pytest.mark.parametrize("kind, dim", list(LISTING_STDOUT))
+def test_every_listing_prints_its_recorded_stdout(capsys, kind, dim):
+    code, out = run(capsys, "family", kind, "--dim", str(dim))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == LISTING_STDOUT[kind, dim]
 
 
 def test_the_k7_theorem_sweep_within_budget(capsys):

@@ -1,6 +1,9 @@
 """Family constructors and the named catalog."""
 
+import hashlib
 import itertools
+import json
+import sys
 import time
 from collections import Counter
 
@@ -14,11 +17,11 @@ from flatspec.bieberbach import (
     is_torsion_free,
     validate,
 )
+from flatspec import families
 from flatspec.families import (
     KN_CAP,
     GhwArray,
     catalog,
-    diagonal_group,
     family_members,
     family_size,
     free_parameter_count,
@@ -71,29 +74,81 @@ def test_z2_group_rejects_bad_parameters():
         z2_group(3, 2, 0)
 
 
-# diagonal groups ---------------------------------------------------------------
+# sha256 prefixes of each catalog group's sorted JSON, of its validate
+# report's sorted JSON and of its representatives in order, recorded before
+# the catalog was built through one generator-row builder
+CATALOG_PINS = {
+    "dim3/m10": ("a8b8a09a8731a562", "90211b8e75c1826f", "dbfcf3e78e433e57"),
+    "dim3/m02": ("7371d52f3da3d1a7", "6bd3ffb3f88b6db3", "68c742c4690b84f5"),
+    "dim3/m01": ("192c9b6ae22eb28b", "5d4cedc96bd64027", "3c640cf02f0264f7"),
+    "dim4/m11": ("4d8f57903709d293", "48cad82f535fdcff", "10bf5bcaf8c78755"),
+    "dim4/m10": ("df44d8ed9240492f", "f7ca97fac3a8d28c", "82f3ae368f5b225a"),
+    "dim4/m03": ("64fc32c727ec399c", "7eea63bf7a59702b", "845eb03e31ff2142"),
+    "dim4/m02": ("137082f799ead252", "4375f026d7befc62", "70a0311b3e8a73e6"),
+    "dim4/m01": ("166d2d5825d8d903", "b09a4bdb5212d44b", "84e935a296411463"),
+    "hw3/M1": ("9bcafd9457545659", "367aa771d01bad87", "34f233ad240bba6b"),
+    "hw3/M2": ("d8989800ad68e1d2", "823e3542e4c45246", "11df68b0fbcad73c"),
+    "hw3/M3": ("209b855f995349e3", "8ce2044ff449b5d2", "28bbf9a7a1894496"),
+    "dim6/z4z2_M": ("e6145a9f4b85c9f5", "0111f4cc9b714de0", "d4b72390d6c7e33e"),
+    "dim6/z4z2_Mp": ("daa966ed641e0329", "afd25870b486c61f", "250d992970b21bc6"),
+    "dim6/z4_M": ("c448f94502e20082", "a8d1f678b486379b", "6ed29808caa47858"),
+    "dim6/z4_Mp": ("89562dfdb8a852ae", "a12956b3638a8867", "7c2ea2be54e90ddc"),
+    "hw5/H1": ("95a8dcbf8d27cbdc", "8429145ebaefef4f", "a60fa4433d1c9e9a"),
+    "hw5/H2": ("86b4c248177dbd18", "f1989d8bc87c5d7a", "8ce3eca2e6cbecc7"),
+    "hw5/H3": ("b26470960b2b8911", "889d773daf7c8232", "11dcbef2536ec6ab"),
+    "hw7/H1": ("2d032dee5a0bc973", "6b125282fca8aee6", "4ae07b8473541d96"),
+    "hw7/H2": ("32cf764aeacd9ea4", "d0d7e5948a3f37cd", "092487862ee8e3e4"),
+    "hw7/H3": ("b7084650f4bf17f3", "bcc6ebabb505168b", "b20ab7fe6f50dcd4"),
+}
 
 
-def test_diagonal_group_builds_the_hw_didicosm():
-    g = diagonal_group(
-        [(-1, -1, 1), (-1, 1, -1)],
-        [(2, 0, 2), (0, 2, 0)],
-    )
+def test_the_catalog_pins_name_every_group():
+    assert list(CATALOG_PINS) == catalog_names()
+
+
+@pytest.mark.parametrize("name", list(CATALOG_PINS))
+def test_every_catalog_group_keeps_its_recorded_form(name):
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    group = catalog(name)
+    assert (
+        digest(json.dumps(group.to_json(), sort_keys=True)),
+        digest(json.dumps(validate(group).to_json(), sort_keys=True)),
+        digest(" ".join(map(str, group.holonomy))),
+    ) == CATALOG_PINS[name]
+
+
+# generator rows ----------------------------------------------------------------
+
+
+def test_generator_rows_build_the_hw_didicosm():
+    g = families._generated_group([((0, 1, 2), (-1, -1, 1), (2, 0, 2)), ((0, 1, 2), (-1, 1, -1), (0, 2, 0))], "didicosm")
     assert g.order == 4
     assert canonical_key(g) == canonical_key(catalog("hw3/M1"))
 
 
-def test_diagonal_group_rejects_zero_translations():
+def test_every_named_group_is_built_from_generator_rows(monkeypatch):
+    # every catalog group and z2 member reaches expand_holonomy through the one checked builder
+    callers = []
+    expand = families.expand_holonomy
+
+    def spy(*args, **kwargs):
+        callers.append((kwargs["name"], sys._getframe(1).f_code.co_name))
+        return expand(*args, **kwargs)
+
+    monkeypatch.setattr(families, "expand_holonomy", spy)
+    for name in catalog_names():
+        families._CATALOG[name](name=name)  # catalog() would answer from its cache
+    z2_family(5)
+    names = catalog_names() + [f"M[{j},{h}]" for j, h in z2_parameters(5)]
+    assert callers == [(name, "_generated_group") for name in names]
+
+
+def test_generator_rows_reject_zero_translations():
     with pytest.raises(GroupValidationError) as err:
-        diagonal_group([(-1, 1, 1)], [(0, 0, 0)])
+        families._generated_group([((0, 1, 2), (-1, 1, 1), (0, 0, 0))], "reflection")
     assert not err.value.report.torsion_free
-
-
-def test_diagonal_group_argument_validation():
-    with pytest.raises(ValueError):
-        diagonal_group([(-1, 1)], [])
-    with pytest.raises(ValueError):
-        diagonal_group([], [])
 
 
 # arrays ------------------------------------------------------------------------

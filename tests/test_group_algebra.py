@@ -18,6 +18,7 @@ from oracles import (
     abelian_candidates,
     catalog_names,
     expand_by_compose,
+    first_mask_conflict,
     holonomy_description_by_search,
     pairwise_group_check,
 )
@@ -372,10 +373,41 @@ def _outcome(expand):
 @settings(deadline=None, max_examples=300)
 @given(half_generator_sets(), st.sampled_from([None, 4]))
 def test_mask_groups_expand_as_the_compose_walk(case, cap):
-    # at cap 4 a consistent span of rank 3 takes the basis's cap check
+    # at cap 4 a consistent span of rank 3 takes the basis's cap check; an
+    # inconsistent span names its first conflicting generator, before the cap
     n, gens = case
     cap = cap or bieberbach.HOLONOMY_CAP
+    conflict = first_mask_conflict(gens)
     with mock.patch.object(bieberbach, "HOLONOMY_CAP", cap):
-        expected = _outcome(lambda: expand_by_compose(gens, n))
+        expected = _outcome(lambda: expand_by_compose(gens, n)) if conflict is None else (type(conflict), str(conflict))
         got = _outcome(lambda: expand_holonomy(gens, n).holonomy)
     assert got == expected
+
+
+def _hostile_span(n):
+    """16 independent mask generators, then their product, which negates
+    axes 0-15 and translates axes 1-16 by 1/2, with axis 0 translated too."""
+    gens = [_half_element(n, 1 << i, 1 << (i + 1)) for i in range(16)]
+    return gens + [_half_element(n, (1 << 16) - 1, (1 << 17) - 1)]
+
+
+def test_mask_generator_sets_expand_with_no_walk(monkeypatch):
+    monkeypatch.setattr(bieberbach, "_walk", lambda *args: pytest.fail("expand_holonomy walked a mask generator set"))
+    gens = _hostile_span(17)
+    assert expand_holonomy(gens[:3], 17).order == 8
+    with pytest.raises(bieberbach.HolonomyExpansionError, match="exceeded the cap"):
+        expand_holonomy(gens[:16] + [_half_element(17, 1 << 16, 1)], 17)
+    with pytest.raises(bieberbach.HolonomyExpansionError, match="inconsistent cocycle"):
+        expand_holonomy(gens, 17)
+
+
+@pytest.mark.parametrize("n", [17, 64])
+def test_an_inconsistent_span_at_the_cap_raises_within_budget(n):
+    # 6-9 s in dim 17 and 13-19.5 s in dim 64 as a walk to the conflict
+    gens = _hostile_span(n)
+    start = time.perf_counter()
+    with pytest.raises(bieberbach.HolonomyExpansionError) as err:
+        expand_holonomy(gens, n)
+    elapsed = time.perf_counter() - start
+    assert str(err.value).startswith(f"inconsistent cocycle: linear part {gens[-1].linear} carries")
+    assert elapsed < 0.5, f"the inconsistent span took {elapsed:.2f} s"

@@ -17,8 +17,8 @@ from oracles import (
 )
 
 from flatspec import lattice
-from flatspec.bieberbach import diagonal_element, expand_holonomy
-from flatspec.families import catalog, diagonal_group, kn_family, torus, z2_family
+from flatspec.bieberbach import IsometryElement, SignedPermutation, expand_holonomy
+from flatspec.families import catalog, kn_family, torus, z2_family
 from flatspec.spectra import character_sum, multiplicity_row
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -60,12 +60,12 @@ def test_rows_match_the_coset_oracle():
 def _reflection():
     # diag(-1, 1, 1) with no translation: an orbifold's group, whose key
     # (1, 0)^2 is a proper prefix of the torus key (1, 0)^3
-    return expand_holonomy([diagonal_element((-1, 1, 1), (0, 0, 0))], 3, name="reflection")
+    return expand_holonomy([IsometryElement(SignedPermutation.diagonal((-1, 1, 1)), (0, 0, 0))], 3, name="reflection")
 
 
 def _half_flip():
     # diag(-1, 1, 1) L(0, 1/2, 1/2): its key (1, 2)^2 extends hw3/M1's (1, 2)
-    return diagonal_group([(-1, 1, 1)], [(0, 2, 2)], name="half-flip")
+    return expand_holonomy([IsometryElement(SignedPermutation.diagonal((-1, 1, 1)), (0, 2, 2))], 3, name="half-flip")
 
 
 def _pairs():
@@ -154,14 +154,15 @@ def test_a_negative_norm_raises():
 _ROW_CHILD = """
 import random
 from flatspec import lattice, spectra
-from flatspec.bieberbach import diagonal_element, expand_holonomy
+from flatspec.bieberbach import IsometryElement, SignedPermutation, expand_holonomy
 
 rng = random.Random(2)
 generators = []
 for _ in range(16):
     density = rng.choice((0.05, 0.1, 0.2, 0.3, 0.5))
     signs = [-1 if rng.random() < density else 1 for _ in range(64)]
-    generators.append(diagonal_element(signs, [2 * rng.randrange(2) for _ in range(64)]))
+    linear = SignedPermutation.diagonal(signs)
+    generators.append(IsometryElement(linear, [2 * rng.randrange(2) for _ in range(64)]))
 group = expand_holonomy(generators, 64)
 keys = [key for key, _count in group.key_counts]
 prefixes = len({key[:i] for key in keys for i in range(len(key) + 1)})
