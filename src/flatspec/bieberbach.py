@@ -13,7 +13,7 @@ Each datum derived from one object is a ``functools.cached_property`` of
 its class, computed at the first read and freed with the object, and no
 other module stores data on it: ``SignedPermutation.cycles``, the
 ``half_masks`` and ``theta_key`` of an ``IsometryElement``, and a group's
-``holonomy`` (if a mask group), ``key_counts``, ``signature`` and hash.
+``holonomy`` (if a mask group), ``signature`` and hash.
 
 Conventions, fixed once and used everywhere:
 
@@ -358,9 +358,9 @@ class BieberbachGroup(Record):
     A group it builds from diagonal generators with translations in
     (1/2)Z^n holds a basis of its cosets' (negation mask, half-translation
     mask) pairs (see IsometryElement.half_masks), and builds ``holonomy``
-    only when read; the order, the torsion test, the classification, the key
-    counts and the signature read the basis, and a torsion witness walks
-    only as far as the witness."""
+    only when read; the order, the torsion test, the classification and the
+    signature read the basis, and a torsion witness walks only as far as
+    the witness."""
 
     dim: int
     generators: tuple[IsometryElement, ...]
@@ -393,13 +393,26 @@ class BieberbachGroup(Record):
         return len(self.holonomy) if self._basis is None else 1 << len(self._basis)
 
     @cached_property
-    def key_counts(self) -> tuple[tuple[ThetaKey, int], ...]:
-        """Pairs (theta key, number of representatives with it) in order of
-        first appearance, so the identity's key first.  A mask group walks
-        its basis in Gray-code order, one XOR a step and no coset built, and
-        names each coset's key by mask_key."""
+    def signature(self) -> tuple[tuple[tuple[ThetaKey, tuple[int, ...]], int], ...]:
+        """Pairs ((theta key, T), count) in order of first appearance, so the
+        identity's first, where T[p] is one coset's trace on p-forms and count
+        the number of representatives with that key and those traces: all
+        that the multiplicities d_p(N) read of the group (see ``spectra``).
+        An involution's cycles are axes kept or negated and 2-cycles of sign
+        product +1; the kept axes and the 2-cycles make its theta key, so its
+        traces are K_p^n(x), x = n - len(key) (krawtchouk_table), and only a
+        coset of higher order reads exterior_traces: 0.5-0.65 s for B_6
+        (|F| = 46080, 65 entries).  A mask group walks its basis in Gray-code
+        order, one XOR a step and no coset built, and names each (x, b) by
+        mask_entry: 31-34 ms for a dim-64 group of 2^16 cosets and 697
+        entries (CPython 3.11, Xeon VM)."""
+        n = self.dim
         if self._basis is None:
-            return tuple(Counter(elem.theta_key for elem in self.holonomy).items())
+            counts = Counter()
+            for elem in self.holonomy:
+                key, linear = elem.theta_key, elem.linear
+                counts[key, mask_entry(n, n - len(key), 0)[1] if linear.order() <= 2 else linear.exterior_traces()] += 1
+            return tuple(counts.items())
         counts = {(0, 0): 1}  # (x, b) -> cosets
         neg = trans = 0
         for i in range(1, self.order):
@@ -408,22 +421,7 @@ class BieberbachGroup(Record):
             neg, trans = neg ^ b_neg, trans ^ b_trans
             x_b = (neg.bit_count(), (trans & ~neg).bit_count())
             counts[x_b] = counts.get(x_b, 0) + 1
-        return tuple((mask_key(self.dim, x, b), count) for (x, b), count in counts.items())
-
-    @cached_property
-    def signature(self) -> tuple[tuple[tuple[ThetaKey, tuple[int, ...]], int], ...]:
-        """Pairs ((theta key, T), count) in order of first appearance, where
-        T[p] is one coset's trace on p-forms and count the number of
-        representatives with that key and those traces: all that the
-        multiplicities d_p(N) read of the group (see ``spectra``).  O(|F| * n):
-        0.2 ms for hw7/H1 (|F| = 64, 7 entries).  A mask group reads it off
-        its key counts instead, one entry a key, since its cosets are
-        involutions whose traces are K_p^n(n - len(key)): 75 ms for a dim-64
-        group of 2^16 cosets and 697 keys (CPython 3.11, Xeon VM)."""
-        if self._basis is not None:
-            columns = tuple(zip(*krawtchouk_table(self.dim)))  # column x: K_p^n(x) for every p
-            return tuple(((key, columns[self.dim - len(key)]), count) for key, count in self.key_counts)
-        return tuple(Counter((elem.theta_key, elem.linear.exterior_traces()) for elem in self.holonomy).items())
+        return tuple((mask_entry(n, x, b), count) for (x, b), count in counts.items())
 
     def label(self) -> str:
         return self.name if self.name else f"group(dim={self.dim},|F|={self.order})"
@@ -517,11 +515,12 @@ def _mask_basis(gens) -> tuple[tuple[int, int], ...]:
     return tuple(basis)
 
 
-def mask_key(n: int, x: int, b: int) -> ThetaKey:
-    """The theta key of a mask coset in dimension n that negates x axes,
-    x = popcount(neg), and translates b of the others by 1/2,
-    b = popcount(~neg & trans): (1, 0)^(n-x-b) (1, 2)^b."""
-    return ((1, 0),) * (n - x - b) + ((1, 2),) * b
+def mask_entry(n: int, x: int, b: int) -> tuple[ThetaKey, tuple[int, ...]]:
+    """The signature entry of a mask coset in dimension n that negates x
+    axes, x = popcount(neg), and translates b of the others by 1/2,
+    b = popcount(~neg & trans): its theta key (1, 0)^(n-x-b) (1, 2)^b and its
+    traces, column x of krawtchouk_table(n)."""
+    return ((1, 0),) * (n - x - b) + ((1, 2),) * b, tuple(row[x] for row in krawtchouk_table(n))
 
 
 def _walk(gens, dim: int):
@@ -583,10 +582,10 @@ def torsion_witness(group: BieberbachGroup) -> IsometryElement | None:
     """The first non-identity representative whose coset contains torsion,
     or None; holonomy and _walk both yield the identity first.  A mask group
     walks, storing no coset and only as far as the witness, only if a key of
-    its key_counts past the identity's has no c != 0."""
+    its signature past the identity's has no c != 0."""
     if group._basis is None:
         cosets = group.holonomy
-    elif all(any(c for _l, c in key) for key, _count in group.key_counts[1:]):
+    elif all(any(c for _l, c in key) for (key, _traces), _count in group.signature[1:]):
         return None
     else:
         cosets = _walk(group.generators, group.dim)

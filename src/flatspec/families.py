@@ -34,7 +34,7 @@ from .bieberbach import (
     expand_holonomy,
     is_orientable,
     is_torsion_free,
-    mask_key,
+    mask_entry,
     validate,
 )
 
@@ -258,9 +258,10 @@ def kn_coset_keys(n: int) -> Iterator[tuple[tuple[int, ...], bytes]]:
 
 
 def kn_byte_keys(n: int) -> dict[int, tuple]:
-    """The theta key of each coset byte 16 x + b of kn_coset_keys(n):
-    mask_key(n, x, b), as in BieberbachGroup.key_counts."""
-    return {16 * x + b: mask_key(n, x, b) for x in range(n) for b in range(n + 1 - x)}
+    """The signature entry (theta key, traces) of each coset byte 16 x + b
+    of kn_coset_keys(n): mask_entry(n, x, b), as BieberbachGroup.signature
+    names it."""
+    return {16 * x + b: mask_entry(n, x, b) for x in range(n) for b in range(n + 1 - x)}
 
 
 def kn_family_size(n: int) -> int:
@@ -292,7 +293,7 @@ def kn_arrays(n: int) -> Iterator[GhwArray]:
 def kn_family(n: int) -> Iterator[BieberbachGroup]:
     """All 2^((n-1)(n-2)/2) groups, torsion free by construction (see
     kn_group_from_array), built one at a time as iterated; n is checked at
-    the call.  KN_CAP states the cost at the cap (about 10 minutes for K_8)."""
+    the call.  KN_CAP states the cost at the cap (14-18 minutes for K_8)."""
     return map(kn_group_from_array, kn_arrays(n))
 
 

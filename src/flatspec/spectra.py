@@ -38,13 +38,12 @@ peak at N = 2000, its compare with a second one (640 keys) 0.9-1.3 s at
 18 MiB to n_max 300 and 5.0-6.2 s at 27-29 MiB to 1100.
 
 Traces of the p-th exterior representation are the coefficients of
-det(Id + t*B) (``SignedPermutation.exterior_traces``).  Every coset of a
-group with holonomy Z_2^k is an involution, whose cycles are axes kept or
-negated and 2-cycles of sign product +1.  The kept axes and the 2-cycles
-make its theta key, so B has the eigenvalue -1 x = n - len(key) times and
-its traces are K_p^n(x) (``bieberbach.krawtchouk_table``).  So
-``theorem_checks`` reads such a group as its cosets' codes, sorted, with
-their theta keys: a group's own keys, or a K_n member's bytes off its array.
+det(Id + t*B) (``SignedPermutation.exterior_traces``); a signature reads
+an involution's, every coset's of a group with holonomy Z_2^k, off its
+theta key instead.  So ``theorem_checks`` reads such a group as its
+cosets' codes, sorted, with their signature entries: a group's own
+entries, or a K_n member's bytes off its array (``families.kn_byte_keys``).
+Like a row above, it sums the cosets' series per trace class.
 """
 
 from __future__ import annotations
@@ -55,12 +54,7 @@ from functools import lru_cache
 from operator import add, mul
 
 from . import lattice
-from .bieberbach import (
-    BieberbachGroup,
-    ThetaKey,
-    classify_holonomy,
-    krawtchouk_table,
-)
+from .bieberbach import BieberbachGroup, ThetaKey, classify_holonomy
 
 
 def character_sum(elements, top: int) -> tuple[list[int], ...]:
@@ -142,8 +136,8 @@ def _check_n_max(n_max: int) -> None:
 def theorem_check(groups, n_max: int) -> list[int | None]:
     """For each group, of one dimension n, the least N <= n_max at which it
     breaks d_f = 2^(n-k) r_n(N) or d_e = d_o, or None if no N does: one
-    theorem_checks scan, each group's cosets coded by their theta keys (its
-    key_counts, one key a coset, sorted), so a code is its own key.
+    theorem_checks scan, each group's cosets coded by their signature
+    entries (one entry a coset, sorted), so a code is its own entry.
     Requires holonomy Z_2^k; n_max and every group are checked first."""
     _check_n_max(n_max)
     groups = list(groups)
@@ -156,28 +150,28 @@ def theorem_check(groups, n_max: int) -> list[int | None]:
     dims = {group.dim for group in groups}
     if len(dims) > 1:
         raise ValueError(f"theorem_check needs one dimension, got {sorted(dims)}")
-    members = [(g.label(), tuple(sorted(k for k, count in g.key_counts for _ in range(count)))) for g in groups]
-    keys = {key: key for _label, cosets in members for key in cosets}
-    return [failing for _label, failing in theorem_checks(members, keys, max(dims, default=1), n_max)]
+    members = [(g.label(), tuple(sorted(e for e, count in g.signature for _ in range(count)))) for g in groups]
+    entries = {entry: entry for _label, cosets in members for entry in cosets}
+    return [failing for _label, failing in theorem_checks(members, entries, max(dims, default=1), n_max)]
 
 
-def theorem_checks(members, keys, n: int, n_max: int) -> Iterator[tuple[str, int | None]]:
+def theorem_checks(members, entries, n: int, n_max: int) -> Iterator[tuple[str, int | None]]:
     """(label, what theorem_check returns) for each (label, cosets) of a
     group with holonomy Z_2^k in dimension n, cosets one code per coset,
-    sorted, and keys[code] its theta key.  The cosets are involutions, so
-    traces are K_p^n(x), x = n - len(key), and d_p(N) = (1/|F|) sum_x
-    K_p^n(x) w_x(N) over the x that occur, w_x(N) summing e(key, N) over the
-    cosets with that x.  One walk tables every key's series and r_n(N) to
-    n_max before the first member; a distinct cosets is scanned, and a
-    distinct row (|F|, N, w) certified, once (memos cleared at 2^16); n_max
-    is checked first."""
+    sorted, and entries[code] its signature entry (theta key, traces).  A
+    row sums, per trace class T the member's cosets take, T times w_T(N),
+    the sum of e(key, N) over its cosets with traces T.  One walk tables
+    every key's series and r_n(N) to n_max before the first member; a
+    distinct cosets is scanned, and a distinct row (|F|, N, classes, w)
+    certified, once (memos cleared at 2^16); n_max is checked first."""
     _check_n_max(n_max)
     torus = ((1, 0),) * n
-    table = dict(lattice.theta_series([torus, *keys.values()], n_max))
+    table = dict(lattice.theta_series([torus, *(key for key, _traces in entries.values())], n_max))
     shells = table[torus]
-    by_code = {code: (n - len(key), table[key]) for code, key in keys.items()}
-    kraw = krawtchouk_table(n)
-    passes: dict[tuple[int, ...], bool] = {}  # (|F|, N, *w) -> the row keeps the theorem
+    slots: dict[tuple[int, ...], int] = {}  # traces -> the slot of its class
+    by_code = {code: (table[key], slots.setdefault(traces, len(slots))) for code, (key, traces) in entries.items()}
+    classes = list(slots)
+    passes: dict[tuple, bool] = {}  # (|F|, N, slots of the classes used, *their w) -> the row keeps the theorem
     verdicts: dict[bytes | tuple, int | None] = {}
     for label, cosets in members:
         if cosets not in verdicts:
@@ -186,17 +180,17 @@ def theorem_checks(members, keys, n: int, n_max: int) -> Iterator[tuple[str, int
                 passes.clear()
             order = len(cosets)
             terms = [(*by_code[code], count) for code, count in Counter(cosets).items()]
-            xs = sorted({x for x, _series, _count in terms})
-            columns = [[k_p[x] for x in xs] for k_p in kraw]
+            used = tuple(sorted({slot for _series, slot, _count in terms}))
+            columns = list(zip(*map(classes.__getitem__, used)))  # row p: T_p of each class used
             verdicts[cosets] = None
             for norm_sq in range(n_max + 1):
-                weights = [0] * (n + 1)
-                for x, series, count in terms:
-                    weights[x] += count * series[norm_sq]
-                row_key = (order, norm_sq, *weights)
+                weights = [0] * len(classes)
+                for series, slot, count in terms:
+                    weights[slot] += count * series[norm_sq]
+                present = [weights[slot] for slot in used]
+                row_key = (order, norm_sq, used, *present)
                 if row_key not in passes:
-                    present = [weights[x] for x in xs]
-                    row = _certified_row([sum(map(mul, k_p, present)) for k_p in columns], order, label, norm_sq)
+                    row = _certified_row([sum(map(mul, t_p, present)) for t_p in columns], order, label, norm_sq)
                     f, e, o = (row_value(row, mode) for mode in "feo")
                     passes[row_key] = f == (1 << n) // order * shells[norm_sq] and e == o
                 if not passes[row_key]:

@@ -30,6 +30,9 @@ Also here, because only tests compare against them:
   ``canonical_edges``), its inverse ``array_of``, and ``graphs_isomorphic``,
   which decides isomorphism by them: the package never asks, since a
   family graph fixes its own labels;
+* ``invariant_forms_row``, d_p(N) as the dimension of the invariant
+  p-forms, by exact rank over Q(i) orbit by orbit of the shell, apart from
+  the trace formula that every other row oracle evaluates;
 * the paper's closed forms for the (j, h) family of ``families.z2_group``:
   ``z2_closed_forms`` (d_p at N = 1 and 2) and ``z2_betti_closed_form``.
 """
@@ -40,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 
 from flatspec import bieberbach, families, spectra
 from flatspec.arith import format_quarter
@@ -231,6 +235,83 @@ def trace_p_oracle(b, p: int) -> int:
             sign *= b.signs[j]
         total += sign * sorting_parity(image)
     return total
+
+
+def _gaussian_rank(rows, width: int) -> int:
+    """Rank over Q(i) of sparse rows of width columns, each given as its
+    (column, (re, im)) pairs and reduced in pairs of Fractions, by
+    elimination on each row's least column: a pivot row is scaled to 1 there
+    and has no smaller column, so a row only gains larger columns.  Stops at
+    full rank."""
+
+    def times(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    pivots = {}  # least column -> its pivot row
+    for row in rows:
+        if len(pivots) == width:
+            break
+        row = {col: (Fraction(re), Fraction(im)) for col, (re, im) in row if (re, im) != (0, 0)}
+        while row:
+            col = min(row)
+            lead = row[col]
+            if col not in pivots:
+                norm = lead[0] ** 2 + lead[1] ** 2
+                inverse = (lead[0] / norm, -lead[1] / norm)
+                pivots[col] = {c: times(value, inverse) for c, value in row.items()}
+                break
+            for c, value in pivots[col].items():
+                left, cancel = row.get(c, (0, 0)), times(lead, value)
+                value = (left[0] - cancel[0], left[1] - cancel[1])
+                if value == (0, 0):
+                    row.pop(c, None)
+                else:
+                    row[c] = value
+    return len(pivots)
+
+
+def _wedge_image(b, subset, index) -> tuple[int, int]:
+    """(index of the sorted image, sign) of B e_I for the p-subset I: the
+    signs B puts on I's axes times the parity that sorts their images."""
+    image = [b.perm[j] for j in subset]
+    return index[tuple(sorted(image))], sorting_parity(image) * math.prod(b.signs[j] for j in subset)
+
+
+def invariant_forms_row(group, norm_sq: int, phase: int = 1) -> tuple[int, ...]:
+    """(d_0, ..., d_n) at N by the definition, apart from the trace formula:
+    the dimension of the span of the p-forms e^(2*pi*i v.x) dx_I, |v|^2 = N,
+    that every coset fixes.  Split by F-orbits of shell vectors, an orbit of
+    v adds C(n, p) minus the rank over Q(i) of the stacked
+    chi_v(s) Lambda^p(B_s) - I over the cosets s whose B_s fixes v, where
+    chi_v(s) = i^(-phase * v.q_s), q_s the translation in quarter units, and
+    Lambda^p(B) maps e_I to the sign of its wedge times e_(B I).  phase -1
+    conjugates the character, which changes no dimension since Lambda^p(B)
+    is real; phase 0 drops it."""
+    n = group.dim
+    bases = [list(combinations(range(n), p)) for p in range(n + 1)]
+    indices = [{subset: k for k, subset in enumerate(basis)} for basis in bases]
+    wedges = {  # (B, p) -> (column, its image's row, sign) of Lambda^p(B)
+        (b, p): [(k, *_wedge_image(b, subset, indices[p])) for k, subset in enumerate(bases[p])]
+        for b, p in product({element.linear for element in group.holonomy}, range(n + 1))
+    }
+    row = [0] * (n + 1)
+    seen = set()
+    for v in shell_vectors(n, norm_sq).vectors:
+        if v in seen:
+            continue
+        seen.update(element.linear.apply(v) for element in group.holonomy)
+        stabiliser = [element for element in group.holonomy if element.linear.apply(v) == v]
+        for p, basis in enumerate(bases):
+            rows = set()  # each row of chi Lambda^p(B) - I once, as its (column, entry) pairs
+            for element in stabiliser:
+                re, im = QUARTER_TURNS[phase * sum(map(mul, v, element.translation)) % 4]
+                for k, target, sign in wedges[element.linear, p]:
+                    entries = {k: (sign * re, sign * im)}
+                    left_re, left_im = entries.get(target, (0, 0))
+                    entries[target] = (left_re - 1, left_im)
+                    rows.add(tuple(sorted(entries.items())))
+            row[p] += len(basis) - _gaussian_rank(sorted(rows), len(basis))
+    return tuple(row)
 
 
 def _shell_character_sum(shell, element) -> int:

@@ -368,6 +368,8 @@ SWEEP_STDOUT = {
     ("hw-catalog", 5, 5): "3f27db89bd3b9bae",
     ("hw-catalog", 7, 5): "f1d3a23f080a990c",
     ("z2", 16, 5): "f81b6fb113d41626",
+    # recorded before the theorem scan read signature entries per trace class
+    ("z2", 32, 50): "ae22c110ad361326",
 }
 
 
@@ -418,7 +420,35 @@ def test_the_z2_theorem_sweep_at_the_dimension_cap_within_budget(capsys):
     code, out = run(capsys, "family", "z2", "--dim", "64", "--verify-theorem", "10")
     elapsed = time.perf_counter() - start
     assert code == 0 and out.splitlines()[-1].startswith("1055/1055 ")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "3dc1ad6de2397b41"
     assert elapsed < 2.0, f"the dim-64 z2 sweep took {elapsed:.2f} s"
+
+
+# sha256 prefixes of the concatenated stdout of spectrum --norms 0,...,30
+# --json over the z2 members with swap blocks (j >= 1), in z2_parameters
+# order, recorded before their involution traces were read off the theta
+# key instead of exterior_traces; each run exits 0
+SWAP_BLOCK_SPECTRA = {
+    4: "ddcd04d18f8020d8",
+    5: "8cbcf85d32be707b",
+    6: "29fafaaf5ce0dfd7",
+    7: "b04bd1b0548c0d97",
+    8: "d87f006ac1350c4d",
+}
+
+
+@pytest.mark.parametrize("dim", list(SWAP_BLOCK_SPECTRA))
+def test_swap_block_members_print_their_recorded_spectra(capsys, tmp_path, dim):
+    norms = ",".join(map(str, range(31)))
+    text = ""
+    for j, h in families.z2_parameters(dim):
+        if j:
+            path = tmp_path / f"z2_{j}_{h}.json"
+            path.write_text(json.dumps(families.z2_group(dim, j, h).to_json()), encoding="utf-8")
+            code, out = run(capsys, "spectrum", str(path), "--norms", norms, "--json")
+            assert code == 0
+            text += out
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == SWAP_BLOCK_SPECTRA[dim]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])

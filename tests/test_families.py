@@ -277,9 +277,9 @@ def test_kn_array_equals_the_checked_array(n):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_members_from_bits_match_the_built_groups(n):
     # the theorem sweep reads each member off its bits; the group path
-    # builds it: the mask pairs, and the theta keys of the cosets (the coset
-    # bytes decoded through kn_byte_keys, against key_counts), agree as
-    # multisets
+    # builds it: the mask pairs, and the signature entries of the cosets
+    # (the coset bytes decoded through kn_byte_keys, against signature),
+    # agree as multisets
     bit_vectors = itertools.product((0, 1), repeat=free_parameter_count(n))
     members = list(kn_coset_keys(n))
     byte_keys = kn_byte_keys(n)
@@ -288,24 +288,24 @@ def test_members_from_bits_match_the_built_groups(n):
         group = kn_group_from_array(kn_array(n, index))
         assert member_bits == bits and kn_name(n, bits) == group.name
         assert sorted(kn_masks(n, bits)) == sorted(g.half_masks for g in group.generators)
-        assert Counter(map(byte_keys.__getitem__, cosets)) == Counter(dict(group.key_counts))
+        assert Counter(map(byte_keys.__getitem__, cosets)) == Counter(dict(group.signature))
 
 
 def _theorem_check_members(groups):
     """(label, cosets) and the code table, as theorem_check feeds its scan."""
-    members = [(g.label(), tuple(sorted(k for k, count in g.key_counts for _ in range(count)))) for g in groups]
-    return members, {key: key for _label, cosets in members for key in cosets}
+    members = [(g.label(), tuple(sorted(e for e, count in g.signature for _ in range(count)))) for g in groups]
+    return members, {entry: entry for _label, cosets in members for entry in cosets}
 
 
 def test_the_sweep_rows_are_the_group_rows(monkeypatch):
     # every row the theorem scan certifies, recorded at the one
     # certification under the first member that needs it, against
     # multiplicity_row of the built group: a row depends on (|F|, N, w)
-    # alone, w_x(N) summing e(key, N) over the cosets with n - len(key) = x,
-    # so each distinct row is certified once and every member resolves to
-    # it.  K_5 is fed as sorted coset bytes, as the sweep feeds it; the z2
-    # members with swap blocks, which are no mask groups, as theorem_check
-    # feeds them
+    # alone, w mapping each trace class T the member's cosets take to w_T(N),
+    # the sum of e(key, N) over its cosets with traces T, so each distinct
+    # row is certified once and every member resolves to it.  K_5 is fed as
+    # sorted coset bytes, as the sweep feeds it; the z2 members with swap
+    # blocks, which are no mask groups, as theorem_check feeds them
     from flatspec import lattice, spectra
 
     groups = list(kn_family(5))
@@ -328,15 +328,15 @@ def test_the_sweep_rows_are_the_group_rows(monkeypatch):
         assert checks == [(g.label(), None) for g in groups]
         first = {}
         norms = tuple(range(13))
-        series = dict(lattice.theta_series(keys.values(), 12))
+        series = dict(lattice.theta_series([key for key, _traces in keys.values()], 12))
         group_rows = spectra.multiplicity_row(tuple(groups), norms)
         for group, (member_label, cosets), by_norm in zip(groups, members, group_rows):
             assert member_label == group.label()
             for norm_sq, row in zip(norms, by_norm):
-                weights = [0] * (n + 1)
-                for code in cosets:
-                    weights[n - len(keys[code])] += series[keys[code]][norm_sq]
-                label = first.setdefault((group.order, norm_sq, tuple(weights)), group.label())
+                weights = {}
+                for key, traces in map(keys.__getitem__, cosets):
+                    weights[traces] = weights.get(traces, 0) + series[key][norm_sq]
+                label = first.setdefault((group.order, norm_sq, frozenset(weights.items())), group.label())
                 assert rows[label, norm_sq] == row
         assert len(rows) == len(first) <= len(members) * 13
         if kind == "kn":  # its members share rows

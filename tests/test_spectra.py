@@ -4,6 +4,8 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -413,6 +415,43 @@ def test_z2k_traces_are_krawtchouk_values_of_the_key_length():
             assert traces == columns[n - len(key)]
         for element in group.holonomy:
             assert element.linear.exterior_traces() == columns[n - len(element.theta_key)]
+
+
+def test_signature_traces_are_each_cosets_own():
+    # a signature reads an involution's traces off its key's Krawtchouk
+    # column, and a mask group's off (x, b), never off the coset: they must
+    # be each coset's own exterior traces, and for n <= 6 the wedge-basis
+    # oracle's
+    groups = [catalog(name) for name in catalog_names()]
+    groups += [g for n in range(2, 9) for g in z2_family(n)] + list(kn_family(5))
+    involutions = 0
+    for group in groups:
+        expected = Counter()
+        for element in group.holonomy:
+            b = element.linear
+            traces = b.exterior_traces()
+            if b.order() <= 2:
+                involutions += 1
+                if group.dim <= 6:
+                    assert traces == tuple(trace_p_oracle(b, p) for p in range(group.dim + 1))
+            expected[element.theta_key, traces] += 1
+        assert Counter(dict(group.signature)) == expected, group.label()
+    assert len(groups) == 21 + 62 + 64 and involutions == 1428
+
+
+def test_the_scan_holds_rows_by_trace_class():
+    # a row is remembered by the trace classes its member takes and their
+    # weights, not by n + 1 weights: 271 dim-32 z2 members to N = 50 share
+    # few rows (5.8 MiB when keyed by 33 weights)
+    groups = z2_family(32)
+    assert all(group.signature for group in groups)  # built before tracing
+    tracemalloc.start()
+    try:
+        assert theorem_check(groups, 50) == [None] * 271
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, f"the scan peaked at {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("n_max", [0, 2, 7, 20])

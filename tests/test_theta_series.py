@@ -148,7 +148,7 @@ def test_theta_counts_of_small_products():
 
 def test_theta_counts_match_the_recursion_on_every_catalog_and_k5_key():
     groups = [*map(catalog, catalog_names()), *kn_family(5)]
-    keys = {key for group in groups for key, _count in group.key_counts}
+    keys = {key for group in groups for (key, _traces), _count in group.signature}
     assert len(keys) == 24
     for key, series in theta_series(keys, 60):
         assert series == [recursive_theta_counts(key, norm_sq) for norm_sq in range(61)], key

@@ -84,7 +84,7 @@ def _pairs():
 
 
 def _keys(group):
-    return {key for key, _count in group.key_counts}
+    return {key for (key, _traces), _count in group.signature}
 
 
 def _one_prefixes_the_other(left, right) -> bool:
@@ -164,7 +164,7 @@ for _ in range(16):
     linear = SignedPermutation.diagonal(signs)
     generators.append(IsometryElement(linear, [2 * rng.randrange(2) for _ in range(64)]))
 group = expand_holonomy(generators, 64)
-keys = [key for key, _count in group.key_counts]
+keys = [key for (key, _traces), _count in group.signature]
 prefixes = len({key[:i] for key in keys for i in range(len(key) + 1)})
 ((row,),) = spectra.multiplicity_row((group,), (2000,))
 ((_key, shells),) = lattice.theta_series([((1, 0),) * 64], 2000)
