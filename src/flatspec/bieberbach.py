@@ -208,12 +208,6 @@ class SignedPermutation(Record):
             result = math.lcm(result, length if sigma == 1 else 2 * length)
         return result
 
-    def det(self) -> int:
-        sign = 1
-        for indices, _eps, sigma in self.cycles:
-            sign *= sigma * (-1) ** (len(indices) - 1)
-        return sign
-
     def exterior_traces(self) -> tuple[int, ...]:
         """Coefficients of det(Id + t*B): entry p is the trace on p-forms.
 
@@ -252,11 +246,10 @@ class SignedPermutation(Record):
 
 @lru_cache(maxsize=16)
 def krawtchouk_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row p, column x: K_p^n(x) for 0 <= p, x <= n, the trace on p-forms of
-    an involution with eigenvalue -1 of multiplicity x, as is every coset of
-    a Z2^k group: column x is the exterior traces of diag(-1^x, 1^(n-x))."""
-    involutions = (SignedPermutation.diagonal((-1,) * x + (1,) * (n - x)) for x in range(n + 1))
-    return tuple(zip(*(b.exterior_traces() for b in involutions)))
+    """Column x, entry p: K_p^n(x) for 0 <= p, x <= n, the trace on p-forms
+    of an involution with eigenvalue -1 of multiplicity x, as is every coset
+    of a Z2^k group: column x is the exterior traces of diag(-1^x, 1^(n-x))."""
+    return tuple(SignedPermutation.diagonal((-1,) * x + (1,) * (n - x)).exterior_traces() for x in range(n + 1))
 
 
 class IsometryElement(Record):
@@ -400,18 +393,18 @@ class BieberbachGroup(Record):
         that the multiplicities d_p(N) read of the group (see ``spectra``).
         An involution's cycles are axes kept or negated and 2-cycles of sign
         product +1; the kept axes and the 2-cycles make its theta key, so its
-        traces are K_p^n(x), x = n - len(key) (krawtchouk_table), and only a
-        coset of higher order reads exterior_traces: 0.5-0.65 s for B_6
-        (|F| = 46080, 65 entries).  A mask group walks its basis in Gray-code
-        order, one XOR a step and no coset built, and names each (x, b) by
-        mask_entry: 31-34 ms for a dim-64 group of 2^16 cosets and 697
-        entries (CPython 3.11, Xeon VM)."""
+        traces are column n - len(key) of krawtchouk_table(n), read by index,
+        and only a coset of higher order reads exterior_traces: 0.6-1.0 s for
+        B_6 (|F| = 46080, 65 entries), nearly all in cycles and theta keys.
+        A mask group walks its basis in Gray-code order, one XOR a step and
+        no coset built, and names each (x, b) by mask_entry: 31-34 ms for a
+        dim-64 group of 2^16 cosets and 697 entries (CPython 3.11, Xeon VM)."""
         n = self.dim
         if self._basis is None:
-            counts = Counter()
+            table, counts = krawtchouk_table(n), Counter()
             for elem in self.holonomy:
                 key, linear = elem.theta_key, elem.linear
-                counts[key, mask_entry(n, n - len(key), 0)[1] if linear.order() <= 2 else linear.exterior_traces()] += 1
+                counts[key, table[n - len(key)] if linear.order() <= 2 else linear.exterior_traces()] += 1
             return tuple(counts.items())
         counts = {(0, 0): 1}  # (x, b) -> cosets
         neg = trans = 0
@@ -520,7 +513,7 @@ def mask_entry(n: int, x: int, b: int) -> tuple[ThetaKey, tuple[int, ...]]:
     axes, x = popcount(neg), and translates b of the others by 1/2,
     b = popcount(~neg & trans): its theta key (1, 0)^(n-x-b) (1, 2)^b and its
     traces, column x of krawtchouk_table(n)."""
-    return ((1, 0),) * (n - x - b) + ((1, 2),) * b, tuple(row[x] for row in krawtchouk_table(n))
+    return ((1, 0),) * (n - x - b) + ((1, 2),) * b, krawtchouk_table(n)[x]
 
 
 def _walk(gens, dim: int):
@@ -598,7 +591,6 @@ def torsion_witness(group: BieberbachGroup) -> IsometryElement | None:
 class HolonomyClass(Record):
     """Isomorphism data for the finite holonomy group."""
 
-    order: int
     abelian: bool
     elementary_rank: int | None
     description: str
@@ -642,16 +634,16 @@ def classify_holonomy(group: BieberbachGroup) -> HolonomyClass:
     else:
         gens = [g.linear for g in group.generators]
         if not all(a.compose(b) == b.compose(a) for a, b in itertools.combinations(gens, 2)):
-            return HolonomyClass(m, False, None, f"nonabelian of order {m}")
+            return HolonomyClass(False, None, f"nonabelian of order {m}")
         factors = _primary_factors([e.linear.order() for e in group.holonomy])
     rank = len(factors) if set(factors) <= {2} else None
     text = " x ".join(f"Z{d}" for d in factors) or "trivial"
-    return HolonomyClass(m, True, rank, f"Z2^{rank}" if rank and rank > 1 else text)
+    return HolonomyClass(True, rank, f"Z2^{rank}" if rank and rank > 1 else text)
 
 
 def is_orientable(group: BieberbachGroup) -> bool:
-    """All linear parts of determinant 1, read off the generators."""
-    return all(g.linear.det() == 1 for g in group.generators)
+    """All linear parts of determinant 1, the top exterior trace, read off the generators."""
+    return all(g.linear.exterior_traces()[-1] == 1 for g in group.generators)
 
 
 class ValidationReport(Record):

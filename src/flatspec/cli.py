@@ -139,7 +139,7 @@ def cmd_krawtchouk(args) -> int:
     n = args.n
     if not 1 <= n <= DIM_CAP:
         return _fail(f"n must satisfy 1 <= n <= {DIM_CAP}, got {n}")
-    table = krawtchouk_table(n)
+    table = list(zip(*krawtchouk_table(n)))  # row p: K_p^n at each x
     if args.json:
         _print_json({"n": n, "values": [list(row) for row in table]})
     elif args.csv:

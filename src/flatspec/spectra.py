@@ -136,9 +136,10 @@ def _check_n_max(n_max: int) -> None:
 def theorem_check(groups, n_max: int) -> list[int | None]:
     """For each group, of one dimension n, the least N <= n_max at which it
     breaks d_f = 2^(n-k) r_n(N) or d_e = d_o, or None if no N does: one
-    theorem_checks scan, each group's cosets coded by their signature
-    entries (one entry a coset, sorted), so a code is its own entry.
-    Requires holonomy Z_2^k; n_max and every group are checked first."""
+    theorem_checks scan, each group's cosets coded by its signature entries,
+    read once, sorted and each repeated count times, so a code is its own
+    entry and no coset is walked.  Requires holonomy Z_2^k; n_max and every
+    group are checked first."""
     _check_n_max(n_max)
     groups = list(groups)
     for group in groups:
@@ -150,8 +151,8 @@ def theorem_check(groups, n_max: int) -> list[int | None]:
     dims = {group.dim for group in groups}
     if len(dims) > 1:
         raise ValueError(f"theorem_check needs one dimension, got {sorted(dims)}")
-    members = [(g.label(), tuple(sorted(e for e, count in g.signature for _ in range(count)))) for g in groups]
-    entries = {entry: entry for _label, cosets in members for entry in cosets}
+    members = [(g.label(), tuple(e for e, count in sorted(g.signature) for _ in range(count))) for g in groups]
+    entries = {e: e for g in groups for e, _count in g.signature}
     return [failing for _label, failing in theorem_checks(members, entries, max(dims, default=1), n_max)]
 
 

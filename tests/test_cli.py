@@ -304,7 +304,11 @@ def test_family_sweep_holds_few_groups(capsys, monkeypatch):
 
 
 def test_family_sweep_takes_the_mask_walk(capsys, monkeypatch):
-    # no product, cycle, element order or theta key, and no representatives
+    # no product, cycle, element order or theta key, and no representatives,
+    # per member: the per-dimension table of entries, read once off the
+    # diagonal involutions' traces, is built first
+    families.kn_byte_keys(5)
+
     def refuse(*args):
         raise AssertionError("the sweep read element data")
 
@@ -864,6 +868,98 @@ def test_unknown_group_spec(capsys):
     code, out = run(capsys, "spectrum", "dim3/m99", "--norms", "1")
     assert code == 2
     assert "unknown" in json.loads(out)["error"]
+
+
+INPUT_FILES = {
+    "short.json": {"dim": 3, "generators": [{"perm": [2, 1], "signs": [1, 1]}]},
+    "one.json": {"rows": [[0]]},
+    "ragged.json": {"rows": [[0, "1/2"], [0]]},
+}
+SHORT_REPORT = """{
+  "accepted": false,
+  "closure": false,
+  "cocycle": false,
+  "diagonal_type": false,
+  "dim": 3,
+  "elementary_rank": null,
+  "error": "generator dimension 2 != 3",
+  "holonomy": "unknown",
+  "holonomy_order": 0,
+  "name": null,
+  "orientable": false,
+  "torsion_free": false
+}
+"""
+
+
+# stdout and exit code, recorded, of input paths that no other test takes
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (
+            ("compare", "dim6/z4z2_M", "dim6/z4z2_Mp", "--nmax", "0"),
+            0,
+            "dim6/z4z2_M vs dim6/z4z2_Mp: unequal in mode f at N=0: 16 != 8\n",
+        ),
+        (("spectrum", "torus:2", "--norms", "-1"), 2, '{"error": "squared norms must be >= 0, got -1"}\n'),
+        (("spectrum", "torus:2", "--norms", ","), 2, '{"error": "no squared norms given"}\n'),
+        (("graph",), 2, '{"error": "graph needs --dim (with --index or --all) or --array FILE"}\n'),
+        (("validate", "short.json"), 2, SHORT_REPORT),
+        (("spectrum", "short.json", "--norms", "1"), 2, '{"error": "generator dimension 2 != 3"}\n'),
+        (("graph", "--array", "one.json"), 2, '{"error": "arrays need n >= 2, got 1"}\n'),
+        (("graph", "--array", "ragged.json"), 2, '{"error": "entries must form an 2x2 array"}\n'),
+    ],
+)
+def test_input_paths_print_their_recorded_stdout(capsys, tmp_path, argv, code, expected):
+    for name, payload in INPUT_FILES.items():
+        (tmp_path / name).write_text(json.dumps(payload), encoding="utf-8")
+    argv = [str(tmp_path / arg) if arg in INPUT_FILES else arg for arg in argv]
+    assert run(capsys, *argv) == (code, expected)
+
+
+@pytest.fixture
+def identity_shift(monkeypatch):
+    """Installs a theta walk that adds delta to the coefficient at N = 1 of
+    the dimension-3 identity key, so a row's averaged sum is off by delta."""
+    walk = lattice.theta_series
+
+    def install(delta):
+        def shifted(keys, top):
+            for key, series in walk(keys, top):
+                if key == ((1, 0),) * 3:
+                    series = [*series]
+                    series[1] += delta
+                yield key, series
+
+        monkeypatch.setattr(lattice, "theta_series", shifted)
+
+    multiplicity_row.cache_clear()
+    yield install
+    multiplicity_row.cache_clear()
+
+
+# d_0(1) of hw3/M1 is 0: a sum off by 1 is not divisible by |F| = 4, and one
+# off by -4 is negative
+UNCERTIFIED = {1: "averaged sum 1/4", -4: "averaged sum -4/4"}
+
+
+@pytest.mark.parametrize("delta", list(UNCERTIFIED))
+def test_an_uncertified_row_raises(identity_shift, delta):
+    identity_shift(delta)
+    message = f"multiplicity is not a nonnegative integer for hw3/M1 p=0 N=1: {UNCERTIFIED[delta]}"
+    with pytest.raises(ArithmeticError) as info:
+        multiplicity_row((families.catalog("hw3/M1"),), (1,))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("delta", list(UNCERTIFIED))
+@pytest.mark.parametrize(
+    "argv", [("spectrum", "hw3/M1", "--norms", "1"), ("family", "hw-catalog", "--dim", "3", "--verify-theorem", "1")]
+)
+def test_an_uncertified_row_prints_only_its_error(capsys, identity_shift, delta, argv):
+    identity_shift(delta)
+    message = f"multiplicity is not a nonnegative integer for hw3/M1 p=0 N=1: {UNCERTIFIED[delta]}"
+    assert run(capsys, *argv) == (2, json.dumps({"error": message}) + "\n")
 
 
 def test_shell_cap_env_respected(capsys, monkeypatch):

@@ -21,6 +21,7 @@ from oracles import (
     first_mask_conflict,
     holonomy_description_by_search,
     pairwise_group_check,
+    trace_p_oracle,
 )
 
 from flatspec import bieberbach, lattice, spectra
@@ -85,7 +86,7 @@ def test_validate_and_classify_agree_with_the_pairwise_oracle(label):
     assert report.accepted == (not label.startswith("B"))
     # read off the generators, these must match their per-coset definitions
     assert report.diagonal_type == all(e.half_masks is not None for e in group.holonomy)
-    assert report.orientable == all(e.linear.det() == 1 for e in group.holonomy)
+    assert report.orientable == all(trace_p_oracle(e.linear, group.dim) == 1 for e in group.holonomy)
 
 
 def test_groups_have_no_public_constructor():

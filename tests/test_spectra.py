@@ -66,15 +66,16 @@ KRAWTCHOUK_N4 = (
 
 
 def test_krawtchouk_tables_match_published_values():
-    assert krawtchouk_table(3) == KRAWTCHOUK_N3
-    assert krawtchouk_table(4) == KRAWTCHOUK_N4
+    # the table holds columns x; the published tables are rows p
+    assert tuple(zip(*krawtchouk_table(3))) == KRAWTCHOUK_N3
+    assert tuple(zip(*krawtchouk_table(4))) == KRAWTCHOUK_N4
 
 
 def test_krawtchouk_table_is_the_defining_sum_up_to_the_dimension_cap():
     # the table is made of exterior traces; the oracle sums binomials
     for n in range(DIM_CAP + 1):
         expected = tuple(tuple(krawtchouk(n, p, x) for x in range(n + 1)) for p in range(n + 1))
-        assert krawtchouk_table(n) == expected
+        assert tuple(zip(*krawtchouk_table(n))) == expected
 
 
 def test_krawtchouk_spot_values():
